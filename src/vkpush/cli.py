@@ -16,15 +16,13 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
-from vkpush.abelianization import FLOAT_TOL, AbelianizationMap, check_compatible, norm
+from vkpush.abelianization import AbelianizationMap, check_compatible, norm
 from vkpush.diagram import Diagram
 from vkpush.oracle import (
     FillingSearchError,
@@ -32,6 +30,7 @@ from vkpush.oracle import (
     brute_area,
     certificate_to_diagram,
     sample_corridor_certificates,
+    sample_corridor_loops,
     search_filling,
     wasteful_diagram,
 )
@@ -42,7 +41,7 @@ from vkpush.presentation import (
     parse_word,
     word_to_text,
 )
-from vkpush.pusher import ARPair, PushError, predicted_area_bound, push_to_corridor
+from vkpush.pusher import ARPair, PushError, audit, predicted_area_bound, push_to_corridor
 from vkpush.scheme import CertificationError, PushingScheme, certify_coverage
 
 EXIT_OK = 0
@@ -141,10 +140,6 @@ def _grid(args) -> float:
     return args.grid
 
 
-def _constants(s, grid):
-    return certify_coverage(s, grid)
-
-
 def _check_radius(q, k) -> None:
     if not q > k.q_min:
         raise UsageError(
@@ -175,31 +170,6 @@ def _step_dict(st):
         "area_before": st.area_before,
         "area_after": st.area_after,
         "new_vertex_max_norm": st.new_vertex_max_norm,
-    }
-
-
-def _bound_checks(trace, k, q):
-    """Recompute the run's quantitative guarantees from the trace records."""
-    init, fin = trace.initial, trace.final
-    c0 = init.metrics()["norm"]
-    sweep_cap = math.ceil(2 * (c0 - q) / k.a) if c0 > q else 0
-    norms_ok = all(
-        st.new_vertex_max_norm <= st.c - k.a / 2 + FLOAT_TOL for st in trace.steps
-    )
-    growth_ok = all(
-        st.area_after - st.area_before <= k.A * st.degree + FLOAT_TOL
-        for st in trace.steps
-    )
-    degree_ok = all(fin.degree(v) <= 2 * b for v, b in trace.budgets.items())
-    area_bound = (1.0 + 4.0 * k.A * k.B) ** trace.sweeps * init.area
-    return {
-        "step_norm_drop": norms_ok,
-        "step_area_growth": growth_ok,
-        "degree_doubling": degree_ok,
-        "sweeps_within_cap": trace.sweeps <= sweep_cap,
-        "sweep_cap": sweep_cap,
-        "area_within_bound": fin.area <= area_bound + FLOAT_TOL,
-        "boundary_preserved": fin.boundary_word == init.boundary_word,
     }
 
 
@@ -389,7 +359,7 @@ def cmd_validate(args) -> int:
 def cmd_certify(args) -> int:
     grid = _grid(args)
     p, m, s = _load_bundle(args.bundle)
-    k = _constants(_require_scheme(s, args.bundle), grid)
+    k = certify_coverage(_require_scheme(s, args.bundle), grid)
     _emit(k.to_json_dict())
     return EXIT_OK
 
@@ -397,7 +367,7 @@ def cmd_certify(args) -> int:
 def cmd_push(args) -> int:
     grid = _grid(args)
     p, m, s = _load_bundle(args.bundle)
-    k = _constants(_require_scheme(s, args.bundle), grid)
+    k = certify_coverage(_require_scheme(s, args.bundle), grid)
     _check_radius(args.q, k)
     d = _load_diagram(args.diagram, p, m)
     final, trace = push_to_corridor(d, s, k, args.q)
@@ -409,7 +379,7 @@ def cmd_push(args) -> int:
         "boundary": word_to_text(final.boundary_word, p),
         "sweeps": trace.sweeps,
         "steps": [_step_dict(st) for st in trace.steps],
-        "bound_checks": _bound_checks(trace, k, args.q),
+        "bound_checks": audit(trace, k, args.q),
     }
     if args.render:
         report["render"] = {
@@ -443,37 +413,24 @@ def cmd_area_oracle(args) -> int:
 
 def cmd_sample(args) -> int:
     p, m, s = _load_bundle(args.bundle)
-    certs = sample_corridor_certificates(
-        p, m, args.q, args.target_len, args.count, args.seed
-    )
+    words = sample_corridor_loops(p, m, args.q, args.target_len, args.count, args.seed)
     _emit(
         {
             "q": args.q,
             "seed": args.seed,
             "target_len": args.target_len,
-            "count": len(certs),
-            "words": [word_to_text(c.reduced_word(), p) for c in certs],
+            "count": len(words),
+            "words": [word_to_text(w, p) for w in words],
         }
     )
     return EXIT_OK
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("VKPUSH_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise UsageError(f"VKPUSH_THREADS must be an integer, got {raw!r}") from None
-    return max(1, n)
 
 
 def cmd_bench(args) -> int:
     started = time.perf_counter()
     grid = _grid(args)
     p, m, s = _load_bundle(args.bundle)
-    k = _constants(_require_scheme(s, args.bundle), grid)
+    k = certify_coverage(_require_scheme(s, args.bundle), grid)
     _check_radius(args.q, k)
     certs = sample_corridor_certificates(
         p, m, args.q, args.target_len, args.count, args.seed
@@ -485,7 +442,7 @@ def cmd_bench(args) -> int:
         else:
             d = certificate_to_diagram(p, m, cert, m.zero)
         final, trace = push_to_corridor(d, s, k, args.q)
-        checks = _bound_checks(trace, k, args.q)
+        checks = audit(trace, k, args.q)
         word = cert.reduced_word()
         entry = {
             "word": word_to_text(word, p),
@@ -505,12 +462,7 @@ def cmd_bench(args) -> int:
             }
         return entry
 
-    threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_one, certs))
-    else:
-        results = [run_one(c) for c in certs]
+    results = [run_one(c) for c in certs]
 
     failed = sum(not r["passed"] for r in results)
     report = {
@@ -539,15 +491,16 @@ def cmd_bench(args) -> int:
             )
         try:
             pair = ARPair.from_strings(parts[0].strip(), parts[1].strip())
+            at_n = {
+                str(nn): _json_number(predicted_area_bound(pair, k, nn))
+                for nn in BOUND_SAMPLE_POINTS
+            }
         except ValidationError as exc:
             raise UsageError(str(exc)) from exc
         report["predicted_area_bounds"] = {
             "area_growth": parts[0].strip(),
             "radius_growth": parts[1].strip(),
-            "at_n": {
-                str(nn): _json_number(predicted_area_bound(pair, k, nn))
-                for nn in BOUND_SAMPLE_POINTS
-            },
+            "at_n": at_n,
         }
     _emit(report)
     if failed:

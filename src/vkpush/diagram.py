@@ -19,7 +19,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from vkpush.abelianization import AbelianizationMap, Character, Vector, norm, vec_add
+from vkpush.abelianization import AbelianizationMap, Vector, norm, vec_add
 from vkpush.presentation import (
     Presentation,
     ValidationError,
@@ -246,9 +246,6 @@ class Diagram:
     def face_of(self, d: int) -> int:
         return self._face_of[d]
 
-    def face_word(self, index: int) -> Word:
-        return tuple(self.letter[d] for d in self.faces[index])
-
     @property
     def area(self) -> int:
         return len(self.faces) - 1
@@ -274,9 +271,6 @@ class Diagram:
     def degree(self, v: int) -> int:
         return len(self.rotations[v])
 
-    def is_interior(self, v: int) -> bool:
-        return v not in self.boundary_vertices
-
     def max_norm_vertex(self) -> int:
         """Deterministic argmax of the label norm.
 
@@ -288,7 +282,7 @@ class Diagram:
             key=lambda v: (-sum(c * c for c in self.labels[v]), self.labels[v], v),
         )
 
-    def metrics(self, u: Character | None = None) -> dict:
+    def metrics(self) -> dict:
         boundary = self.boundary_vertices
         dist = {v: 0 for v in boundary}
         queue = deque(boundary)
@@ -299,14 +293,11 @@ class Diagram:
                 if w not in dist:
                     dist[w] = dist[v] + 1
                     queue.append(w)
-        out = {
+        return {
             "area": self.area,
             "radius": max(dist.values(), default=0),
             "norm": max(norm(lbl) for lbl in self.labels.values()),
         }
-        if u is not None:
-            out["valuation"] = min(u.value(lbl) for lbl in self.labels.values())
-        return out
 
     # -- serialization ------------------------------------------------------
 
@@ -827,77 +818,6 @@ def expand_boundary(d: Diagram, target: Word) -> Diagram:
         else:
             walk.append(bld.twin[opened[match[i]]])
     return bld.build(walk, d.base_label, vertex_hints=dict(d.origin))
-
-
-# -- mirror-pair reduction -----------------------------------------------
-
-
-def _mirror_candidate(d: Diagram, e: int) -> tuple[int, int] | None:
-    """Return (face1, face2) if the edge at dart e separates a mirror pair."""
-    t = d.twin[e]
-    f1, f2 = d.face_of(e), d.face_of(t)
-    if f1 == f2 or d.boundary_face_index in (f1, f2):
-        return None
-    face1, face2 = d.faces[f1], d.faces[f2]
-    if len(face1) != len(face2):
-        return None
-    n = len(face1)
-    s1 = face1.index(e)
-    w1 = [d.letter[face1[(s1 + i) % n]] for i in range(n)]
-    s2 = face2.index(t)
-    w2 = [d.letter[face2[(s2 + i) % n]] for i in range(n)]
-    if any(w2[j] != -w1[(n - j) % n] for j in range(n)):
-        return None
-    shared = sum(1 for x in face1 if d.twin[x] in set(face2))
-    if shared != 1:
-        return None
-    return f1, f2
-
-
-def _cancel_pair(d: Diagram, e: int, f1: int, f2: int) -> Diagram:
-    t = d.twin[e]
-    face1, face2 = d.faces[f1], d.faces[f2]
-    n = len(face1)
-    s1, s2 = face1.index(e), face2.index(t)
-    flank1 = [face1[(s1 + i) % n] for i in range(1, n)]
-    flank2 = [face2[(s2 + i) % n] for i in range(1, n)]
-    bld = DiagramBuilder(d.presentation, d.amap)
-    bld.adopt(d)
-    for i, face in enumerate(d.faces):
-        if i not in (f1, f2, d.boundary_face_index):
-            bld.add_cell(face)
-    for j in range(1, n):
-        bld.alias(flank1[j - 1], d.twin[flank2[n - j - 1]], allow_fold=True)
-    return bld.build(
-        d.boundary_walk,
-        d.base_label,
-        vertex_hints=dict(d.origin),
-        merge_hints=True,
-    )
-
-
-def reduce_mirror_pairs(d: Diagram) -> Diagram:
-    """Cancel adjacent mirror-image cell pairs until none remain.
-
-    The boundary word is preserved letter for letter; only interior area
-    drops.  Scanning is deterministic (lowest dart id first, restart after
-    every cancellation).  Pairings whose cancellation would pinch the
-    surface are skipped.
-    """
-    while True:
-        for e in sorted(d.origin):
-            if e > d.twin[e]:
-                continue
-            cand = _mirror_candidate(d, e)
-            if cand is None:
-                continue
-            try:
-                d = _cancel_pair(d, e, *cand)
-            except ValidationError:
-                continue
-            break
-        else:
-            return d
 
 
 # -- isomorphism signatures ---------------------------------------------

@@ -4,6 +4,9 @@ One step swaps the closed star of the maximum-norm vertex for a conjugation
 ring plus re-based scheme fillings, built directly in its glued, cancelled
 form.  Every quantitative promise the certified constants make is audited at
 runtime; a violation is reported as a broken scheme, never glossed over.
+push_step checks its own step as it goes, and ``audit`` is the one place the
+run bounds (sweep cap, (1+4AB)^sweeps area bound, degree doubling) are
+computed, for the engine and the command line alike.
 """
 
 from __future__ import annotations
@@ -236,8 +239,14 @@ def _anchor_darts(d: Diagram, g: int, star: StarView) -> dict[int, int]:
     return anchors
 
 
-def _budget_map(ids: dict[int, tuple[int, int]]) -> dict[int, int]:
-    return {v: budget for v, (budget, _) in ids.items()}
+def _sweep_cap(c0: float, q: float, k: SchemeConstants) -> int:
+    """ceil(2(c0-q)/a): the sweeps a run from norm c0 down to q may take."""
+    return math.ceil(2 * (c0 - q) / k.a) if c0 > q else 0
+
+
+def _growth_factor(k: SchemeConstants) -> float:
+    """1 + 4AB: the factor by which one sweep may multiply the area."""
+    return 1 + 4 * k.A * k.B
 
 
 def push_to_corridor(
@@ -246,10 +255,10 @@ def push_to_corridor(
     """Iterate push_step until every vertex lies in the corridor of radius q.
 
     The trace records each step, the completed sweeps, and the original
-    degrees; at the end the run audits the sweep bound, the per-sweep area
-    growth, the doubling bound on surviving original degrees, and boundary
-    preservation.  A step budget of |V| * ceil(2(c0-q)/a) * 4 guards against
-    a scheme that spins without descending.
+    degrees; at the end the run is checked by audit, and any failed check
+    raises PushError carrying the trace.  A step budget of
+    |V| * ceil(2(c0-q)/a) * 4 guards against a scheme that spins without
+    descending.
     """
     if not q > k.q_min:
         raise PushError(f"corridor radius {q} must exceed q_min = {k.q_min}")
@@ -259,10 +268,9 @@ def push_to_corridor(
     trace = PushTrace([], 0, d, d, original_degrees, dict(original_degrees))
     if c0 <= q:
         return d, trace
-    levels = max(1, math.ceil(2 * (c0 - q) / k.a))
-    cap = max(1, len(d.vertices)) * levels * 4
+    cap = max(1, len(d.vertices)) * _sweep_cap(c0, q, k) * 4
     # degree budget per surviving vertex; a fold merging two link vertices adds theirs
-    ids = {v: (d.degree(v), v) for v in d.vertices}
+    budgets = dict(original_degrees)
     steps: list[PushStep] = []
     sweeps = 0
     steps_since_crossing = 0
@@ -271,7 +279,7 @@ def push_to_corridor(
     cur_norm = c0
     while cur_norm > q:
         if len(steps) >= cap:
-            trace = PushTrace(steps, sweeps, d, cur, original_degrees, _budget_map(ids))
+            trace = PushTrace(steps, sweeps, d, cur, original_degrees, budgets)
             raise PushError(
                 f"no corridor after {len(steps)} steps (cap {cap}); norm stuck at {cur_norm:.4f},"
                 f" last steps: {[s_.pushed_vertex_label for s_ in steps[-3:]]}",
@@ -281,7 +289,7 @@ def push_to_corridor(
         try:
             star = vertex_star(cur, g)
         except ValidationError as exc:
-            trace = PushTrace(steps, sweeps, d, cur, original_degrees, _budget_map(ids))
+            trace = PushTrace(steps, sweeps, d, cur, original_degrees, budgets)
             raise PushError(
                 f"max-norm vertex has no regular star: {exc}", trace
             ) from exc
@@ -290,21 +298,16 @@ def push_to_corridor(
             nxt, step = push_step(cur, s, k, q, _star=(g, star))
         except PushError as exc:
             if exc.trace is None:
-                exc.trace = PushTrace(steps, sweeps, d, cur, original_degrees, _budget_map(ids))
+                exc.trace = PushTrace(steps, sweeps, d, cur, original_degrees, budgets)
             raise
         steps.append(step)
-        new_ids: dict[int, tuple[int, int]] = {}
+        new_budgets: dict[int, int] = {}
         for v, dart in anchors.items():
-            rec = ids.get(v)
-            if rec is None or dart not in nxt.origin:
+            if v not in budgets or dart not in nxt.origin:
                 continue
             nv = nxt.origin[dart]
-            prev = new_ids.get(nv)
-            if prev is None:
-                new_ids[nv] = rec
-            else:
-                new_ids[nv] = (prev[0] + rec[0], min(prev[1], rec[1]))
-        ids = new_ids
+            new_budgets[nv] = new_budgets.get(nv, 0) + budgets[v]
+        budgets = new_budgets
         cur = nxt
         cur_norm = cur.metrics()["norm"]
         steps_since_crossing += 1
@@ -314,28 +317,71 @@ def push_to_corridor(
             steps_since_crossing = 0
     if steps_since_crossing:
         sweeps += 1
-    trace = PushTrace(steps, sweeps, d, cur, original_degrees, _budget_map(ids))
-
-    problems: list[str] = []
-    if cur.boundary_word != d.boundary_word:
-        problems.append("the boundary word changed across the run")
-    if sweeps > levels:
-        problems.append(f"{sweeps} sweeps exceed the bound ceil(2(c0-q)/a) = {levels}")
-    bound = (1.0 + 4.0 * k.A * k.B) ** sweeps * d.area
-    if cur.area > bound + FLOAT_TOL:
-        problems.append(f"final area {cur.area} exceeds (1+4AB)^sweeps * initial = {bound:.1f}")
-    for nv, (budget, ov) in ids.items():
-        if cur.degree(nv) > 2 * budget:
-            problems.append(
-                f"surviving vertex {ov} with degree baseline {budget}"
-                f" now has degree {cur.degree(nv)}"
-            )
-            break
+    trace = PushTrace(steps, sweeps, d, cur, original_degrees, budgets)
+    _, problems = _audit(trace, k, q)
     if problems:
         raise PushError(
             "push run invariant violation (broken scheme?): " + "; ".join(problems), trace
         )
     return cur, trace
+
+
+def audit(trace: PushTrace, k: SchemeConstants, q: float) -> dict:
+    """Recompute the paper's run bounds from a trace.
+
+    The per-step norm drop and area growth, degree doubling, the sweep cap
+    ceil(2(c0-q)/a) with c0 the largest initial label norm, the
+    (1+4AB)^sweeps area bound and boundary preservation.
+    """
+    return _audit(trace, k, q)[0]
+
+
+def _audit(trace: PushTrace, k: SchemeConstants, q: float) -> tuple[dict, list[str]]:
+    """The checks of audit, plus a message with figures for each failed one."""
+    init, fin = trace.initial, trace.final
+    sweep_cap = _sweep_cap(max(norm(lbl) for lbl in init.labels.values()), q, k)
+    area_bound = float(_growth_factor(k)) ** trace.sweeps * init.area
+    problems: list[str] = []
+    steps = list(enumerate(trace.steps))
+    shallow = [i for i, st in steps if st.new_vertex_max_norm > st.c - k.a / 2 + FLOAT_TOL]
+    if shallow:
+        st = trace.steps[shallow[0]]
+        problems.append(
+            f"step {shallow[0]}: a new vertex has norm {st.new_vertex_max_norm:.6f}"
+            f" > c - a/2 = {st.c - k.a / 2:.6f}"
+        )
+    grown = [i for i, st in steps if st.area_after - st.area_before > k.A * st.degree + FLOAT_TOL]
+    if grown:
+        st = trace.steps[grown[0]]
+        problems.append(
+            f"step {grown[0]}: area grew by {st.area_after - st.area_before}"
+            f" > A*degree = {k.A * st.degree:.1f}"
+        )
+    doubled = [v for v, b in trace.budgets.items() if fin.degree(v) > 2 * b]
+    if doubled:
+        v = doubled[0]
+        problems.append(
+            f"surviving vertex {v} with degree baseline {trace.budgets[v]}"
+            f" now has degree {fin.degree(v)}"
+        )
+    if trace.sweeps > sweep_cap:
+        problems.append(f"{trace.sweeps} sweeps exceed the bound ceil(2(c0-q)/a) = {sweep_cap}")
+    if fin.area > area_bound + FLOAT_TOL:
+        problems.append(
+            f"final area {fin.area} exceeds (1+4AB)^sweeps * initial = {area_bound:.1f}"
+        )
+    if fin.boundary_word != init.boundary_word:
+        problems.append("the boundary word changed across the run")
+    checks = {
+        "step_norm_drop": not shallow,
+        "step_area_growth": not grown,
+        "degree_doubling": not doubled,
+        "sweeps_within_cap": trace.sweeps <= sweep_cap,
+        "sweep_cap": sweep_cap,
+        "area_within_bound": fin.area <= area_bound + FLOAT_TOL,
+        "boundary_preserved": fin.boundary_word == init.boundary_word,
+    }
+    return checks, problems
 
 
 # -- growth predictions --------------------------------------------------------
@@ -353,7 +399,9 @@ def _compile_growth(expr: str) -> Callable[[float], float]:
     """A safe evaluator for growth laws in the single variable n.
 
     Permits numbers, n, + - * / ** with unary minus, and calls to log, log2,
-    sqrt, exp.  Anything else is rejected up front.
+    sqrt, exp.  Anything else is rejected up front.  Division by zero, a
+    math domain error, a non-real power or a float overflow while evaluating
+    raises ValidationError.
     """
     try:
         tree = ast.parse(expr, mode="eval")
@@ -378,7 +426,10 @@ def _compile_growth(expr: str) -> Callable[[float], float]:
             if isinstance(node.op, ast.Div):
                 return a / b
             if isinstance(node.op, ast.Pow):
-                return a**b
+                val = a**b
+                if isinstance(val, complex):
+                    raise ValueError(f"{a!r} ** {b!r} is not real")
+                return val
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
             val = ev(node.operand, n)
             return -val if isinstance(node.op, ast.USub) else val
@@ -393,7 +444,14 @@ def _compile_growth(expr: str) -> Callable[[float], float]:
         raise ValidationError(f"unsupported element in growth expression {expr!r}")
 
     def fn(n: float) -> float:
-        return ev(tree, n)
+        try:
+            return ev(tree, n)
+        except ValidationError:
+            raise
+        except (ArithmeticError, ValueError) as exc:
+            raise ValidationError(
+                f"growth expression {expr!r} is undefined at n = {n}: {exc}"
+            ) from exc
 
     fn(2)
     return fn
@@ -419,8 +477,10 @@ def predicted_area_bound(ar: ARPair, k: SchemeConstants, n: int):
     """
     gn = ar.g(n)
     fn = ar.f(n)
+    if isinstance(gn, float) and not math.isfinite(gn):
+        raise ValidationError(f"radius growth is {gn} at n = {n}")
     expo = math.ceil(Fraction(2) * Fraction(k.lipschitz) * Fraction(gn) / Fraction(k.a))
-    base = 1 + 4 * k.A * k.B
+    base = _growth_factor(k)
     if float(base).is_integer() and (isinstance(fn, int) or float(fn).is_integer()):
         return int(base) ** expo * int(fn)
     try:

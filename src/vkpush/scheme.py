@@ -23,7 +23,7 @@ from vkpush.abelianization import (
     prefix_labels,
     vec_sub,
 )
-from vkpush.diagram import Diagram, DiagramBuilder
+from vkpush.diagram import Diagram
 from vkpush.presentation import (
     Presentation,
     ValidationError,
@@ -144,41 +144,6 @@ def hat_word(e: SchemeEntry, w: Word) -> Word:
                 f"letter {letter_token(x, e.presentation)!r} has no conjugation word"
             )
     return tuple(out)
-
-
-def _hat_blocks(e: SchemeEntry, w: Word) -> list[Word]:
-    return [(x,) if x in (e.t, -e.t) else e.conj[x] for x in w]
-
-
-def t_ring(e: SchemeEntry, w: Word, start_label: Vector) -> Diagram:
-    """Open corridor over w: boundary t^-1 w t hat(w)^-1, based at the hatted start.
-
-    One conjugation cell per letter of w; letters t and t^-1 degenerate to
-    shared edges, so the area can drop below |w|.
-    """
-    if not w:
-        raise ValidationError("cannot build a corridor over the empty word")
-    _hat_blocks(e, w)  # validates letters up front
-    bld = DiagramBuilder(e.presentation, e.amap)
-    top = bld.path(w)
-    verticals = [bld.new_edge(e.t)[0] for _ in range(len(w) + 1)]
-    bottom: list[int] = []
-    for i, x in enumerate(w):
-        if x == e.t:
-            bld.alias(verticals[i], top[i])
-            bottom.append(verticals[i + 1])
-        elif x == -e.t:
-            bld.alias(verticals[i + 1], bld.twin[top[i]])
-            bottom.append(bld.twin[verticals[i]])
-        else:
-            block = bld.path(e.conj[x])
-            cell = [bld.twin[verticals[i]], top[i], verticals[i + 1]]
-            cell.extend(bld.twin[bk] for bk in reversed(block))
-            bld.add_cell(cell)
-            bottom.extend(block)
-    walk = [bld.twin[verticals[0]], *top, verticals[-1]]
-    walk.extend(bld.twin[bk] for bk in reversed(bottom))
-    return bld.build(walk, start_label)
 
 
 def conjugation_problems(p: Presentation, t: int, conj: dict[int, Word]) -> list[str]:

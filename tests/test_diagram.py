@@ -13,7 +13,6 @@ from vkpush.diagram import (
     expand_boundary,
     mirror,
     rebase_on_boundary,
-    reduce_mirror_pairs,
     splice,
     star_diagram,
     vertex_star,
@@ -94,7 +93,7 @@ def test_grid_counts(grid):
 
 
 def test_grid_interior_vertex(grid):
-    inner = [v for v in grid.vertices if grid.is_interior(v)]
+    inner = [v for v in grid.vertices if v not in grid.boundary_vertices]
     assert len(inner) == 1
     assert grid.labels[inner[0]] == (1, 1)
     assert grid.degree(inner[0]) == 4
@@ -308,7 +307,7 @@ def test_rebase_matches_rotation(j):
 
 
 def test_vertex_star_at_grid_center(grid):
-    center = next(v for v in grid.vertices if grid.is_interior(v))
+    center = next(v for v in grid.vertices if v not in grid.boundary_vertices)
     star = vertex_star(grid, center)
     assert star.degree == 4
     assert len(star.corners) == 4
@@ -329,7 +328,7 @@ def test_vertex_star_rejects_boundary_vertex(grid):
 
 
 def test_star_diagram_matches_link(grid):
-    center = next(v for v in grid.vertices if grid.is_interior(v))
+    center = next(v for v in grid.vertices if v not in grid.boundary_vertices)
     star = vertex_star(grid, center)
     piece = star_diagram(grid, center)
     assert piece.boundary_word == star.link_word
@@ -339,20 +338,20 @@ def test_star_diagram_matches_link(grid):
 
 
 def test_splice_star_back_is_identity(grid):
-    center = next(v for v in grid.vertices if grid.is_interior(v))
+    center = next(v for v in grid.vertices if v not in grid.boundary_vertices)
     piece = star_diagram(grid, center)
     out = splice(grid, center, piece)
     assert canonical_signature(out) == canonical_signature(grid)
 
 
 def test_splice_rejects_wrong_boundary(grid, square):
-    center = next(v for v in grid.vertices if grid.is_interior(v))
+    center = next(v for v in grid.vertices if v not in grid.boundary_vertices)
     with pytest.raises(ValidationError, match="does not match the link"):
         splice(grid, center, square)
 
 
 def test_splice_rejects_wrong_base_label(grid):
-    center = next(v for v in grid.vertices if grid.is_interior(v))
+    center = next(v for v in grid.vertices if v not in grid.boundary_vertices)
     piece = star_diagram(grid, center)
     shifted = rebase_on_boundary(piece, 0, (7, 7))
     with pytest.raises(ValidationError, match="base label"):
@@ -402,38 +401,6 @@ def test_expand_boundary_random_insertions(inserts):
     out = expand_boundary(d, tuple(target))
     assert out.boundary_word == tuple(target)
     assert out.area == d.area
-
-
-# -- mirror-pair reduction ------------------------------------------------
-
-
-def build_mirror_pair(p, m) -> Diagram:
-    """Two mirror-image squares sharing one edge; cancels to a tree."""
-    bld = DiagramBuilder(p, m)
-    cell1 = bld.path((1, 2, -1, -2))
-    e1 = cell1[0]
-    cell2 = [bld.twin[e1]] + bld.path((2, 1, -2))
-    bld.add_cell(cell1)
-    bld.add_cell(cell2)
-    walk = cell1[1:] + cell2[1:]
-    return bld.build(walk, (1, 0))
-
-
-def test_mirror_pair_cancels_to_tree(zp, zm):
-    d = build_mirror_pair(zp, zm)
-    assert d.area == 2
-    word = d.boundary_word
-    out = reduce_mirror_pairs(d)
-    assert out.area == 0
-    assert out.boundary_word == word
-    assert len(out.vertices) == 4
-    assert len(out.origin) == 6
-    assert out.base_label == d.base_label
-
-
-def test_reduce_leaves_grid_alone(grid):
-    out = reduce_mirror_pairs(grid)
-    assert canonical_signature(out) == canonical_signature(grid)
 
 
 # -- signatures ------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -14,6 +15,7 @@ from vkpush.pusher import (
     ARPair,
     PushError,
     _compile_growth,
+    audit,
     predicted_area_bound,
     push_step,
     push_to_corridor,
@@ -109,6 +111,23 @@ def test_full_descent_on_tower(z2):
     assert all(x >= y for x, y in zip(cs, cs[1:]))
     # still a genuine filling, so at least the minimal area
     assert final.area >= brute_area(p, R, max_area=2)
+
+
+def test_run_audit_failure_raises_with_trace(z2):
+    p, m, s, k = z2
+    up = next(e for e in s.entries if e.t == 1)
+    d = tower_diagram(up, R, 6, (0,))
+    # B = 0 certifies no area growth at all, which the run cannot keep
+    broken = dataclasses.replace(k, B=0)
+    with pytest.raises(PushError) as info:
+        push_to_corridor(d, s, broken, 5.0)
+    trace = info.value.trace
+    assert len(trace.steps) == 3
+    assert "final area 21 exceeds (1+4AB)^sweeps * initial = 13.0" in str(info.value)
+    checks = audit(trace, broken, 5.0)
+    assert checks["area_within_bound"] is False
+    assert all(v for key, v in checks.items() if key != "area_within_bound")
+    assert audit(trace, k, 5.0)["area_within_bound"] is True
 
 
 def test_descent_direction_matches_vertex_sign(z2):

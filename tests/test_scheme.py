@@ -3,8 +3,6 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from vkpush.abelianization import AbelianizationMap, Character, norm, path_valuation
 from vkpush.diagram import DiagramBuilder, mirror, rebase_on_boundary
@@ -17,7 +15,6 @@ from vkpush.scheme import (
     choose_entry,
     gap,
     hat_word,
-    t_ring,
     verify_entry,
     _sphere_grid,
 )
@@ -109,49 +106,6 @@ def test_hat_word_missing_letter():
     e = SchemeEntry(ZP, ZM, 1, {-2: (-2,)}, {})
     with pytest.raises(ValidationError, match="no conjugation word"):
         hat_word(e, (2,))
-
-
-def test_t_ring_single_conjugation_cell():
-    d = t_ring(entry_a(), (2,), (0,))
-    assert d.boundary_word == (-1, 2, 1, -2)
-    assert d.area == 1
-    assert d.base_label == (0,)
-    assert sorted(d.labels.values()) == [(-1,), (-1,), (0,), (0,)]
-
-
-def test_t_ring_two_cells():
-    d = t_ring(entry_a(), (2, 2), (0,))
-    assert d.boundary_word == (-1, 2, 2, 1, -2, -2)
-    assert d.area == 2
-
-
-def test_t_ring_degenerate_direction_letters():
-    e = entry_a()
-    d = t_ring(e, (1,), (0,))
-    assert d.boundary_word == (-1, 1, 1, -1)
-    assert d.area == 0
-    d = t_ring(e, (1, -1), (0,))
-    assert d.boundary_word == (-1, 1, -1, 1, 1, -1)
-    assert d.area == 0
-    d = t_ring(e, (2, 1, -2), (0,))
-    assert d.boundary_word == (-1, 2, 1, -2, 1) + invert((2, 1, -2))
-    assert d.area == 2
-
-
-def test_t_ring_rejects_empty_word():
-    with pytest.raises(ValidationError, match="empty word"):
-        t_ring(entry_a(), (), (0,))
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.sampled_from([1, -1, 2, -2]), min_size=1, max_size=6))
-def test_t_ring_shape_property(letters):
-    e = entry_a()
-    w = tuple(letters)
-    d = t_ring(e, w, (0,))
-    assert d.boundary_word == (-1,) + w + (1,) + invert(hat_word(e, w))
-    assert d.area == sum(1 for x in w if x not in (1, -1))
-    assert d.base_label == (0,)
 
 
 def test_gap_values_on_fixture():
