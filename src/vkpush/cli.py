@@ -441,9 +441,17 @@ def cmd_bench(args) -> int:
             d = wasteful_diagram(s, cert, args.q)
         else:
             d = certificate_to_diagram(p, m, cert, m.zero)
-        final, trace = push_to_corridor(d, s, k, args.q)
-        checks = audit(trace, k, args.q)
         word = cert.reduced_word()
+        try:
+            final, trace = push_to_corridor(d, s, k, args.q)
+            error = None
+        except PushError as exc:
+            # a failed run check ends this word, not the bench; a failed
+            # precondition (no trace) still ends the bench
+            if exc.trace is None:
+                raise
+            final, trace, error = exc.trace.final, exc.trace, str(exc)
+        checks = audit(trace, k, args.q)
         entry = {
             "word": word_to_text(word, p),
             "length": len(word),
@@ -452,8 +460,10 @@ def cmd_bench(args) -> int:
             "steps": len(trace.steps),
             "sweeps": trace.sweeps,
             "bound_checks": checks,
-            "passed": _checks_pass(checks),
+            "passed": error is None and _checks_pass(checks),
         }
+        if error is not None:
+            entry["error"] = error
         if args.oracle_check:
             found = brute_area(p, word, args.max_area)
             entry["oracle"] = {

@@ -9,8 +9,10 @@ sequence of the boundary face orbit, and starts at the base vertex, which by
 convention is the origin of ``boundary_face_dart``.
 
 Vertex labels in Z^n are breadth-first propagated from the base label and
-must be consistent along every edge.  ``Diagram.build`` is the single
-validating constructor; every surgery here rebuilds through it.
+must be consistent along every edge.  ``Diagram.build`` is the single full
+validator: every Diagram comes out of it, including those of
+``vkpush.store``, which replaces vertex stars in place and checks only what
+a replacement creates.
 """
 
 from __future__ import annotations
@@ -277,10 +279,7 @@ class Diagram:
         Ties break toward the lexicographically smallest label, then the
         smallest vertex id; the comparison uses exact squared integers.
         """
-        return min(
-            self.vertices,
-            key=lambda v: (-sum(c * c for c in self.labels[v]), self.labels[v], v),
-        )
+        return min(self.vertices, key=lambda v: norm_key(v, self.labels[v]))
 
     def metrics(self) -> dict:
         boundary = self.boundary_vertices
@@ -364,6 +363,11 @@ class Diagram:
             base_label=tuple(obj["base_label"]),
             boundary_face_dart=obj.get("boundary_face_dart"),
         )
+
+
+def norm_key(v: int, label: Vector) -> tuple:
+    """Sort key of max_norm_vertex: largest norm, then smallest label, then id."""
+    return (-sum(c * c for c in label), label, v)
 
 
 class DiagramBuilder:
@@ -658,7 +662,6 @@ def rebase_on_boundary(d: Diagram, position: int, base_label: Sequence[int] | No
 class Corner:
     """One cell around the star center, between consecutive spokes."""
 
-    face_index: int
     out_dart: int
     in_dart: int
     arc: tuple[int, ...]
@@ -681,51 +684,9 @@ def vertex_star(d: Diagram, v: int) -> StarView:
     Errors if v lies on the boundary, carries a loop edge, or if some corner
     face visits v more than once.
     """
-    if v not in d.rotations:
-        raise ValidationError(f"no vertex {v} in the diagram")
-    if v in d.boundary_vertices:
-        raise ValidationError(f"vertex {v} lies on the boundary")
-    spokes = d.rotations[v]
-    for s in spokes:
-        if d.head(s) == v:
-            raise ValidationError(f"vertex {v} carries a loop edge; star is not regular")
-    k = len(spokes)
-    corners = []
-    seen_faces = set()
-    for i in range(k):
-        out = spokes[i]
-        inc = d.twin[spokes[(i + 1) % k]]
-        # the face orbit entering along inc continues with out, so both sit
-        # in the same face with inc as the face-predecessor of out
-        fi = d.face_of(out)
-        if fi in seen_faces:
-            raise ValidationError(f"face {fi} has a repeated corner at vertex {v}")
-        seen_faces.add(fi)
-        face = d.faces[fi]
-        shift = face.index(out)
-        rotated = face[shift:] + face[:shift]
-        corners.append(
-            Corner(
-                face_index=fi,
-                out_dart=out,
-                in_dart=inc,
-                arc=rotated[1:-1],
-                word=tuple(d.letter[x] for x in rotated),
-            )
-        )
-    link: list[int] = []
-    for corner in corners:
-        link.extend(corner.arc)
-    if not link:
-        raise ValidationError(f"the link of vertex {v} has no edges")
-    return StarView(
-        center=v,
-        darts=tuple(spokes),
-        corners=tuple(corners),
-        link_darts=tuple(link),
-        link_word=tuple(d.letter[x] for x in link),
-        degree=k,
-    )
+    from vkpush.store import DartStore  # the store builds on this module
+
+    return DartStore(d).star(v)
 
 
 def star_diagram(d: Diagram, v: int) -> Diagram:
@@ -747,35 +708,11 @@ def star_diagram(d: Diagram, v: int) -> Diagram:
 
 def splice(d: Diagram, v: int, replacement: Diagram) -> Diagram:
     """Replace the closed star of v by another diagram glued along the link."""
-    star = vertex_star(d, v)
-    if replacement.boundary_word != star.link_word:
-        raise ValidationError(
-            "replacement boundary "
-            f"{word_to_text(replacement.boundary_word, d.presentation)!r} does not match the link "
-            f"{word_to_text(star.link_word, d.presentation)!r}"
-        )
-    link_start = d.head(star.darts[0])
-    if replacement.labels[replacement.base] != d.labels[link_start]:
-        raise ValidationError("replacement base label does not match the link base label")
-    removed = {corner.face_index for corner in star.corners}
-    bld = DiagramBuilder(d.presentation, d.amap)
-    bld.adopt(d)
-    for i, face in enumerate(d.faces):
-        if i != d.boundary_face_index and i not in removed:
-            bld.add_cell(face)
-    mapping = bld.import_shifted(replacement)
-    for i, face in enumerate(replacement.faces):
-        if i != replacement.boundary_face_index:
-            bld.add_cell([mapping[x] for x in face])
-    # allow_fold: a replacement whose boundary walk is pinched (one edge used
-    # twice) legitimately folds the two host edges it glues onto; merge_hints
-    # accepts the induced merge of same-label link vertices.  The full sphere,
-    # relator and label validation in build still applies afterwards.
-    for rep_dart, link_dart in zip(replacement.boundary_walk, star.link_darts):
-        bld.alias(mapping[rep_dart], link_dart, allow_fold=True)
-    return bld.build(
-        d.boundary_walk, d.base_label, vertex_hints=dict(d.origin), merge_hints=True
-    )
+    from vkpush.store import DartStore  # the store builds on this module
+
+    store = DartStore(d)
+    store.apply(store.glue(store.star(v), replacement))
+    return store.diagram()
 
 
 # -- boundary rewriting ------------------------------------------------------

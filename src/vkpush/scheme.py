@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from vkpush.abelianization import (
     AbelianizationMap,
@@ -47,6 +47,11 @@ class SchemeEntry:
     t: int
     conj: dict[int, Word]
     fillings: dict[int, Diagram]
+    # relator variant -> its filling re-based for a star corner; the pusher
+    # fills it on first use
+    corner_instances: dict[Word, Diagram] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import pathlib
@@ -6,6 +7,7 @@ import sys
 
 import pytest
 
+from vkpush import cli
 from vkpush.cli import main
 from vkpush.oracle import tower_diagram
 
@@ -236,6 +238,24 @@ def test_bench_deterministic_modulo_timing(capsys):
         return json.dumps(out, sort_keys=True)
 
     assert grab() == grab()
+
+
+def test_bench_reports_failed_words_and_exits_four(capsys, monkeypatch):
+    certify = cli.certify_coverage
+    # B = 0 certifies no area growth at all, which no pushed word can keep
+    monkeypatch.setattr(cli, "certify_coverage", lambda s, g: dataclasses.replace(certify(s, g), B=0))
+    code, out, err = run(capsys, "bench", Z2, "--q", "5", "--count", "3", "--seed", "3")
+    assert code == 4
+    assert err["error"]["type"] == "InvariantViolation"
+    summary = out["audit_summary"]
+    assert summary["words"] == 3 and summary["failed"] >= 1
+    assert summary["passed"] + summary["failed"] == 3 and summary["all_passed"] is False
+    failed = [r for r in out["results"] if not r["passed"]]
+    assert len(failed) == summary["failed"]
+    for r in failed:
+        assert "exceeds (1+4AB)^sweeps" in r["error"]
+        assert r["bound_checks"]["area_within_bound"] is False
+        assert r["steps"] > 0 and r["final_area"] > r["initial_area"]
 
 
 def test_bench_rejects_malformed_ar(capsys):

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from vkpush.abelianization import norm
+from vkpush.diagram import Diagram
 from vkpush.oracle import (
     brute_area,
     sample_corridor_certificates,
@@ -128,6 +129,66 @@ def test_run_audit_failure_raises_with_trace(z2):
     assert checks["area_within_bound"] is False
     assert all(v for key, v in checks.items() if key != "area_within_bound")
     assert audit(trace, k, 5.0)["area_within_bound"] is True
+
+
+def test_audit_area_bound_survives_float_overflow(z2):
+    p, m, s, k = z2
+    up = next(e for e in s.entries if e.t == 1)
+    _, trace = push_to_corridor(tower_diagram(up, R, 6, (0,)), s, k, 5.0)
+    # 81^170 passes the float range (1.8e308 at 162 sweeps)
+    checks = audit(dataclasses.replace(trace, sweeps=170), k, 5.0)
+    assert checks["area_within_bound"] is True
+    assert checks["sweeps_within_cap"] is False
+
+
+def _assert_survivors_budgeted(trace):
+    fin = trace.final
+    survivors = [v for v in fin.vertices if v in trace.original_degrees]
+    assert survivors
+    assert all(v in trace.budgets for v in survivors)
+    # a survivor keeps its original degree as its budget
+    assert all(trace.budgets[v] == trace.original_degrees[v] for v in survivors)
+
+
+def test_every_surviving_original_vertex_keeps_a_budget(z2, heis):
+    p, m, s, k = z2
+    for e in s.entries:
+        for depth in (6, 9, 11):
+            _, trace = push_to_corridor(tower_diagram(e, R, depth, (0,)), s, k, 5.0)
+            _assert_survivors_budgeted(trace)
+    p, m, s, k = heis
+    q = k.q_min + 1.0
+    pushed = 0
+    for cert in sample_corridor_certificates(p, m, q, 12, 20, 6):
+        _, trace = push_to_corridor(wasteful_diagram(s, cert, q), s, k, q)
+        if trace.steps:
+            _assert_survivors_budgeted(trace)
+            pushed += 1
+    assert pushed == 10
+
+
+def test_validated_darts_per_pushed_degree_do_not_grow_with_depth(z2, monkeypatch):
+    """A step validates O(star) darts, not the whole diagram."""
+    p, m, s, k = z2
+    raw = Diagram.__dict__["build"].__func__
+    counted = [0]
+
+    def counting(cls, *args, **kw):
+        counted[0] += len(kw["origin"])
+        return raw(cls, *args, **kw)
+
+    def darts_per_degree(entry, depth):
+        d = tower_diagram(entry, R, depth, (0,))
+        counted[0] = 0
+        monkeypatch.setattr(Diagram, "build", classmethod(counting))
+        _, trace = push_to_corridor(d, s, k, 5.0)
+        monkeypatch.setattr(Diagram, "build", classmethod(raw))
+        return counted[0] / sum(st.degree for st in trace.steps)
+
+    for e in s.entries:
+        darts_per_degree(e, 9)  # fills the entry's corner instances
+        # the area, and the darts a whole-diagram rebuild validates, grow 4x
+        assert darts_per_degree(e, 11) <= darts_per_degree(e, 9)
 
 
 def test_descent_direction_matches_vertex_sign(z2):
