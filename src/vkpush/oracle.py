@@ -1,14 +1,17 @@
 """Ground-truth search tools: brute areas, certificates, samplers, towers.
 
 Nothing here knows about corridors or pushing, so its answers can be trusted
-as independent oracles in tests.  The area search walks level-synchronously
-from the queried word toward the empty word; one step inserts a cyclic
-relator variant so that its last letter cancels the letter at the insertion
+as independent oracles in tests.  One level-synchronous insertion search
+serves both word searches; each run supplies its own ordered moves.  The area
+search runs from the queried word down to the empty word; its moves insert a
+cyclic relator variant whose last letter cancels the letter at the insertion
 point, which is exactly how deleting a boundary cell of a filling rewrites
-the boundary word.  The scheme-filling search walks the opposite way,
-assembling words up from the empty word, because its box constraint speaks
-about the labels swept while building.  The tower builders produce
-deliberately wasteful fillings used to exercise the pushing loop.
+the boundary word, so the first level that reaches the empty word is the
+area.  The scheme-filling search runs the other way, from the empty word up
+to the target, because its box constraint speaks about the labels swept
+while building: every variant may go at every position unless it leaves the
+box.  The tower builders produce deliberately wasteful fillings used to
+exercise the pushing loop.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from typing import Callable
 
 from vkpush.abelianization import (
     AbelianizationMap,
@@ -86,66 +90,76 @@ def _check_letters(p: Presentation, w: Word) -> None:
             raise ValidationError(f"word uses letter {x!r} outside the presentation")
 
 
-class _SearchTable:
-    """Insertion-BFS table over freely reduced words, grown level by level.
+Move = tuple[Word, int]
 
-    admit, when given, vetoes an insertion before it happens; it sees the
-    current word, the variant, and the insertion position.
+
+def _insertion_search(
+    p: Presentation,
+    start: Word,
+    goal: Word,
+    moves: Callable[[Word], list[Move]],
+    max_area: int,
+    max_len: int,
+) -> list[tuple[Word, Word, int]] | None:
+    """Chain of insertions from start to goal, found level by level.
+
+    moves(u) lists, in search order, the (variant, position) insertions
+    tried on the word u.  The first insertion that reaches a freely reduced
+    word is kept, and the search stops at the first discovery of goal, so
+    the chain depends only on the move order.  None when goal is not reached
+    within max_area insertions and max_len letters.
     """
-
-    def __init__(self, p: Presentation, max_len: int, admit=None):
-        self.p = p
-        self.max_len = max_len
-        self.admit = admit
-        self.variants = sorted(p.variant_set)
-        self.dist: dict[Word, int] = {(): 0}
-        self.parent: dict[Word, tuple[Word, Word, int]] = {}
-        self.frontier: list[Word] = [()]
-        self.level = 0
-
-    def grow(self) -> None:
+    if start == goal:
+        return []
+    parent: dict[Word, tuple[Word, Word, int] | None] = {start: None}
+    frontier = [start]
+    for _ in range(max_area):
         nxt: list[Word] = []
-        for w in self.frontier:
-            for v in self.variants:
-                for pos in range(len(w) + 1):
-                    if self.admit is not None and not self.admit(w, v, pos):
-                        continue
-                    cand = free_reduce(w[:pos] + v + w[pos:])
-                    if len(cand) > self.max_len or cand in self.dist:
-                        continue
-                    self.dist[cand] = self.level + 1
-                    self.parent[cand] = (w, v, pos)
-                    nxt.append(cand)
-        self.frontier = nxt
-        self.level += 1
+        for u in frontier:
+            for v, pos in moves(u):
+                cand = free_reduce(u[:pos] + v + u[pos:])
+                if len(cand) > max_len or cand in parent:
+                    continue
+                parent[cand] = (u, v, pos)
+                if cand == goal:
+                    return _insertion_chain(p, parent, goal)
+                nxt.append(cand)
+        if not nxt:
+            break
+        frontier = nxt
+    return None
 
 
-_TABLES: dict[tuple, _SearchTable] = {}
+def _insertion_chain(
+    p: Presentation, parent: dict[Word, tuple[Word, Word, int] | None], goal: Word
+) -> list[tuple[Word, Word, int]]:
+    """(prefix, relator, rotation) per insertion, the last insertion first.
 
-_BY_LAST: dict[Presentation, dict[int, tuple[Word, ...]]] = {}
+    The inserted variant is the relator rotated left by rotation letters,
+    placed right after prefix.
+    """
+    chain: list[tuple[Word, Word, int]] = []
+    step = parent[goal]
+    while step is not None:
+        prev, v, pos = step
+        i, sign, j = p.variant_origin[v]
+        s = p.relators[i] if sign == 1 else invert(p.relators[i])
+        chain.append((prev[:pos], s, j))
+        step = parent[prev]
+    return chain
 
 
-def _variants_by_last(p: Presentation) -> dict[int, tuple[Word, ...]]:
-    table = _BY_LAST.get(p)
-    if table is None:
-        grouped: dict[int, list[Word]] = {}
-        for v in sorted(p.variant_set):
-            grouped.setdefault(v[-1], []).append(v)
-        table = _BY_LAST[p] = {x: tuple(vs) for x, vs in grouped.items()}
-    return table
-
-
-def _peel_search(
+def _peel_chain(
     p: Presentation, w: Word, max_area: int, max_len: int | None
-) -> tuple[int | None, dict[Word, tuple[Word, Word, int]]]:
-    """Level map from w toward the empty word, one cell deletion per step.
+) -> list[tuple[Word, Word, int]] | None:
+    """Insertion chain from w down to the empty word, one cell deletion per step.
 
     Deleting a cell that meets the boundary in the letter at position pos
     replaces that letter by the rest of the cell's relator; as a word move
     this is the insertion of the variant ending in the cancelling inverse
     letter.  Every filling of w can be consumed this way cell by cell, so the
-    first level containing the empty word is the exact filling area whenever
-    max_len admits the rewritten boundaries.
+    chain's length is the exact filling area whenever max_len admits the
+    rewritten boundaries.
     """
     word = free_reduce(w)
     _check_letters(p, word)
@@ -153,31 +167,18 @@ def _peel_search(
         raise ValidationError("max_area must be nonnegative")
     if max_len is None:
         max_len = len(word) + max_area * p.max_relator_length
-    parent: dict[Word, tuple[Word, Word, int]] = {}
     if not word:
-        return 0, parent
+        return []
     if len(word) > max_len:
-        return None, parent
-    by_last = _variants_by_last(p)
-    seen = {word}
-    frontier = [word]
-    level = 0
-    while frontier and level < max_area:
-        nxt: list[Word] = []
-        for u in frontier:
-            for pos, x in enumerate(u):
-                for v in by_last.get(-x, ()):
-                    cand = free_reduce(u[:pos] + v + u[pos:])
-                    if len(cand) > max_len or cand in seen:
-                        continue
-                    seen.add(cand)
-                    parent[cand] = (u, v, pos)
-                    if not cand:
-                        return level + 1, parent
-                    nxt.append(cand)
-        frontier = nxt
-        level += 1
-    return None, parent
+        return None
+    by_last: dict[int, list[Word]] = {}
+    for v in sorted(p.variant_set):
+        by_last.setdefault(v[-1], []).append(v)
+
+    def moves(u: Word) -> list[Move]:
+        return [(v, pos) for pos, x in enumerate(u) for v in by_last.get(-x, ())]
+
+    return _insertion_search(p, word, (), moves, max_area, max_len)
 
 
 def brute_area(p: Presentation, w: Word, max_area: int, max_len: int | None = None) -> int | None:
@@ -188,47 +189,25 @@ def brute_area(p: Presentation, w: Word, max_area: int, max_len: int | None = No
     count is the true minimum.  A tighter cap can lose fillings and report a
     larger count or None, but never undercounts.
     """
-    return _peel_search(p, w, max_area, max_len)[0]
-
-
-def _peel_certificate(
-    parent: dict[Word, tuple[Word, Word, int]], p: Presentation
-) -> FillingCertificate:
-    # walking parents from the empty word back to the query yields the
-    # conjugated relators in reverse application order
-    factors: list[tuple[Word, Word]] = []
-    cur: Word = ()
-    while cur in parent:
-        prev, v, pos = parent[cur]
-        i, sign, j = p.variant_origin[v]
-        s = p.relators[i] if sign == 1 else invert(p.relators[i])
-        tail = s[j:] if j else ()
-        factors.append((free_reduce(prev[:pos] + tail), invert(s)))
-        cur = prev
-    factors.reverse()
-    return FillingCertificate(tuple(factors))
-
-
-def _extract_certificate(tbl: _SearchTable, word: Word, p: Presentation) -> FillingCertificate:
-    factors: list[tuple[Word, Word]] = []
-    cur = word
-    while cur:
-        prev, v, pos = tbl.parent[cur]
-        i, sign, j = p.variant_origin[v]
-        s = p.relators[i] if sign == 1 else invert(p.relators[i])
-        factors.append((free_reduce(prev[:pos] + invert(s[:j])), s))
-        cur = prev
-    return FillingCertificate(tuple(factors))
+    chain = _peel_chain(p, w, max_area, max_len)
+    return None if chain is None else len(chain)
 
 
 def search_filling(
     p: Presentation, w: Word, max_area: int, max_len: int | None = None
 ) -> FillingCertificate | None:
     """Certificate for free_reduce(w), or None if not found within bounds."""
-    found, parent = _peel_search(p, w, max_area, max_len)
-    if found is None:
+    chain = _peel_chain(p, w, max_area, max_len)
+    if chain is None:
         return None
-    return _peel_certificate(parent, p)
+    # a peeled cell is the inverse relator conjugated by the prefix and, for a
+    # rotated variant, by the relator letters from the rotation on
+    return FillingCertificate(
+        tuple(
+            (free_reduce(prefix + s[j:]) if j else prefix, invert(s))
+            for prefix, s, j in reversed(chain)
+        )
+    )
 
 
 def _boxed_filling(
@@ -252,28 +231,40 @@ def _boxed_filling(
     bounds = prefix_labels(m, target, base_label)
     lo = tuple(min(lbl[i] for lbl in bounds) for i in range(m.rank))
     hi = tuple(max(lbl[i] for lbl in bounds) for i in range(m.rank))
-
-    def admit(w: Word, v: Word, pos: int) -> bool:
-        start = project(m, w[:pos], base_label)
-        for lbl in prefix_labels(m, v, start):
-            if any(lbl[i] < lo[i] or lbl[i] > hi[i] for i in range(m.rank)):
-                return False
-        return True
-
     word = free_reduce(target)
     _check_letters(p, word)
-    if len(word) > max_len:
+    if len(word) > max_len or max_area < 0:
         return None
-    key = ("box", p, max_len, base_label, lo, hi)
-    tbl = _TABLES.get(key)
-    if tbl is None:
-        tbl = _TABLES[key] = _SearchTable(p, max_len, admit=admit)
-    while word not in tbl.dist and tbl.level < max_area and tbl.frontier:
-        tbl.grow()
-    found = tbl.dist.get(word)
-    if found is None or found > max_area:
+    # a variant stays in the box iff its start label lies in its window: the
+    # box shrunk by the variant's own label excursion from its start
+    windows = []
+    for v in sorted(p.variant_set):
+        offsets = prefix_labels(m, v)
+        wlo = tuple(lo[i] - min(o[i] for o in offsets) for i in range(m.rank))
+        whi = tuple(hi[i] - max(o[i] for o in offsets) for i in range(m.rank))
+        windows.append((v, wlo, whi))
+
+    def moves(u: Word) -> list[Move]:
+        labels = prefix_labels(m, u, base_label)
+        return [
+            (v, pos)
+            for v, wlo, whi in windows
+            for pos, lbl in enumerate(labels)
+            if all(a <= x <= b for a, x, b in zip(wlo, lbl, whi))
+        ]
+
+    chain = _insertion_search(p, (), word, moves, max_area, max_len)
+    if chain is None:
         return None
-    return _extract_certificate(tbl, word, p)
+    return FillingCertificate(
+        tuple((free_reduce(prefix + invert(s[:j])), s) for prefix, s, j in chain)
+    )
+
+
+def _check_factor(p: Presentation, u: Word, r: Word) -> None:
+    _check_letters(p, u)
+    if r not in p.variant_set:
+        raise ValidationError(f"certificate factor {word_to_text(r, p)!r} is not a relator variant")
 
 
 def _fold_walk(bld: DiagramBuilder, walk: list[int]) -> list[int]:
@@ -311,11 +302,7 @@ def certificate_to_diagram(
     bld = DiagramBuilder(p, m)
     walk: list[int] = []
     for u, r in cert.factors:
-        _check_letters(p, u)
-        if r not in p.variant_set:
-            raise ValidationError(
-                f"certificate factor {word_to_text(r, p)!r} is not a relator variant"
-            )
+        _check_factor(p, u, r)
         stem = bld.path(u)
         petal = bld.path(r)
         bld.add_cell(petal)
@@ -540,11 +527,7 @@ def wasteful_diagram(
     bld = DiagramBuilder(p, m)
     walk: list[int] = []
     for u, r in cert.factors:
-        _check_letters(p, u)
-        if r not in p.variant_set:
-            raise ValidationError(
-                f"certificate factor {word_to_text(r, p)!r} is not a relator variant"
-            )
+        _check_factor(p, u, r)
         stem = bld.path(u)
         attach = project(m, u, label0)
         choice = _tower_choice(s, r, attach, q, slack)

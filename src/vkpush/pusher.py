@@ -471,11 +471,18 @@ class ARPair:
         return cls(_compile_growth(f_expr), _compile_growth(g_expr))
 
 
+# Far past the float range, and past 81^(8n) at n = 1000 (50,700 bits), yet
+# cheap to build; a radius law like n**3 would ask for billions of bits.
+_EXACT_BITS = 2**16
+
+
 def predicted_area_bound(ar: ARPair, k: SchemeConstants, n: int):
     """(1 + 4AB) ** ceil(2 * lipschitz * g(n) / a) * f(n).
 
     Computed exactly over the integers whenever every ingredient is integral,
     so polynomial-versus-exponential comparisons at large n stay meaningful.
+    A power of more than _EXACT_BITS bits is not built: the bound is then
+    infinite with the sign of f(n), or 0 when f(n) is 0.
     """
     gn = ar.g(n)
     fn = ar.f(n)
@@ -484,6 +491,8 @@ def predicted_area_bound(ar: ARPair, k: SchemeConstants, n: int):
     expo = math.ceil(Fraction(2) * Fraction(k.lipschitz) * Fraction(gn) / Fraction(k.a))
     base = _growth_factor(k)
     if float(base).is_integer() and (isinstance(fn, int) or float(fn).is_integer()):
+        if base > 1 and expo > _EXACT_BITS / math.log2(base):
+            return 0 if fn == 0 else math.inf if fn > 0 else -math.inf
         return int(base) ** expo * int(fn)
     try:
         return float(base) ** expo * fn

@@ -272,6 +272,20 @@ def test_bench_rejects_malformed_ar(capsys):
         assert err["error"]["type"] == "UsageError"
 
 
+def test_bench_fast_radius_law_overflows_in_bounded_time():
+    # g(n) = n**3 asks for 81 ** (2 * 10**9) at n = 1000; the bound must be
+    # reported as overflowing, not built
+    proc = subprocess.run(
+        [sys.executable, "-m", "vkpush", "bench", Z2, "--q", "5", "--count", "0", "--ar", "n,n**3"],
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert proc.returncode == 0
+    at_n = json.loads(proc.stdout)["predicted_area_bounds"]["at_n"]
+    assert at_n["100"] == "overflow" and at_n["1000"] == "overflow"
+
+
 # -- render and wiring ---------------------------------------------------------
 
 

@@ -123,6 +123,20 @@ def test_search_filling_unreachable():
     assert search_filling(ZP, (1, 2), 2) is None
 
 
+def test_search_filling_pins_certificates():
+    # a rotation-0 insertion is conjugated by its bare prefix ((b) in [a, b^2]),
+    # a rotated one also by the relator letters from the rotation on
+    expected = {
+        COMMUTATOR: ((),),
+        (1, 2, 2, -1, -2, -2): ((), (2,)),
+        rect(2, 2): ((), (2,), (2, 2, 1, 1, -2, -1), (2, 2, 1, 1, -2, -2, -1)),
+        rect(2, 1): ((), (2, 1, 1, -2, -1)),
+    }
+    for w, conjugators in expected.items():
+        cert = search_filling(ZP, w, 4)
+        assert cert.factors == tuple((u, COMMUTATOR) for u in conjugators)
+
+
 def test_certificate_to_diagram_single_cell():
     cert = FillingCertificate((((), COMMUTATOR),))
     d = certificate_to_diagram(ZP, ZM, cert, (0,))

@@ -260,3 +260,6 @@ def test_predicted_bound_overflows_to_infinity(z2):
     p, m, s, k = z2
     ar = ARPair.from_strings("n**2/3", "n")
     assert predicted_area_bound(ar, k, 10**4) == math.inf
+    # an exact power of 81 ** (2 * 10**9) is never built; f(n) keeps its sign
+    for f, bound in (("n", math.inf), ("2**(2*n)", math.inf), ("-n", -math.inf), ("0", 0)):
+        assert predicted_area_bound(ARPair.from_strings(f, "n**3"), k, 1000) == bound
