@@ -148,15 +148,3 @@ class Character:
 
     def value(self, label: Sequence[float]) -> float:
         return dot(self.direction, label)
-
-
-def path_valuation(u: Character, base_label: Vector, w: Word, m: AbelianizationMap) -> float:
-    """Minimum of the character over all prefix vertices of the path w."""
-    best = u.value(base_label)
-    cur = base_label
-    for x in w:
-        cur = vec_add(cur, m.column(x))
-        val = u.value(cur)
-        if val < best:
-            best = val
-    return best

@@ -689,23 +689,6 @@ def vertex_star(d: Diagram, v: int) -> StarView:
     return DartStore(d).star(v)
 
 
-def star_diagram(d: Diagram, v: int) -> Diagram:
-    """The closed star of v as a standalone diagram with the link as boundary."""
-    star = vertex_star(d, v)
-    bld = DiagramBuilder(d.presentation, d.amap)
-    spoke_copy = {s: bld.new_edge(d.letter[s])[0] for s in star.darts}
-    walk: list[int] = []
-    for corner in star.corners:
-        arc_copy = [bld.new_edge(d.letter[a])[0] for a in corner.arc]
-        cell = [spoke_copy[corner.out_dart]]
-        cell.extend(arc_copy)
-        cell.append(bld.twin[spoke_copy[d.twin[corner.in_dart]]])
-        bld.add_cell(cell)
-        walk.extend(arc_copy)
-    start = d.head(star.darts[0])
-    return bld.build(walk, d.labels[start])
-
-
 def splice(d: Diagram, v: int, replacement: Diagram) -> Diagram:
     """Replace the closed star of v by another diagram glued along the link."""
     from vkpush.store import DartStore  # the store builds on this module

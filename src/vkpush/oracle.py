@@ -10,8 +10,10 @@ the boundary word, so the first level that reaches the empty word is the
 area.  The scheme-filling search runs the other way, from the empty word up
 to the target, because its box constraint speaks about the labels swept
 while building: every variant may go at every position unless it leaves the
-box.  The tower builders produce deliberately wasteful fillings used to
-exercise the pushing loop.
+box.  The search stores only the levels it will expand: the last level is a
+goal test that records no word, where the area search skips every word whose
+cyclic core is not as long as some relator.  The tower builders produce
+deliberately wasteful fillings used to exercise the pushing loop.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from vkpush.presentation import (
     Presentation,
     ValidationError,
     Word,
+    cyclic_reduce,
     free_reduce,
     invert,
     word_to_text,
@@ -93,36 +96,59 @@ def _check_letters(p: Presentation, w: Word) -> None:
 Move = tuple[Word, int]
 
 
+def _insert_reduced(u: Word, v: Word, pos: int) -> Word:
+    """free_reduce(u[:pos] + v + u[pos:]) for freely reduced u and v.
+
+    Letters can cancel only at the two seams where v meets u, and, once v is
+    used up, between the two halves of u.
+    """
+    i, j, k, m, n = pos, 0, pos, len(v), len(u)
+    while j < m and i and u[i - 1] == -v[j]:
+        i -= 1
+        j += 1
+    while m > j and k < n and v[m - 1] == -u[k]:
+        m -= 1
+        k += 1
+    if j == m:
+        while i and k < n and u[i - 1] == -u[k]:
+            i -= 1
+            k += 1
+    return u[:i] + v[j:m] + u[k:]
+
+
 def _insertion_search(
     p: Presentation,
     start: Word,
     goal: Word,
-    moves: Callable[[Word], list[Move]],
+    moves: Callable[[Word, bool], list[Move]],
     max_area: int,
     max_len: int,
 ) -> list[tuple[Word, Word, int]] | None:
     """Chain of insertions from start to goal, found level by level.
 
-    moves(u) lists, in search order, the (variant, position) insertions
-    tried on the word u.  The first insertion that reaches a freely reduced
-    word is kept, and the search stops at the first discovery of goal, so
-    the chain depends only on the move order.  None when goal is not reached
-    within max_area insertions and max_len letters.
+    moves(u, last) lists, in search order, the (variant, position)
+    insertions tried on the word u; last marks the final level, which only
+    tests for goal and records no word.  The first insertion that reaches a
+    freely reduced word is kept, and the search stops at the first discovery
+    of goal, so the chain depends only on the move order.  None when goal is
+    not reached within max_area insertions and max_len letters.
     """
     if start == goal:
         return []
     parent: dict[Word, tuple[Word, Word, int] | None] = {start: None}
     frontier = [start]
-    for _ in range(max_area):
+    for level in range(max_area):
+        last = level == max_area - 1
         nxt: list[Word] = []
         for u in frontier:
-            for v, pos in moves(u):
-                cand = free_reduce(u[:pos] + v + u[pos:])
-                if len(cand) > max_len or cand in parent:
+            for v, pos in moves(u, last):
+                cand = _insert_reduced(u, v, pos)
+                if cand == goal:
+                    parent[cand] = (u, v, pos)
+                    return _insertion_chain(p, parent, goal)
+                if last or len(cand) > max_len or cand in parent:
                     continue
                 parent[cand] = (u, v, pos)
-                if cand == goal:
-                    return _insertion_chain(p, parent, goal)
                 nxt.append(cand)
         if not nxt:
             break
@@ -171,11 +197,20 @@ def _peel_chain(
         return []
     if len(word) > max_len:
         return None
+    # a generator whose exponent sum vanishes on every relator gives a map
+    # onto Z, and a null-homotopic word must map to 0
+    for g in range(1, p.rank + 1):
+        if word.count(g) != word.count(-g) and all(r.count(g) == r.count(-g) for r in p.relators):
+            return None
     by_last: dict[int, list[Word]] = {}
     for v in sorted(p.variant_set):
         by_last.setdefault(v[-1], []).append(v)
+    lengths = {len(r) for r in p.relators}
 
-    def moves(u: Word) -> list[Move]:
+    def moves(u: Word, last: bool) -> list[Move]:
+        # one insertion empties u only if u is a conjugate of an inverse variant
+        if last and len(cyclic_reduce(u)) not in lengths:
+            return []
         return [(v, pos) for pos, x in enumerate(u) for v in by_last.get(-x, ())]
 
     return _insertion_search(p, word, (), moves, max_area, max_len)
@@ -244,7 +279,7 @@ def _boxed_filling(
         whi = tuple(hi[i] - max(o[i] for o in offsets) for i in range(m.rank))
         windows.append((v, wlo, whi))
 
-    def moves(u: Word) -> list[Move]:
+    def moves(u: Word, last: bool) -> list[Move]:
         labels = prefix_labels(m, u, base_label)
         return [
             (v, pos)

@@ -59,15 +59,6 @@ def rotations(w: Word) -> Iterator[Word]:
         yield w[j:] + w[:j]
 
 
-def cyclic_variants(r: Word) -> frozenset[Word]:
-    """All rotations of r and of its inverse, deduplicated."""
-    if not r:
-        raise ValidationError("cyclic variants of the empty word are undefined")
-    out = set(rotations(tuple(r)))
-    out.update(rotations(invert(r)))
-    return frozenset(out)
-
-
 def _parse_tokens(text: str, generators: Sequence[str]) -> Word:
     index = {name: i + 1 for i, name in enumerate(generators)}
     letters: list[int] = []

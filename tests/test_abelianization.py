@@ -10,7 +10,6 @@ from vkpush.abelianization import (
     Character,
     check_compatible,
     norm,
-    path_valuation,
     prefix_labels,
     project,
 )
@@ -109,14 +108,6 @@ def test_character_requires_unit_length():
         Character.from_vector((0, 0))
 
 
-def test_path_valuation_takes_prefix_minimum(z2_map):
-    u = Character((1.0,))
-    # path a^-1 a^-1 a from base 0 dips to -2
-    assert path_valuation(u, (0,), (-1, -1, 1), z2_map) == pytest.approx(-2.0)
-    # the empty prefix counts too
-    assert path_valuation(u, (0,), (1, 1), z2_map) == pytest.approx(0.0)
-
-
 def test_lipschitz_is_max_column_norm(heis_map):
     assert heis_map.lipschitz == pytest.approx(1.0)
     m = AbelianizationMap(2, ((3, 4), (0, 1)))
@@ -139,7 +130,8 @@ def test_negating_character_flips_prefix_extrema(w, angle):
     m = AbelianizationMap(2, ((1, 0), (0, 1)))
     u = Character.from_vector((math.cos(angle), math.sin(angle)))
     neg = Character.from_vector((-math.cos(angle), -math.sin(angle)))
-    lo = path_valuation(u, (0, 0), w, m)
-    hi = max(u.value(lbl) for lbl in prefix_labels(m, w, (0, 0)))
-    assert path_valuation(neg, (0, 0), w, m) == pytest.approx(-hi, abs=1e-9)
+    labels = prefix_labels(m, w, (0, 0))
+    lo = min(u.value(lbl) for lbl in labels)
+    hi = max(u.value(lbl) for lbl in labels)
+    assert min(neg.value(lbl) for lbl in labels) == pytest.approx(-hi, abs=1e-9)
     assert lo <= hi + 1e-9

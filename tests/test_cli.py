@@ -176,6 +176,21 @@ def test_area_oracle_unknown_within_bounds(capsys):
     assert out["area"] == "unknown"
 
 
+def test_area_oracle_non_null_word_ends_in_bounded_time():
+    # a b has exponent sum 1 in a, which vanishes on [a, b], so it is not
+    # null-homotopic and no search level needs to run
+    for extra in ([], ["--certificate"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "vkpush", "area-oracle", Z2, "--word", "a b", "--max-area", "1000000"]
+            + extra,
+            capture_output=True,
+            text=True,
+            timeout=20,
+        )
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["area"] == "unknown"
+
+
 def test_sample_is_deterministic(capsys):
     code1, out1, _ = run(capsys, "sample", Z2, "--q", "5", "--count", "4", "--seed", "9")
     code2, out2, _ = run(capsys, "sample", Z2, "--q", "5", "--count", "4", "--seed", "9")

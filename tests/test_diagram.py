@@ -14,7 +14,6 @@ from vkpush.diagram import (
     mirror,
     rebase_on_boundary,
     splice,
-    star_diagram,
     vertex_star,
 )
 from vkpush.presentation import Presentation, ValidationError, invert
@@ -327,19 +326,17 @@ def test_vertex_star_rejects_boundary_vertex(grid):
         vertex_star(grid, grid.base)
 
 
-def test_star_diagram_matches_link(grid):
+def center_star(grid):
+    """The grid is the closed star of its centre: re-based where the link starts."""
     center = next(v for v in grid.vertices if v not in grid.boundary_vertices)
-    star = vertex_star(grid, center)
-    piece = star_diagram(grid, center)
-    assert piece.boundary_word == star.link_word
-    assert piece.area == 4
-    start = grid.head(star.darts[0])
-    assert piece.labels[piece.base] == grid.labels[start]
+    start = grid.head(vertex_star(grid, center).darts[0])
+    corners = [grid.origin[x] for x in grid.boundary_walk]
+    return center, rebase_on_boundary(grid, corners.index(start))
 
 
 def test_splice_star_back_is_identity(grid):
-    center = next(v for v in grid.vertices if v not in grid.boundary_vertices)
-    piece = star_diagram(grid, center)
+    center, piece = center_star(grid)
+    assert piece.boundary_word == vertex_star(grid, center).link_word
     out = splice(grid, center, piece)
     assert canonical_signature(out) == canonical_signature(grid)
 
@@ -351,8 +348,7 @@ def test_splice_rejects_wrong_boundary(grid, square):
 
 
 def test_splice_rejects_wrong_base_label(grid):
-    center = next(v for v in grid.vertices if v not in grid.boundary_vertices)
-    piece = star_diagram(grid, center)
+    center, piece = center_star(grid)
     shifted = rebase_on_boundary(piece, 0, (7, 7))
     with pytest.raises(ValidationError, match="base label"):
         splice(grid, center, shifted)

@@ -135,6 +135,29 @@ def test_search_filling_pins_certificates():
     for w, conjugators in expected.items():
         cert = search_filling(ZP, w, 4)
         assert cert.factors == tuple((u, COMMUTATOR) for u in conjugators)
+    # area 6: [a^2, b^3] at its default bounds
+    w = rect(2, 3)
+    conjugators = (
+        (),
+        (2,),
+        (2, 2),
+        (2, 2, 2, 1, 1, -2, -1),
+        (2, 2, 2, 1, 1, -2, -2, -1),
+        (2, 2, 2, 1, 1, -2, -2, -2, -1),
+    )
+    assert search_filling(ZP, w, 6).factors == tuple((u, COMMUTATOR) for u in conjugators)
+    assert brute_area(ZP, w, 6) == 6
+
+
+def test_search_ends_at_once_on_words_with_nonzero_exponent_sum():
+    # both exponent sums vanish on [a, b], so these words are not
+    # null-homotopic; a search through 50 levels would never end
+    for w in ((1, 2), (1,), (2, 2, -1, 2)):
+        assert brute_area(ZP, w, 50) is None
+        assert search_filling(ZP, w, 50) is None
+    # z has exponent sum -1 in [x, y] z^-1, so [x, y] still gets searched
+    assert brute_area(HP, (1, 2, -1, -2), 3) is None
+    assert brute_area(HP, (1, 2, -1, -2, -3), 3) == 1
 
 
 def test_certificate_to_diagram_single_cell():

@@ -1,0 +1,151 @@
+"""The oracle's insertion search against a plain reference search.
+
+``reference_insertion_search`` reduces every candidate as a whole word and
+records every level, the last one included.  The differential tests run each
+search both ways, through the same move lists, and ask for the same chain.
+"""
+
+import random
+
+import pytest
+from hypothesis import assume, given, strategies as st
+
+from vkpush import oracle
+from vkpush.oracle import brute_area, build_scheme_entry, search_filling
+from vkpush.presentation import Presentation, free_reduce, invert, is_freely_reduced
+
+ZP = Presentation.from_texts(("a", "b"), ("a b a^-1 b^-1",))
+HP = Presentation.from_texts(
+    ("x", "y", "z"),
+    (
+        "x y x^-1 y^-1 z^-1",
+        "x z x^-1 z^-1",
+        "y z y^-1 z^-1",
+        "x^-1 y x y^-1 z",
+        "y^-1 x y x^-1 z^-1",
+    ),
+)
+# [a^2, b^3]: a b a^-1 b^-1 is not null-homotopic, yet every exponent sum vanishes
+P23 = Presentation.from_texts(("a", "b"), ("a a b b b a^-1 a^-1 b^-1 b^-1 b^-1",))
+
+
+def reference_insertion_search(p, start, goal, moves, max_area, max_len):
+    if start == goal:
+        return []
+    parent = {start: None}
+    frontier = [start]
+    for _ in range(max_area):
+        nxt = []
+        for u in frontier:
+            for v, pos in moves(u, False):
+                cand = free_reduce(u[:pos] + v + u[pos:])
+                if len(cand) > max_len or cand in parent:
+                    continue
+                parent[cand] = (u, v, pos)
+                if cand == goal:
+                    return oracle._insertion_chain(p, parent, goal)
+                nxt.append(cand)
+        if not nxt:
+            break
+        frontier = nxt
+    return None
+
+
+@pytest.fixture
+def chains(monkeypatch):
+    """Runs every insertion search both ways and records the agreed chains."""
+    fast = oracle._insertion_search
+    seen = []
+
+    def both(p, start, goal, moves, max_area, max_len):
+        got = fast(p, start, goal, moves, max_area, max_len)
+        assert got == reference_insertion_search(p, start, goal, moves, max_area, max_len)
+        seen.append(got)
+        return got
+
+    monkeypatch.setattr(oracle, "_insertion_search", both)
+    return seen
+
+
+def commutator_power(p, q):
+    return (1,) * p + (2,) * q + (-1,) * p + (-2,) * q
+
+
+def random_null_words(pres, seed, count, factors):
+    rng = random.Random(seed)
+    variants = sorted(pres.variant_set)
+    letters = pres.letters()
+    out = []
+    while len(out) < count:
+        raw = []
+        for _ in range(rng.randint(1, factors)):
+            u = tuple(rng.choice(letters) for _ in range(rng.randint(0, 2)))
+            raw += u + rng.choice(variants) + invert(u)
+        w = free_reduce(raw)
+        if w:
+            out.append(w)
+    return out
+
+
+def test_peel_matches_reference_on_commutator_powers(chains):
+    # [a, b^6] is left out: the reference search takes about 17 s on it
+    pairs = [(p, q) for p in range(1, 6) for q in range(1, 6) if p * q <= 6]
+    for p, q in pairs:
+        assert brute_area(ZP, commutator_power(p, q), p * q) == p * q
+    assert len(chains) == len(pairs)
+
+
+# up to three petals in Z^2, where area-3 words are cheap; up to two in the
+# Heisenberg group, where one area-3 word costs seconds
+@pytest.mark.parametrize(
+    "pres, seed, factors",
+    [(ZP, 1, 3), (ZP, 3, 3), (HP, 2, 2), (HP, 5, 2)],
+    ids=["z2-seed1", "z2-seed3", "heis-seed2", "heis-seed5"],
+)
+def test_peel_matches_reference_on_random_words(chains, pres, seed, factors):
+    for w in random_null_words(pres, seed, 8, factors):
+        for max_area in range(5):
+            for max_len in (None, len(w), len(w) + 4):
+                search_filling(pres, w, max_area, max_len)
+    assert None in chains and any(c for c in chains)
+
+
+def test_peel_matches_reference_on_non_null_words(chains):
+    for pres, w, max_area in ((HP, (3,), 3), (HP, (1, 2, -1, -2), 3), (P23, (1, 2, -1, -2), 3), (ZP, (1, 2), 4)):
+        assert brute_area(pres, w, max_area) is None
+    # the exponent sums rule out a b in Z^2 before any search
+    assert len(chains) == 3
+
+
+def test_box_searches_match_reference(chains, z2_bundle, heisenberg_bundle):
+    for (p, m, s), bounds in ((z2_bundle, {"max_area": 2}), (heisenberg_bundle, {"max_area": 4, "max_len": 12})):
+        for e in s.entries:
+            build_scheme_entry(p, m, e.t, {x: tuple(w) for x, w in e.conj.items()}, **bounds)
+    assert len(chains) == 2 * 1 + 4 * 5
+
+
+VARIANTS = sorted(ZP.variant_set | HP.variant_set)
+letters = st.integers(min_value=-3, max_value=3).filter(lambda x: x != 0)
+words = st.lists(letters, max_size=12).map(tuple)
+
+
+@st.composite
+def insertions(draw):
+    v = draw(st.sampled_from(VARIANTS))
+    if draw(st.booleans()):
+        u = free_reduce(draw(words))
+        return u, v, draw(st.integers(0, len(u)))
+    # u carries v^-1 split at the insertion point, so v is used up and the
+    # two halves of u meet
+    head = draw(words)
+    tail = draw(st.one_of(words, st.just(invert(head))))
+    s = draw(st.integers(0, len(v)))
+    u = head + invert(v[:s]) + invert(v[s:]) + tail
+    assume(is_freely_reduced(u))
+    return u, v, len(head) + s
+
+
+@given(insertions())
+def test_seam_reduction_equals_whole_word_reduction(case):
+    u, v, pos = case
+    assert oracle._insert_reduced(u, v, pos) == free_reduce(u[:pos] + v + u[pos:])
