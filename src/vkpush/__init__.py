@@ -6,7 +6,6 @@ from vkpush.oracle import (
     FillingCertificate,
     brute_area,
     certificate_to_diagram,
-    sample_corridor_loops,
     search_filling,
 )
 from vkpush.presentation import Presentation, ValidationError, parse_word, word_to_text
@@ -37,7 +36,6 @@ __all__ = [
     "parse_word",
     "push_step",
     "push_to_corridor",
-    "sample_corridor_loops",
     "search_filling",
     "word_to_text",
 ]

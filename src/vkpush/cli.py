@@ -6,8 +6,9 @@ abelianization map, and usually a pushing scheme under the keys
 the diagram JSON layout.  Every subcommand writes its result to stdout as
 JSON and failures to stderr as {"error": {"type": ..., "message": ...}}.
 
-Exit codes: 0 success, 1 unreadable input, 2 validation failure,
-3 certification failure, 4 runtime invariant violation, 64 usage.
+Exit codes: 0 success, 1 unreadable input, 2 validation failure (also an
+exhausted search budget or memory), 3 certification failure, 4 runtime
+invariant violation, 64 usage.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from vkpush.oracle import (
     brute_area,
     certificate_to_diagram,
     sample_corridor_certificates,
-    sample_corridor_loops,
     search_filling,
     wasteful_diagram,
 )
@@ -413,7 +413,8 @@ def cmd_area_oracle(args) -> int:
 
 def cmd_sample(args) -> int:
     p, m, s = _load_bundle(args.bundle)
-    words = sample_corridor_loops(p, m, args.q, args.target_len, args.count, args.seed)
+    certs = sample_corridor_certificates(p, m, args.q, args.target_len, args.count, args.seed)
+    words = [c.reduced_word() for c in certs]
     _emit(
         {
             "q": args.q,
@@ -626,6 +627,9 @@ def main(argv=None) -> int:
         return EXIT_INVARIANT
     except (ValidationError, SearchBudgetError, FillingSearchError) as exc:
         _emit_error(type(exc).__name__, str(exc))
+        return EXIT_VALIDATION
+    except MemoryError:
+        _emit_error("MemoryError", "ran out of memory; lower the search bounds")
         return EXIT_VALIDATION
 
 

@@ -32,14 +32,6 @@ from vkpush.presentation import (
 )
 
 
-class FoldCollision(ValidationError):
-    """An identification tried to merge two distinct pre-existing edges."""
-
-    def __init__(self, message: str, darts: tuple[int, int]):
-        super().__init__(message)
-        self.darts = darts
-
-
 class Diagram:
     """Validated, effectively immutable sphere map with labelled vertices."""
 
@@ -386,24 +378,22 @@ class DiagramBuilder:
         self.twin: dict[int, int] = {}
         self.cells: list[list[int]] = []
         self._parent: dict[int, int] = {}
-        self._hostclass: dict[int, bool] = {}
         self._next = 1
 
     # -- dart bookkeeping ---------------------------------------------------
 
-    def _register(self, d: int, letter: int, twin: int, host: bool) -> None:
+    def _register(self, d: int, letter: int, twin: int) -> None:
         self.letter[d] = letter
         self.twin[d] = twin
         self._parent[d] = d
-        self._hostclass[d] = host
 
     def adopt(self, d: Diagram) -> None:
-        """Copy a diagram's darts under their own ids, marking them as host."""
+        """Copy a diagram's darts under their own ids."""
         clash = set(d.origin) & set(self.letter)
         if clash:
             raise ValidationError(f"cannot adopt: dart ids {sorted(clash)[:4]} already in use")
         for dart in d.origin:
-            self._register(dart, d.letter[dart], d.twin[dart], host=True)
+            self._register(dart, d.letter[dart], d.twin[dart])
         if d.origin:
             self._next = max(self._next, max(d.origin) + 1)
 
@@ -413,14 +403,14 @@ class DiagramBuilder:
         mapping = {old: self._next + i for i, old in enumerate(ids)}
         self._next += len(ids)
         for old, new in mapping.items():
-            self._register(new, d.letter[old], mapping[d.twin[old]], host=False)
+            self._register(new, d.letter[old], mapping[d.twin[old]])
         return mapping
 
     def new_edge(self, letter: int) -> tuple[int, int]:
         d, t = self._next, self._next + 1
         self._next += 2
-        self._register(d, letter, t, host=False)
-        self._register(t, -letter, d, host=False)
+        self._register(d, letter, t)
+        self._register(t, -letter, d)
         return d, t
 
     def path(self, word: Word) -> list[int]:
@@ -441,7 +431,7 @@ class DiagramBuilder:
             self._parent[d], d = root, self._parent[d]
         return root
 
-    def alias(self, a: int, b: int, allow_fold: bool = False) -> None:
+    def alias(self, a: int, b: int) -> None:
         ra, rb = self.rep(a), self.rep(b)
         if ra == rb:
             return
@@ -451,17 +441,10 @@ class DiagramBuilder:
             raise ValidationError(
                 f"cannot identify darts with different letters ({self.letter[ra]} vs {self.letter[rb]})"
             )
-        if not allow_fold and self._hostclass[ra] and self._hostclass[rb]:
-            raise FoldCollision(
-                f"identification would fold existing edges {a} and {b} together",
-                (a, b),
-            )
         ta, tb = self.rep(self.twin[ra]), self.rep(self.twin[rb])
         self._parent[rb] = ra
-        self._hostclass[ra] = self._hostclass[ra] or self._hostclass[rb]
         if ta != tb:
             self._parent[tb] = ta
-            self._hostclass[ta] = self._hostclass[ta] or self._hostclass[tb]
 
     # -- assembly -------------------------------------------------------------
 
@@ -676,26 +659,6 @@ class StarView:
     link_darts: tuple[int, ...]
     link_word: Word
     degree: int
-
-
-def vertex_star(d: Diagram, v: int) -> StarView:
-    """The closed star of an interior vertex with a regular neighbourhood.
-
-    Errors if v lies on the boundary, carries a loop edge, or if some corner
-    face visits v more than once.
-    """
-    from vkpush.store import DartStore  # the store builds on this module
-
-    return DartStore(d).star(v)
-
-
-def splice(d: Diagram, v: int, replacement: Diagram) -> Diagram:
-    """Replace the closed star of v by another diagram glued along the link."""
-    from vkpush.store import DartStore  # the store builds on this module
-
-    store = DartStore(d)
-    store.apply(store.glue(store.star(v), replacement))
-    return store.diagram()
 
 
 # -- boundary rewriting ------------------------------------------------------

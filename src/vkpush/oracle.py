@@ -30,7 +30,6 @@ from vkpush.abelianization import (
     norm,
     prefix_labels,
     project,
-    vec_sub,
 )
 from vkpush.diagram import Diagram, DiagramBuilder, expand_boundary
 from vkpush.presentation import (
@@ -311,8 +310,7 @@ def _fold_walk(bld: DiagramBuilder, walk: list[int]) -> list[int]:
     out: list[int] = []
     for d in walk:
         if out and bld.letter[out[-1]] == -bld.letter[d]:
-            if bld.rep(bld.twin[out[-1]]) != bld.rep(d):
-                bld.alias(d, bld.twin[out[-1]], allow_fold=True)
+            bld.alias(d, bld.twin[out[-1]])
             out.pop()
             continue
         out.append(d)
@@ -404,19 +402,6 @@ def sample_corridor_certificates(
     return results
 
 
-def sample_corridor_loops(
-    p: Presentation,
-    m: AbelianizationMap,
-    q: float,
-    target_len: int,
-    count: int,
-    rng_seed: int,
-) -> list[Word]:
-    """Freely reduced null-homotopic words confined to the norm-q corridor."""
-    certs = sample_corridor_certificates(p, m, q, target_len, count, rng_seed)
-    return [c.reduced_word() for c in certs]
-
-
 def build_scheme_entry(
     p: Presentation,
     m: AbelianizationMap,
@@ -465,45 +450,40 @@ def build_scheme_entry(
     return entry
 
 
-def annular_collar(inner: Diagram, e: SchemeEntry, outer_word: Word) -> Diagram:
-    """Wrap one ring of conjugation cells around a diagram.
+def annular_collar(
+    bld: DiagramBuilder, walk: list[int], e: SchemeEntry, outer_word: Word
+) -> list[int]:
+    """Add one ring of conjugation cells outside a closed walk; returns the outer path.
 
-    The new boundary spells outer_word, whose hat word must equal the old
-    boundary letter for letter.  Letters equal to the direction degenerate to
-    shared edges exactly as in the open corridor.
+    The walk is the boundary of what bld holds so far, and the outer path
+    spells outer_word, whose hat word must equal the walk's word letter for
+    letter.  Letters equal to the direction degenerate to shared edges
+    exactly as in the open corridor.  Each outer vertex is labelled with the
+    inner one's label minus the direction's image.
     """
-    want = hat_word(e, outer_word)
-    if inner.boundary_word != want:
+    if tuple(bld.letter[x] for x in walk) != hat_word(e, outer_word):
         raise ValidationError("collar outer word does not hat onto the inner boundary")
-    p, m = e.presentation, e.amap
-    bld = DiagramBuilder(p, m)
-    bld.adopt(inner)
-    for idx, face in enumerate(inner.faces):
-        if idx != inner.boundary_face_index:
-            bld.add_cell(list(face))
     k = len(outer_word)
     top = bld.path(outer_word)
     verticals = [bld.new_edge(e.t)[0] for _ in range(k)]
-    iw = inner.boundary_walk
     pos = 0
     for i, x in enumerate(outer_word):
         vi, vj = verticals[i], verticals[(i + 1) % k]
         if x == e.t:
             bld.alias(vi, top[i])
-            bld.alias(vj, iw[pos])
+            bld.alias(vj, walk[pos])
             pos += 1
         elif x == -e.t:
             bld.alias(vj, bld.twin[top[i]])
-            bld.alias(vi, bld.twin[iw[pos]])
+            bld.alias(vi, bld.twin[walk[pos]])
             pos += 1
         else:
-            block = iw[pos : pos + len(e.conj[x])]
+            block = walk[pos : pos + len(e.conj[x])]
             pos += len(block)
             cell = [bld.twin[vi], top[i], vj]
             cell.extend(bld.twin[bk] for bk in reversed(block))
             bld.add_cell(cell)
-    label = vec_sub(inner.base_label, m.column(e.t))
-    return bld.build(top, label, vertex_hints=dict(inner.origin))
+    return top
 
 
 def tower_diagram(e: SchemeEntry, word: Word, depth: int, base_label: Vector) -> Diagram:
@@ -512,6 +492,7 @@ def tower_diagram(e: SchemeEntry, word: Word, depth: int, base_label: Vector) ->
     Requires the word to be a relator variant fixed by the entry's hat map,
     so each collar repeats the boundary while shifting labels by the
     direction image.  Area grows linearly in depth; so does the label norm.
+    The core's vertices keep the ids 0 to len(word) - 1.
     """
     if depth < 0:
         raise ValidationError("tower depth must be nonnegative")
@@ -519,15 +500,13 @@ def tower_diagram(e: SchemeEntry, word: Word, depth: int, base_label: Vector) ->
         raise ValidationError("tower core must be a relator variant")
     if hat_word(e, word) != word:
         raise ValidationError("tower word is not fixed by the entry's conjugations")
-    col = e.amap.column(e.t)
-    core_label = tuple(b + depth * c for b, c in zip(base_label, col))
     bld = DiagramBuilder(e.presentation, e.amap)
     cell = bld.path(word)
     bld.add_cell(cell)
-    d = bld.build(cell, core_label)
+    walk = cell
     for _ in range(depth):
-        d = annular_collar(d, e, word)
-    return d
+        walk = annular_collar(bld, walk, e, word)
+    return bld.build(walk, base_label, vertex_hints={x: i for i, x in enumerate(cell)})
 
 
 def _tower_choice(s: PushingScheme, v: Word, attach: Vector, q: float, slack: float):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable
 
-from vkpush.abelianization import FLOAT_TOL, Character, Vector, norm, vec_add
+from vkpush.abelianization import FLOAT_TOL, Character, Vector, norm
 from vkpush.diagram import Diagram, DiagramBuilder, StarView, mirror, rebase_on_boundary
 from vkpush.oracle import annular_collar
 from vkpush.presentation import ValidationError, Word, invert
@@ -97,10 +97,9 @@ def _pushed_star(d: Diagram | DartStore, star: StarView, e: SchemeEntry) -> Diag
     Adjacent fillings share one copy of each hatted spoke, so the complex
     comes out already cancelled.  The collar then joins the hatted link back
     to the original link labels, leaving the outer boundary word equal to the
-    link word.
+    link word.  Fillings and collar go into one builder, built once.
     """
-    p, m = d.presentation, d.amap
-    bld = DiagramBuilder(p, m)
+    bld = DiagramBuilder(d.presentation, d.amap)
     spoke_words = [hat_word(e, (d.letter[s],)) for s in star.darts]
     spoke_paths = [bld.path(w) for w in spoke_words]
     k = len(star.corners)
@@ -120,9 +119,8 @@ def _pushed_star(d: Diagram | DartStore, star: StarView, e: SchemeEntry) -> Diag
         for dd, ss in zip([bld.twin[x] for x in reversed(tail)], spoke_paths[nxt]):
             bld.alias(dd, ss)
         walk.extend(bwalk[no : len(bwalk) - nc])
-    v0 = d.head(star.darts[0])
-    inner = bld.build(walk, vec_add(d.labels[v0], m.column(e.t)))
-    return annular_collar(inner, e, star.link_word)
+    top = annular_collar(bld, walk, e, star.link_word)
+    return bld.build(top, d.labels[d.head(star.darts[0])])
 
 
 def _check_boundary_inside(d: Diagram, q: float) -> None:
@@ -178,8 +176,11 @@ def _push_max(store: DartStore, s: PushingScheme, k: SchemeConstants) -> tuple[P
     u = Character.from_vector([-x for x in label_g])
     entry, _ = choose_entry(s, u)
     entry_idx = next(i for i, x in enumerate(s.entries) if x is entry)
-    replacement = _pushed_star(store, star, entry)
-    cut = store.glue(star, replacement)
+    try:
+        replacement = _pushed_star(store, star, entry)
+        cut = store.glue(star, replacement)
+    except ValidationError as exc:
+        raise PushError(f"star replacement failed: {exc}") from exc
 
     problems: list[str] = []
     lost = [store.labels[w] for w in cut.dropped_vertices]

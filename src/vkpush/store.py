@@ -3,8 +3,8 @@
 A push run keeps one DartStore and replaces one star per step, so a step
 costs O(star) and not O(diagram).  A surgery checks only what it creates;
 ``DartStore.diagram`` hands the arrays back to ``Diagram.build``, the full
-validator.  The pusher and ``diagram.splice`` import this module where they
-use it, so a start that never pushes does not load it.
+validator.  The pusher imports this module where it uses it, so a start
+that never pushes does not load it.
 """
 
 from __future__ import annotations
@@ -53,12 +53,13 @@ class DartStore:
 
     Ids come out as a rebuild of the whole diagram through a
     ``DiagramBuilder`` gives them (``tests/test_splice.py`` keeps that
-    rebuild as the reference): host darts and vertices keep theirs; the replacement's darts are numbered
-    from the largest dart id plus one in sorted order; a glued edge class
-    keeps the id ``DiagramBuilder.alias`` picks as its root; new and folded
-    vertices are numbered from the largest vertex id plus one, in the order
-    of each new rotation's smallest dart; and after the first surgery every
-    rotation starts at its smallest dart.
+    rebuild as the reference): host darts and vertices keep theirs; the
+    replacement's darts are numbered from the largest dart id plus one in
+    sorted order; a glued edge class keeps the id ``DiagramBuilder.alias``
+    picks as its root; new and folded vertices are numbered from the
+    largest vertex id plus one, in the order of each new rotation's smallest
+    dart; and after the first surgery every rotation starts at its smallest
+    dart.
     """
 
     def __init__(self, d: Diagram):
@@ -142,7 +143,11 @@ class DartStore:
         return index
 
     def star(self, v: int) -> StarView:
-        """vertex_star of the current diagram, with the same checks."""
+        """The closed star of an interior vertex with a regular neighbourhood.
+
+        Errors if v lies on the boundary, carries a loop edge, or if some
+        corner face visits v more than once.
+        """
         if v not in self.rotations:
             raise ValidationError(f"no vertex {v} in the diagram")
         if v in self.boundary_vertices:
@@ -238,7 +243,7 @@ class DartStore:
                 parent[x], x = r, parent[x]
             return r
 
-        # DiagramBuilder.alias with allow_fold: the root stays on the replacement side
+        # DiagramBuilder.alias: the root stays on the replacement side
         for rd, x in zip(replacement.boundary_walk, star.link_darts):
             a = new_of[rd]
             ra, rb = rep(a), rep(x)

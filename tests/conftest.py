@@ -3,7 +3,9 @@ import pathlib
 
 import pytest
 
+from vkpush import pusher
 from vkpush.abelianization import AbelianizationMap
+from vkpush.diagram import rebase_on_boundary
 from vkpush.presentation import Presentation
 from vkpush.scheme import PushingScheme
 
@@ -26,3 +28,15 @@ def z2_bundle():
 @pytest.fixture(scope="session")
 def heisenberg_bundle():
     return _load_bundle("heisenberg")
+
+
+@pytest.fixture
+def unglued_replacements(monkeypatch):
+    """Every star replacement carries a base label one off the link's, so none glues."""
+    pushed_star = pusher._pushed_star
+
+    def shifted(d, star, e):
+        r = pushed_star(d, star, e)
+        return rebase_on_boundary(r, 0, tuple(x + 1 for x in r.base_label))
+
+    monkeypatch.setattr(pusher, "_pushed_star", shifted)

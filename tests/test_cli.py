@@ -273,6 +273,17 @@ def test_bench_reports_failed_words_and_exits_four(capsys, monkeypatch):
         assert r["steps"] > 0 and r["final_area"] > r["initial_area"]
 
 
+def test_bench_reports_replacement_failures_and_exits_four(capsys, unglued_replacements):
+    code, out, err = run(capsys, "bench", Z2, "--q", "5", "--count", "3", "--seed", "3")
+    assert code == 4
+    assert err["error"]["type"] == "InvariantViolation"
+    assert out["audit_summary"]["failed"] >= 1
+    for r in out["results"]:
+        if not r["passed"]:
+            assert r["error"].startswith("star replacement failed")
+            assert r["steps"] == 0 and r["final_area"] == r["initial_area"]
+
+
 def test_bench_rejects_malformed_ar(capsys):
     for ar in (
         "n**2",
@@ -313,6 +324,19 @@ def test_render_writes_dot_and_svg(capsys, tower_file, tmp_path):
     dot = (tmp_path / "pic.dot").read_text()
     assert dot.startswith("graph") and '[label="a"]' in dot
     assert (tmp_path / "pic.svg").read_text().startswith("<svg")
+
+
+def test_out_of_memory_is_a_json_error(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "brute_area", exhausted)
+    code = main(["area-oracle", Z2, "--word", "a b a^-1 b^-1", "--max-area", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert json.loads(captured.err)["error"]["type"] == "MemoryError"
 
 
 def test_unknown_subcommand_is_usage(capsys):

@@ -8,15 +8,13 @@ from vkpush.abelianization import AbelianizationMap
 from vkpush.diagram import (
     Diagram,
     DiagramBuilder,
-    FoldCollision,
     canonical_signature,
     expand_boundary,
     mirror,
     rebase_on_boundary,
-    splice,
-    vertex_star,
 )
 from vkpush.presentation import Presentation, ValidationError, invert
+from vkpush.store import DartStore
 
 
 @pytest.fixture
@@ -198,15 +196,6 @@ def test_builder_rejects_reused_dart(zp, zm):
         bld.build([t1], (0, 0))
 
 
-def test_fold_collision_on_host_edges(grid):
-    bld = DiagramBuilder(grid.presentation, grid.amap)
-    bld.adopt(grid)
-    w = grid.boundary_walk
-    with pytest.raises(FoldCollision) as exc:
-        bld.alias(w[0], w[1])
-    assert exc.value.darts == (w[0], w[1])
-
-
 def test_alias_letter_mismatch(zp, zm):
     bld = DiagramBuilder(zp, zm)
     d1, _ = bld.new_edge(1)
@@ -307,7 +296,7 @@ def test_rebase_matches_rotation(j):
 
 def test_vertex_star_at_grid_center(grid):
     center = next(v for v in grid.vertices if v not in grid.boundary_vertices)
-    star = vertex_star(grid, center)
+    star = DartStore(grid).star(center)
     assert star.degree == 4
     assert len(star.corners) == 4
     for corner in star.corners:
@@ -323,35 +312,39 @@ def test_vertex_star_at_grid_center(grid):
 
 def test_vertex_star_rejects_boundary_vertex(grid):
     with pytest.raises(ValidationError, match="boundary"):
-        vertex_star(grid, grid.base)
+        DartStore(grid).star(grid.base)
 
 
 def center_star(grid):
     """The grid is the closed star of its centre: re-based where the link starts."""
     center = next(v for v in grid.vertices if v not in grid.boundary_vertices)
-    start = grid.head(vertex_star(grid, center).darts[0])
+    start = grid.head(DartStore(grid).star(center).darts[0])
     corners = [grid.origin[x] for x in grid.boundary_walk]
     return center, rebase_on_boundary(grid, corners.index(start))
 
 
 def test_splice_star_back_is_identity(grid):
     center, piece = center_star(grid)
-    assert piece.boundary_word == vertex_star(grid, center).link_word
-    out = splice(grid, center, piece)
-    assert canonical_signature(out) == canonical_signature(grid)
+    store = DartStore(grid)
+    star = store.star(center)
+    assert piece.boundary_word == star.link_word
+    store.apply(store.glue(star, piece))
+    assert canonical_signature(store.diagram()) == canonical_signature(grid)
 
 
 def test_splice_rejects_wrong_boundary(grid, square):
     center = next(v for v in grid.vertices if v not in grid.boundary_vertices)
+    store = DartStore(grid)
     with pytest.raises(ValidationError, match="does not match the link"):
-        splice(grid, center, square)
+        store.glue(store.star(center), square)
 
 
 def test_splice_rejects_wrong_base_label(grid):
     center, piece = center_star(grid)
     shifted = rebase_on_boundary(piece, 0, (7, 7))
+    store = DartStore(grid)
     with pytest.raises(ValidationError, match="base label"):
-        splice(grid, center, shifted)
+        store.glue(store.star(center), shifted)
 
 
 # -- boundary expansion ----------------------------------------------------

@@ -13,7 +13,6 @@ from vkpush.oracle import (
     build_scheme_entry,
     certificate_to_diagram,
     sample_corridor_certificates,
-    sample_corridor_loops,
     search_filling,
     tower_diagram,
     wasteful_diagram,
@@ -210,29 +209,32 @@ def test_certificate_to_diagram_area_bound_on_searched():
         assert d.area <= len(cert.factors)
 
 
+def sample_words(q, target_len, count, rng_seed):
+    certs = sample_corridor_certificates(ZP, ZM, q, target_len, count, rng_seed)
+    return [c.reduced_word() for c in certs]
+
+
 def test_sampler_is_deterministic_and_confined():
-    words = sample_corridor_loops(ZP, ZM, q=3.0, target_len=12, count=8, rng_seed=11)
-    again = sample_corridor_loops(ZP, ZM, q=3.0, target_len=12, count=8, rng_seed=11)
+    words = sample_words(q=3.0, target_len=12, count=8, rng_seed=11)
+    again = sample_words(q=3.0, target_len=12, count=8, rng_seed=11)
     assert words == again
-    certs = sample_corridor_certificates(ZP, ZM, q=3.0, target_len=12, count=8, rng_seed=11)
-    assert [c.reduced_word() for c in certs] == words
     for w in words:
         assert w
         assert len(w) <= 12
         assert project(ZM, w) == (0,)
         assert all(norm(l) <= 3.0 + 1e-9 for l in prefix_labels(ZM, w))
-    other = sample_corridor_loops(ZP, ZM, q=3.0, target_len=12, count=8, rng_seed=12)
+    other = sample_words(q=3.0, target_len=12, count=8, rng_seed=12)
     assert other != words
 
 
 def test_sampler_validates_radius():
     with pytest.raises(ValidationError, match="below the largest letter step"):
-        sample_corridor_loops(ZP, ZM, q=0.5, target_len=8, count=1, rng_seed=0)
+        sample_words(q=0.5, target_len=8, count=1, rng_seed=0)
 
 
 def test_sampler_budget_exhaustion():
     with pytest.raises(SearchBudgetError, match="budget exhausted"):
-        sample_corridor_loops(ZP, ZM, q=1.0, target_len=2, count=1, rng_seed=0)
+        sample_words(q=1.0, target_len=2, count=1, rng_seed=0)
 
 
 def test_build_scheme_entry_matches_handmade():
@@ -276,9 +278,11 @@ def test_tower_diagram_validation():
 
 def test_annular_collar_word_mismatch():
     e = z2_entry(1)
-    inner = one_cell(COMMUTATOR, (1,))
+    bld = DiagramBuilder(ZP, ZM)
+    cell = bld.path(COMMUTATOR)
+    bld.add_cell(cell)
     with pytest.raises(ValidationError, match="does not hat onto"):
-        annular_collar(inner, e, (2, -1, -2, 1))
+        annular_collar(bld, cell, e, (2, -1, -2, 1))
 
 
 def test_wasteful_diagram_z2():

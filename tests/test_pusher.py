@@ -131,6 +131,17 @@ def test_run_audit_failure_raises_with_trace(z2):
     assert audit(trace, k, 5.0)["area_within_bound"] is True
 
 
+def test_replacement_that_does_not_glue_raises_with_trace(z2, unglued_replacements):
+    p, m, s, k = z2
+    up = next(e for e in s.entries if e.t == 1)
+    d = tower_diagram(up, R, 6, (0,))
+    with pytest.raises(PushError, match="star replacement failed: .*base label") as info:
+        push_to_corridor(d, s, k, 5.0)
+    trace = info.value.trace
+    assert trace is not None and trace.steps == []
+    assert trace.final.to_json_dict() == d.to_json_dict()
+
+
 def test_audit_area_bound_survives_float_overflow(z2):
     p, m, s, k = z2
     up = next(e for e in s.entries if e.t == 1)

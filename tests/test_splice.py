@@ -20,7 +20,6 @@ from vkpush.diagram import (
     DiagramBuilder,
     StarView,
     canonical_signature,
-    vertex_star,
 )
 from vkpush.oracle import sample_corridor_certificates, tower_diagram, wasteful_diagram
 from vkpush.presentation import ValidationError
@@ -32,7 +31,7 @@ R = (1, 2, -1, -2)
 
 
 def reference_star(d, v):
-    """vertex_star read off Diagram.faces, with the face index of each corner."""
+    """DartStore.star read off Diagram.faces, with the face index of each corner."""
     if v in d.boundary_vertices:
         raise ValidationError(f"vertex {v} lies on the boundary")
     spokes = d.rotations[v]
@@ -71,11 +70,11 @@ def reference_splice(d, v, replacement):
     for i, face in enumerate(replacement.faces):
         if i != replacement.boundary_face_index:
             bld.add_cell([mapping[x] for x in face])
-    # allow_fold: a replacement whose boundary walk is pinched (one edge used
-    # twice) legitimately folds the two host edges it glues onto; merge_hints
-    # accepts the induced merge of same-label link vertices
+    # a replacement whose boundary walk is pinched (one edge used twice)
+    # folds the two host edges it glues onto; merge_hints accepts the
+    # induced merge of same-label link vertices
     for rep_dart, link_dart in zip(replacement.boundary_walk, star.link_darts):
-        bld.alias(mapping[rep_dart], link_dart, allow_fold=True)
+        bld.alias(mapping[rep_dart], link_dart)
     return bld.build(d.boundary_walk, d.base_label, vertex_hints=dict(d.origin), merge_hints=True)
 
 
@@ -103,7 +102,7 @@ def reference_step(d, s, k):
         area_after=nd.area,
         new_vertex_max_norm=new_max,
     )
-    assert vertex_star(d, g) == star
+    assert DartStore(d).star(g) == star
     return nd, step
 
 
