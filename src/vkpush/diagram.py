@@ -382,7 +382,8 @@ class DiagramBuilder:
 
     # -- dart bookkeeping ---------------------------------------------------
 
-    def _register(self, d: int, letter: int, twin: int) -> None:
+    def add_dart(self, d: int, letter: int, twin: int) -> None:
+        """Register one dart under a caller's id; its twin must be registered too."""
         self.letter[d] = letter
         self.twin[d] = twin
         self._parent[d] = d
@@ -393,24 +394,30 @@ class DiagramBuilder:
         if clash:
             raise ValidationError(f"cannot adopt: dart ids {sorted(clash)[:4]} already in use")
         for dart in d.origin:
-            self._register(dart, d.letter[dart], d.twin[dart])
+            self.add_dart(dart, d.letter[dart], d.twin[dart])
         if d.origin:
             self._next = max(self._next, max(d.origin) + 1)
 
-    def import_shifted(self, d: Diagram) -> dict[int, int]:
-        """Copy a diagram's darts under fresh ids; returns old id -> new id."""
+    def import_diagram(self, d: Diagram) -> list[int]:
+        """Copy a diagram's darts under fresh ids and its interior faces as cells.
+
+        The darts keep their order; returns the boundary walk under the new ids.
+        """
         ids = sorted(d.origin)
         mapping = {old: self._next + i for i, old in enumerate(ids)}
         self._next += len(ids)
         for old, new in mapping.items():
-            self._register(new, d.letter[old], mapping[d.twin[old]])
-        return mapping
+            self.add_dart(new, d.letter[old], mapping[d.twin[old]])
+        for i, face in enumerate(d.faces):
+            if i != d.boundary_face_index:
+                self.cells.append([mapping[x] for x in face])
+        return [mapping[x] for x in d.boundary_walk]
 
     def new_edge(self, letter: int) -> tuple[int, int]:
         d, t = self._next, self._next + 1
         self._next += 2
-        self._register(d, letter, t)
-        self._register(t, -letter, d)
+        self.add_dart(d, letter, t)
+        self.add_dart(t, -letter, d)
         return d, t
 
     def path(self, word: Word) -> list[int]:

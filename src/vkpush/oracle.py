@@ -550,12 +550,7 @@ def wasteful_diagram(
             bld.add_cell(petal)
         else:
             entry, depth = choice
-            tower = tower_diagram(entry, r, depth, attach)
-            mapping = bld.import_shifted(tower)
-            for idx, face in enumerate(tower.faces):
-                if idx != tower.boundary_face_index:
-                    bld.add_cell([mapping[x] for x in face])
-            petal = [mapping[x] for x in tower.boundary_walk]
+            petal = bld.import_diagram(tower_diagram(entry, r, depth, attach))
         walk.extend(stem)
         walk.extend(petal)
         walk.extend(bld.twin[x] for x in reversed(stem))

@@ -1,9 +1,10 @@
 """The pushing engine: replace worst-vertex stars until the corridor holds.
 
 One step swaps the closed star of the maximum-norm vertex for a conjugation
-ring plus re-based scheme fillings, built directly in its glued, cancelled
-form.  A run keeps one DartStore and replaces each star in place, so a step
-costs O(star) and not O(diagram); the full validator runs once, on the
+ring plus re-based scheme fillings, assembled in one DiagramBuilder in its
+glued, cancelled form.  A run keeps one DartStore, which glues each
+replacement straight from its builder, so a step costs O(star) and not
+O(diagram) and builds no diagram; the full validator runs once, on the
 final diagram.  Every quantitative promise the certified constants make is
 audited at runtime; a violation is reported as a broken scheme, never
 glossed over.  Each step is checked from what it removed and created, and
@@ -26,6 +27,7 @@ from vkpush.diagram import Diagram, DiagramBuilder, StarView, mirror, rebase_on_
 from vkpush.oracle import annular_collar
 from vkpush.presentation import ValidationError, Word, invert
 from vkpush.scheme import (
+    CertificationError,
     PushingScheme,
     SchemeConstants,
     SchemeEntry,
@@ -91,13 +93,16 @@ def _corner_instance(e: SchemeEntry, word: Word) -> Diagram:
     return inst
 
 
-def _pushed_star(d: Diagram | DartStore, star: StarView, e: SchemeEntry) -> Diagram:
+def _pushed_star(
+    d: Diagram | DartStore, star: StarView, e: SchemeEntry
+) -> tuple[DiagramBuilder, list[int]]:
     """Replacement for the closed star: corner fillings around a hub, collared.
 
     Adjacent fillings share one copy of each hatted spoke, so the complex
     comes out already cancelled.  The collar then joins the hatted link back
-    to the original link labels, leaving the outer boundary word equal to the
-    link word.  Fillings and collar go into one builder, built once.
+    to the original link labels.  Returns the builder holding the fillings
+    and the collar, and the collar's outer path, whose word is the link
+    word; ``DartStore.glue`` glues them in without building a diagram.
     """
     bld = DiagramBuilder(d.presentation, d.amap)
     spoke_words = [hat_word(e, (d.letter[s],)) for s in star.darts]
@@ -105,12 +110,7 @@ def _pushed_star(d: Diagram | DartStore, star: StarView, e: SchemeEntry) -> Diag
     k = len(star.corners)
     walk: list[int] = []
     for i, corner in enumerate(star.corners):
-        inst = _corner_instance(e, corner.word)
-        mp = bld.import_shifted(inst)
-        for fi, face in enumerate(inst.faces):
-            if fi != inst.boundary_face_index:
-                bld.add_cell([mp[x] for x in face])
-        bwalk = [mp[x] for x in inst.boundary_walk]
+        bwalk = bld.import_diagram(_corner_instance(e, corner.word))
         nxt = (i + 1) % k
         no, nc = len(spoke_words[i]), len(spoke_words[nxt])
         for dd, ss in zip(bwalk[:no], spoke_paths[i]):
@@ -119,8 +119,7 @@ def _pushed_star(d: Diagram | DartStore, star: StarView, e: SchemeEntry) -> Diag
         for dd, ss in zip([bld.twin[x] for x in reversed(tail)], spoke_paths[nxt]):
             bld.alias(dd, ss)
         walk.extend(bwalk[no : len(bwalk) - nc])
-    top = annular_collar(bld, walk, e, star.link_word)
-    return bld.build(top, d.labels[d.head(star.darts[0])])
+    return bld, annular_collar(bld, walk, e, star.link_word)
 
 
 def _check_boundary_inside(d: Diagram, q: float) -> None:
@@ -177,8 +176,7 @@ def _push_max(store: DartStore, s: PushingScheme, k: SchemeConstants) -> tuple[P
     entry, _ = choose_entry(s, u)
     entry_idx = next(i for i, x in enumerate(s.entries) if x is entry)
     try:
-        replacement = _pushed_star(store, star, entry)
-        cut = store.glue(star, replacement)
+        cut = store.glue(star, *_pushed_star(store, star, entry))
     except ValidationError as exc:
         raise PushError(f"star replacement failed: {exc}") from exc
 
@@ -196,12 +194,12 @@ def _push_max(store: DartStore, s: PushingScheme, k: SchemeConstants) -> tuple[P
         problems.append(
             f"labels lost beyond the pushed vertex and its link: {dict(extra)}"
         )
-    glued = {replacement.origin[x] for x in replacement.boundary_walk}
+    # a new vertex without host parts lies inside the replacement
     new_max = max(
-        (norm(lbl) for v, lbl in replacement.labels.items() if v not in glued),
+        [norm(cut.labels[v]) for v, parts in cut.fresh.items() if not parts]
+        + [norm(lbl) for lbl in added.elements()],
         default=0.0,
     )
-    new_max = max(new_max, max((norm(lbl) for lbl in added.elements()), default=0.0))
     if new_max > c - k.a / 2 + FLOAT_TOL:
         problems.append(f"a new vertex has norm {new_max:.6f} > c - a/2 = {c - k.a / 2:.6f}")
     if cut.area - store.area > k.A * star.degree + FLOAT_TOL:
@@ -274,7 +272,8 @@ def push_to_corridor(
     which no step changes, are checked once.  The trace records each step,
     the completed sweeps, and the original degrees; at the end the final
     diagram goes through the full validator and the run is checked by audit,
-    and any failed check raises PushError carrying the trace.  A step budget
+    and any failed check, or a pushed vertex whose character no scheme entry
+    covers, raises PushError carrying the trace.  A step budget
     of |V| * ceil(2(c0-q)/a) * 4 guards against a scheme that spins without
     descending.
     """
@@ -310,6 +309,11 @@ def push_to_corridor(
             if exc.trace is None:
                 exc.trace = PushTrace(steps, sweeps, d, store.diagram(), original_degrees, budgets)
             raise
+        except CertificationError as exc:
+            raise PushError(
+                f"no scheme entry for the pushed vertex: {exc}",
+                PushTrace(steps, sweeps, d, store.diagram(), original_degrees, budgets),
+            ) from exc
         steps.append(step)
         _carry_budgets(budgets, cut)
         cur_norm = norm(store.labels[store.max_norm_vertex()])

@@ -1,9 +1,10 @@
 """Vertex stars replaced in place, on a mutable copy of a diagram's arrays.
 
 A push run keeps one DartStore and replaces one star per step, so a step
-costs O(star) and not O(diagram).  A surgery checks only what it creates;
-``DartStore.diagram`` hands the arrays back to ``Diagram.build``, the full
-validator.  The pusher imports this module where it uses it, so a start
+costs O(star) and not O(diagram).  A replacement comes as the
+DiagramBuilder that assembled it and is glued in from there, unbuilt; a
+surgery checks only what it creates, and ``DartStore.diagram`` hands the
+arrays back to ``Diagram.build``, the full validator.  The pusher imports this module where it uses it, so a start
 that never pushes does not load it.
 """
 
@@ -12,10 +13,10 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from vkpush.abelianization import Vector, vec_add
-from vkpush.diagram import Corner, Diagram, StarView, norm_key
+from vkpush.diagram import Corner, Diagram, DiagramBuilder, StarView, norm_key
 from vkpush.presentation import ValidationError, Word, word_to_text
 
 
@@ -54,8 +55,8 @@ class DartStore:
     Ids come out as a rebuild of the whole diagram through a
     ``DiagramBuilder`` gives them (``tests/test_splice.py`` keeps that
     rebuild as the reference): host darts and vertices keep theirs; the
-    replacement's darts are numbered from the largest dart id plus one in
-    sorted order; a glued edge class keeps the id ``DiagramBuilder.alias``
+    replacement's edge classes are numbered from the largest dart id plus
+    one in root order; a glued edge class keeps the id ``DiagramBuilder.alias``
     picks as its root; new and folded vertices are numbered from the
     largest vertex id plus one, in the order of each new rotation's smallest
     dart; and after the first surgery every rotation starts at its smallest
@@ -193,28 +194,30 @@ class DartStore:
 
     # -- surgery -----------------------------------------------------------------
 
-    def glue(self, star: StarView, replacement: Diagram) -> Surgery:
-        """The surgery replacing the star by a diagram glued along the link.
+    def glue(self, star: StarView, bld: DiagramBuilder, walk: Sequence[int]) -> Surgery:
+        """The surgery replacing the star by a builder's cells, glued along the link.
 
-        The corner faces leave and the replacement's interior faces come in.
-        Each replacement boundary dart is identified with its link dart by a
-        union-find over the replacement, the link darts and their twins; the
-        link edges take the replacement's ids.  A pinched walk on either side
-        folds edges and merges link vertices.  Rotations are re-threaded at
-        the link vertices only.  Checked here: the identifications, that every
-        dart sits in one face, the relator words of the new faces, the labels
-        along every edge at a re-threaded vertex, and the Euler count.  The
-        store is not changed.
+        ``walk``, read as a boundary walk, is the replacement's outer path.
+        The builder's edge classes take ids from the largest dart id plus one
+        in root order; then the link darts join the builder and ``alias``
+        identifies each with its walk dart, so a glued class keeps its
+        replacement root's id.  A pinched walk on either side folds edges
+        and merges link vertices.  The corner faces leave, the cells come
+        in, rotations are re-threaded at the link vertices only, and the
+        interior vertices are labelled from the link.  Checked here: the
+        walk word, the identifications, each cell's relator word, one use
+        per dart, that the link reaches every new vertex, the labels along
+        every edge at a re-threaded vertex, and the Euler count.  The store
+        is not changed; the builder is.
         """
         p = self.presentation
-        if replacement.boundary_word != star.link_word:
+        walk_word = tuple(bld.letter[x] for x in walk)
+        if walk_word != star.link_word:
             raise ValidationError(
                 "replacement boundary "
-                f"{word_to_text(replacement.boundary_word, p)!r} does not match the link "
+                f"{word_to_text(walk_word, p)!r} does not match the link "
                 f"{word_to_text(star.link_word, p)!r}"
             )
-        if replacement.labels[replacement.base] != self.labels[self.head(star.darts[0])]:
-            raise ValidationError("replacement base label does not match the link base label")
         origin, twin, letter = self.origin, self.twin, self.letter
         v = star.center
         gone = set(star.darts)
@@ -222,91 +225,66 @@ class DartStore:
             gone.add(corner.in_dart)
             gone.update(corner.arc)
 
-        # the replacement's darts under fresh ids, as DiagramBuilder.import_shifted
+        # the builder's classes under fresh ids, numbered before the link joins
+        rep = bld.rep
+        classes = {rep(x) for cell in bld.cells for x in cell}
+        classes.update(rep(x) for x in walk)
+        classes.update([rep(bld.twin[x]) for x in classes])
         start = _top(self._dart_ids, self.origin) + 1
-        old_of = {start + i: old for i, old in enumerate(sorted(replacement.origin))}
-        new_of = {old: new for new, old in old_of.items()}
-        tw = {new: new_of[replacement.twin[old]] for new, old in old_of.items()}
-        lt = {new: replacement.letter[old] for new, old in old_of.items()}
+        number = {r: start + i for i, r in enumerate(sorted(classes))}
+        # a host dart x joins the builder as -x, clear of the builder's ids
         hosts = {y for x in star.link_darts for y in (x, twin[x])}
         for x in hosts:
-            tw[x] = twin[x]
-            lt[x] = letter[x]
+            bld.add_dart(-x, letter[x], -twin[x])
+        for a, x in zip(walk, star.link_darts):
+            bld.alias(a, -x)
+        glued = {x: number[rep(-x)] for x in hosts}
 
-        parent = {x: x for x in tw}
-
-        def rep(x: int) -> int:
-            r = x
-            while parent[r] != r:
-                r = parent[r]
-            while parent[x] != r:
-                parent[x], x = r, parent[x]
-            return r
-
-        # DiagramBuilder.alias: the root stays on the replacement side
-        for rd, x in zip(replacement.boundary_walk, star.link_darts):
-            a = new_of[rd]
-            ra, rb = rep(a), rep(x)
-            if ra == rb:
-                continue
-            if rep(tw[ra]) == rb:
-                raise ValidationError(f"cannot identify dart {a} with its own twin")
-            if lt[ra] != lt[rb]:
-                raise ValidationError(
-                    f"cannot identify darts with different letters ({lt[ra]} vs {lt[rb]})"
-                )
-            ta, tb = rep(tw[ra]), rep(tw[rb])
-            parent[rb] = ra
-            if ta != tb:
-                parent[tb] = ta
-        root = {x: rep(x) for x in parent}
-
-        # the face predecessor of each replacement dart in an interior face
+        # each surviving class: the face predecessor of its one use
         variant_set = p.variant_set
-        rpred: dict[int, int] = {}
-        for i, face in enumerate(replacement.faces):
-            if i == replacement.boundary_face_index:
-                continue
-            w = tuple(replacement.letter[y] for y in face)
+        pred: dict[int, int] = {}
+        uses = Counter()
+        for cell in bld.cells:
+            w = tuple(bld.letter[x] for x in cell)
             if w not in variant_set:
                 raise ValidationError(
                     f"interior face {word_to_text(w, p)!r} is not a relator variant"
                 )
-            for j, y in enumerate(face):
-                rpred[y] = face[j - 1]
-        # each surviving class: its one member in a surviving face
-        member: dict[int, int] = {}
-        uses = Counter()
-        for x in parent:
-            if (old_of[x] in rpred) if x in old_of else (x not in gone):
-                member[root[x]] = x
-                uses[root[x]] += 1
+            ids = [number[rep(x)] for x in cell]
+            for j, r in enumerate(ids):
+                pred[r] = ids[j - 1]
+            uses.update(ids)
+
+        def host_pred(x: int) -> int:
+            rot = self.rotations[origin[x]]
+            y = twin[rot[(self.pos[x] + 1) % len(rot)]]
+            return glued.get(y, y)
+
+        for x in hosts - gone:
+            pred[glued[x]] = host_pred(x)
+            uses[glued[x]] += 1
         for r, count in uses.items():
             if count > 1:
                 raise ValidationError(f"dart {r} is used {count} times across faces")
+        root_of = {number[r]: r for r in classes}
+        tw = {r: number[rep(bld.twin[root_of[r]])] for r in pred}
 
         def twin_of(x: int) -> int:
-            return root[tw[x]] if x in root else twin[x]
+            return tw[x] if x in tw else twin[x]
 
-        for r in member:
-            if twin_of(r) not in member:
+        for r in pred:
+            if tw[r] not in pred:
                 raise ValidationError(f"dart {r} has a twin outside every face")
 
         def sigma(e: int) -> int:
             # the next dart around the vertex: the twin of the face predecessor
-            m = member.get(e, e)
-            if m in old_of:
-                pred = new_of[rpred[old_of[m]]]
-            else:
-                rot = self.rotations[origin[m]]
-                pred = twin[rot[(self.pos[m] + 1) % len(rot)]]
-            return twin_of(root.get(pred, pred))
+            return twin_of(pred[e] if e in pred else host_pred(e))
 
         touched = {origin[x] for x in gone} | {origin[x] for x in hosts}
         touched.discard(v)
-        threaded = set(member)
+        threaded = set(pred)
         for w in touched:
-            threaded.update(x for x in self.rotations[w] if x not in gone and x not in root)
+            threaded.update(x for x in self.rotations[w] if x not in gone and x not in hosts)
 
         cycles: list[list[int]] = []
         placed: set[int] = set()
@@ -327,7 +305,7 @@ class DartStore:
         # vertex ids as DiagramBuilder.build gives them from host-origin hints
         hints: dict[int, set[int]] = {}
         for x in hosts:
-            hints.setdefault(root[x], set()).add(origin[x])
+            hints.setdefault(glued[x], set()).add(origin[x])
         fresh_id = max(_top(self._vertex_ids, self.rotations) + 1, 0)
         rotations: dict[int, tuple[int, ...]] = {}
         new_origin: dict[int, int] = {}
@@ -336,7 +314,7 @@ class DartStore:
         for cyc in cycles:
             wanted: set[int] = set()
             for e in cyc:
-                wanted.update(hints.get(e, ()) if e in root else (origin[e],))
+                wanted.update(hints.get(e, ()) if e in pred else (origin[e],))
             if len(wanted) == 1 and not wanted & rotations.keys():
                 (vid,) = wanted
             else:
@@ -345,9 +323,6 @@ class DartStore:
                 fresh[vid] = tuple(sorted(wanted))
                 if wanted:
                     labels[vid] = self.labels[min(wanted)]
-                else:
-                    y = old_of[cyc[0]]
-                    labels[vid] = replacement.labels[replacement.origin[y]]
             rotations[vid] = tuple(cyc)
             for e in cyc:
                 new_origin[e] = vid
@@ -358,28 +333,46 @@ class DartStore:
                 return self.labels[origin[x]]
             return labels[vid] if vid in labels else self.labels[vid]
 
+        def letter_of(x: int) -> int:
+            return bld.letter[root_of[x]] if x in root_of else letter[x]
+
+        # the interior vertices, labelled outward from the link
         column = self.amap.column
+        unlabelled = {vid for vid, parts in fresh.items() if not parts}
+        queue = [vid for vid in rotations if vid not in unlabelled]
+        while queue and unlabelled:
+            w = queue.pop()
+            for e in rotations[w]:
+                u = new_origin.get(twin_of(e))
+                if u in unlabelled:
+                    unlabelled.discard(u)
+                    labels[u] = vec_add(label_at(e), column(letter_of(e)))
+                    queue.append(u)
+        if unlabelled:
+            raise ValidationError(
+                f"replacement vertex {min(unlabelled)} cannot be reached from the link"
+            )
+
         for e in threaded:
-            here = label_at(e)
-            if label_at(twin_of(e)) != vec_add(here, column(lt[e] if e in lt else letter[e])):
+            if label_at(twin_of(e)) != vec_add(label_at(e), column(letter_of(e))):
                 raise ValidationError(f"edge {e} violates label consistency")
 
         dropped_darts = gone | hosts
         nv = len(self.rotations) - len(touched) - 1 + len(rotations)
-        ne = (len(self.origin) - len(dropped_darts) + len(member)) // 2
-        area = self.area + replacement.area - star.degree
+        ne = (len(self.origin) - len(dropped_darts) + len(pred)) // 2
+        area = self.area + len(bld.cells) - star.degree
         if nv - ne + area + 1 != 2:
             raise ValidationError(f"Euler count V-E+F = {nv}-{ne}+{area + 1} != 2; not a sphere map")
 
-        bfd = root.get(self.boundary_face_dart, self.boundary_face_dart)
+        bfd = glued.get(self.boundary_face_dart, self.boundary_face_dart)
         return Surgery(
             dropped_darts=frozenset(dropped_darts),
-            darts={r: (lt[r], twin_of(r)) for r in member},
+            darts={r: (letter_of(r), tw[r]) for r in sorted(pred)},
             rotations=rotations,
             dropped_vertices=(v, *sorted(touched - rotations.keys())),
             fresh=fresh,
             labels=labels,
-            boundary_walk=tuple(root.get(x, x) for x in self.boundary_walk),
+            boundary_walk=tuple(glued.get(x, x) for x in self.boundary_walk),
             boundary_face_dart=bfd,
             base=new_origin[bfd] if bfd in new_origin else origin[bfd],
             area=area,

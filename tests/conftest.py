@@ -5,7 +5,6 @@ import pytest
 
 from vkpush import pusher
 from vkpush.abelianization import AbelianizationMap
-from vkpush.diagram import rebase_on_boundary
 from vkpush.presentation import Presentation
 from vkpush.scheme import PushingScheme
 
@@ -32,11 +31,11 @@ def heisenberg_bundle():
 
 @pytest.fixture
 def unglued_replacements(monkeypatch):
-    """Every star replacement carries a base label one off the link's, so none glues."""
+    """Every star replacement offers its outer walk rotated by one, so none glues."""
     pushed_star = pusher._pushed_star
 
-    def shifted(d, star, e):
-        r = pushed_star(d, star, e)
-        return rebase_on_boundary(r, 0, tuple(x + 1 for x in r.base_label))
+    def rotated(d, star, e):
+        bld, walk = pushed_star(d, star, e)
+        return bld, walk[1:] + walk[:1]
 
-    monkeypatch.setattr(pusher, "_pushed_star", shifted)
+    monkeypatch.setattr(pusher, "_pushed_star", rotated)

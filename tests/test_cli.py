@@ -7,9 +7,10 @@ import sys
 
 import pytest
 
-from vkpush import cli
+from vkpush import cli, pusher
 from vkpush.cli import main
 from vkpush.oracle import tower_diagram
+from vkpush.scheme import CertificationError
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -281,6 +282,21 @@ def test_bench_reports_replacement_failures_and_exits_four(capsys, unglued_repla
     for r in out["results"]:
         if not r["passed"]:
             assert r["error"].startswith("star replacement failed")
+            assert r["steps"] == 0 and r["final_area"] == r["initial_area"]
+
+
+def test_bench_records_an_uncovered_step_as_failed_and_exits_four(capsys, monkeypatch):
+    def uncovered(s, u):
+        raise CertificationError(f"character {u.direction} not covered by scheme")
+
+    monkeypatch.setattr(pusher, "choose_entry", uncovered)
+    code, out, err = run(capsys, "bench", Z2, "--q", "5", "--count", "3", "--seed", "3")
+    assert code == 4
+    assert err["error"]["type"] == "InvariantViolation"
+    assert out["audit_summary"]["failed"] >= 1
+    for r in out["results"]:
+        if not r["passed"]:
+            assert r["error"].startswith("no scheme entry for the pushed vertex")
             assert r["steps"] == 0 and r["final_area"] == r["initial_area"]
 
 

@@ -74,12 +74,7 @@ def reference_pushed_star(d, star, e):
     k = len(star.corners)
     walk = []
     for i, corner in enumerate(star.corners):
-        inst = _corner_instance(e, corner.word)
-        mp = bld.import_shifted(inst)
-        for fi, face in enumerate(inst.faces):
-            if fi != inst.boundary_face_index:
-                bld.add_cell([mp[x] for x in face])
-        bwalk = [mp[x] for x in inst.boundary_walk]
+        bwalk = bld.import_diagram(_corner_instance(e, corner.word))
         nxt = (i + 1) % k
         no, nc = len(spoke_words[i]), len(spoke_words[nxt])
         for dd, ss in zip(bwalk[:no], spoke_paths[i]):
@@ -101,7 +96,9 @@ def push_against_reference(d, s, k, q):
         g = store.max_norm_vertex()
         star = store.star(g)
         entry, _ = choose_entry(s, Character.from_vector([-x for x in store.labels[g]]))
-        want = store.glue(star, reference_pushed_star(store, star, entry))
+        ref = reference_pushed_star(store, star, entry)
+        bld = DiagramBuilder(ref.presentation, ref.amap)
+        want = store.glue(star, bld, bld.import_diagram(ref))
         _, got = _push_max(store, s, k)
         assert got == want
         steps += 1

@@ -323,28 +323,60 @@ def center_star(grid):
     return center, rebase_on_boundary(grid, corners.index(start))
 
 
+def as_builder(d):
+    """A validated diagram as glue takes a replacement: a builder and its outer walk."""
+    bld = DiagramBuilder(d.presentation, d.amap)
+    return bld, bld.import_diagram(d)
+
+
 def test_splice_star_back_is_identity(grid):
     center, piece = center_star(grid)
     store = DartStore(grid)
     star = store.star(center)
     assert piece.boundary_word == star.link_word
-    store.apply(store.glue(star, piece))
+    store.apply(store.glue(star, *as_builder(piece)))
     assert canonical_signature(store.diagram()) == canonical_signature(grid)
 
 
 def test_splice_rejects_wrong_boundary(grid, square):
-    center = next(v for v in grid.vertices if v not in grid.boundary_vertices)
-    store = DartStore(grid)
-    with pytest.raises(ValidationError, match="does not match the link"):
-        store.glue(store.star(center), square)
-
-
-def test_splice_rejects_wrong_base_label(grid):
     center, piece = center_star(grid)
-    shifted = rebase_on_boundary(piece, 0, (7, 7))
     store = DartStore(grid)
-    with pytest.raises(ValidationError, match="base label"):
-        store.glue(store.star(center), shifted)
+    star = store.star(center)
+    with pytest.raises(ValidationError, match="does not match the link"):
+        store.glue(star, *as_builder(square))
+    bld, walk = as_builder(piece)
+    with pytest.raises(ValidationError, match="does not match the link"):
+        store.glue(star, bld, walk[1:] + walk[:1])
+
+
+def test_splice_rejects_a_dart_used_twice(grid):
+    center, piece = center_star(grid)
+    store = DartStore(grid)
+    bld, walk = as_builder(piece)
+    bld.add_cell(bld.cells[0])
+    with pytest.raises(ValidationError, match="used 2 times across faces"):
+        store.glue(store.star(center), bld, walk)
+
+
+def test_splice_rejects_a_cell_that_is_not_a_relator_variant(grid):
+    center, piece = center_star(grid)
+    store = DartStore(grid)
+    bld, walk = as_builder(piece)
+    bld.add_cell(bld.path((1, 1)))
+    with pytest.raises(ValidationError, match="'a a' is not a relator variant"):
+        store.glue(store.star(center), bld, walk)
+
+
+def test_splice_rejects_a_vertex_the_link_does_not_reach(grid):
+    # a sphere of two squares beside the replacement shares no vertex with it
+    center, piece = center_star(grid)
+    store = DartStore(grid)
+    bld, walk = as_builder(piece)
+    cell = bld.path((1, 2, -1, -2))
+    bld.add_cell(cell)
+    bld.add_cell([bld.twin[x] for x in reversed(cell)])
+    with pytest.raises(ValidationError, match="cannot be reached from the link"):
+        store.glue(store.star(center), bld, walk)
 
 
 # -- boundary expansion ----------------------------------------------------
@@ -398,11 +430,7 @@ def test_expand_boundary_random_insertions(inserts):
 def test_signature_ignores_dart_ids(square, zp, zm):
     bld = DiagramBuilder(zp, zm)
     bld.new_edge(1)  # shift the id space
-    mapping = bld.import_shifted(square)
-    for i, face in enumerate(square.faces):
-        if i != square.boundary_face_index:
-            bld.add_cell([mapping[x] for x in face])
-    moved = bld.build([mapping[x] for x in square.boundary_walk], square.base_label)
+    moved = bld.build(bld.import_diagram(square), square.base_label)
     assert set(moved.origin) != set(square.origin)
     assert canonical_signature(moved) == canonical_signature(square)
 

@@ -1,10 +1,12 @@
 import dataclasses
 import math
+from collections import Counter
 
 import pytest
 
+from vkpush import pusher
 from vkpush.abelianization import norm
-from vkpush.diagram import Diagram
+from vkpush.diagram import Diagram, DiagramBuilder
 from vkpush.oracle import (
     brute_area,
     sample_corridor_certificates,
@@ -21,7 +23,7 @@ from vkpush.pusher import (
     push_step,
     push_to_corridor,
 )
-from vkpush.scheme import CertificationError, PushingScheme, certify_coverage
+from vkpush.scheme import CertificationError, PushingScheme, certify_coverage, choose_entry
 
 R = (1, 2, -1, -2)
 
@@ -135,11 +137,60 @@ def test_replacement_that_does_not_glue_raises_with_trace(z2, unglued_replacemen
     p, m, s, k = z2
     up = next(e for e in s.entries if e.t == 1)
     d = tower_diagram(up, R, 6, (0,))
-    with pytest.raises(PushError, match="star replacement failed: .*base label") as info:
+    with pytest.raises(PushError, match="star replacement failed: .*does not match the link") as info:
         push_to_corridor(d, s, k, 5.0)
     trace = info.value.trace
     assert trace is not None and trace.steps == []
     assert trace.final.to_json_dict() == d.to_json_dict()
+
+
+def test_uncovered_character_mid_run_raises_with_trace(z2, monkeypatch):
+    p, m, s, k = z2
+    up = next(e for e in s.entries if e.t == 1)
+    d = tower_diagram(up, R, 6, (0,))
+    calls = []
+
+    def covers_two(s_, u):
+        calls.append(u)
+        if len(calls) > 2:
+            raise CertificationError(f"character {u.direction} not covered by scheme")
+        return choose_entry(s_, u)
+
+    monkeypatch.setattr(pusher, "choose_entry", covers_two)
+    with pytest.raises(PushError, match="no scheme entry for the pushed vertex: .*not covered") as info:
+        push_to_corridor(d, s, k, 5.0)
+    trace = info.value.trace
+    assert len(trace.steps) == 2
+    assert trace.final.area == trace.steps[-1].area_after
+    assert trace.final.boundary_word == d.boundary_word
+
+
+def test_warm_run_validates_one_diagram(z2, monkeypatch):
+    # a step glues its replacement from the builder: no diagram is built per
+    # step, and the final diagram is the one full validation
+    p, m, s, k = z2
+    calls = Counter()
+    builder_build = DiagramBuilder.build
+    diagram_build = Diagram.build.__func__
+
+    def count_builder(self, *args, **kwargs):
+        calls["DiagramBuilder.build"] += 1
+        return builder_build(self, *args, **kwargs)
+
+    def count_diagram(cls, *args, **kwargs):
+        calls["Diagram.build"] += 1
+        return diagram_build(cls, *args, **kwargs)
+
+    for e in s.entries:
+        d = tower_diagram(e, R, 9, (0,))
+        push_to_corridor(d, s, k, 5.0)  # builds the corner instances it uses
+        calls.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(DiagramBuilder, "build", count_builder)
+            mp.setattr(Diagram, "build", classmethod(count_diagram))
+            _, trace = push_to_corridor(d, s, k, 5.0)
+        assert trace.steps
+        assert calls == {"Diagram.build": 1}
 
 
 def test_audit_area_bound_survives_float_overflow(z2):

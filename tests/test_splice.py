@@ -66,15 +66,12 @@ def reference_splice(d, v, replacement):
     for i, face in enumerate(d.faces):
         if i != d.boundary_face_index and i not in removed:
             bld.add_cell(face)
-    mapping = bld.import_shifted(replacement)
-    for i, face in enumerate(replacement.faces):
-        if i != replacement.boundary_face_index:
-            bld.add_cell([mapping[x] for x in face])
+    walk = bld.import_diagram(replacement)
     # a replacement whose boundary walk is pinched (one edge used twice)
     # folds the two host edges it glues onto; merge_hints accepts the
     # induced merge of same-label link vertices
-    for rep_dart, link_dart in zip(replacement.boundary_walk, star.link_darts):
-        bld.alias(mapping[rep_dart], link_dart)
+    for rep_dart, link_dart in zip(walk, star.link_darts):
+        bld.alias(rep_dart, link_dart)
     return bld.build(d.boundary_walk, d.base_label, vertex_hints=dict(d.origin), merge_hints=True)
 
 
@@ -84,7 +81,8 @@ def reference_step(d, s, k):
     label_g = d.labels[g]
     star, _ = reference_star(d, g)
     entry, _ = choose_entry(s, Character.from_vector([-x for x in label_g]))
-    replacement = _pushed_star(d, star, entry)
+    bld, walk = _pushed_star(d, star, entry)
+    replacement = bld.build(walk, d.labels[d.head(star.darts[0])])
     nd = reference_splice(d, g, replacement)
     added = Counter(nd.labels.values()) - Counter(d.labels.values())
     glued = {replacement.origin[x] for x in replacement.boundary_walk}
