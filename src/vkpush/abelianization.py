@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add, sub
 from typing import Sequence
 
 from vkpush.presentation import Presentation, ValidationError, Word
@@ -24,11 +25,11 @@ def norm(v: Sequence[float]) -> float:
 
 
 def vec_add(v: Vector, w: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(v, w))
+    return tuple(map(add, v, w))
 
 
 def vec_sub(v: Vector, w: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(v, w))
+    return tuple(map(sub, v, w))
 
 
 def dot(u: Sequence[float], v: Sequence[float]) -> float:

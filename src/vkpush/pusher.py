@@ -1,13 +1,19 @@
 """The pushing engine: replace worst-vertex stars until the corridor holds.
 
 One step swaps the closed star of the maximum-norm vertex for a conjugation
-ring plus re-based scheme fillings, assembled in one DiagramBuilder in its
-glued, cancelled form.  A run keeps one DartStore, which glues each
-replacement straight from its builder, so a step costs O(star) and not
-O(diagram) and builds no diagram; the full validator runs once, on the
-final diagram.  Every quantitative promise the certified constants make is
-audited at runtime; a violation is reported as a broken scheme, never
-glossed over.  Each step is checked from what it removed and created, and
+ring plus re-based scheme fillings.  That replacement depends only on the
+scheme entry and the star's corner words, so it is assembled in one
+DiagramBuilder and compiled into a ``store.Template`` once per such key,
+cached on the entry; a template that fails its checks is never cached.  A
+run keeps one DartStore, which glues the template along the link: a step
+costs O(star) and not O(diagram) and builds no diagram, and the full
+validator runs once, on the final diagram.  What a template holds for any
+host (relator words, one use per dart, interior rotations and labels) is
+checked when it is compiled; what the host brings (identifications,
+rotations and labels at the link, the Euler count) is checked on every
+step.  Every quantitative promise the certified constants make is audited
+at runtime; a violation is reported as a broken scheme, never glossed
+over.  Each step is checked from what it removed and created, and
 ``audit`` is the one place the run bounds (sweep cap, (1+4AB)^sweeps area
 bound, degree doubling) are computed, for the engine and the command line
 alike.
@@ -23,7 +29,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Callable
 
 from vkpush.abelianization import FLOAT_TOL, Character, Vector, norm
-from vkpush.diagram import Diagram, DiagramBuilder, StarView, mirror, rebase_on_boundary
+from vkpush.diagram import Diagram, DiagramBuilder, mirror, rebase_on_boundary
 from vkpush.oracle import annular_collar
 from vkpush.presentation import ValidationError, Word, invert
 from vkpush.scheme import (
@@ -36,7 +42,7 @@ from vkpush.scheme import (
 )
 
 if TYPE_CHECKING:
-    from vkpush.store import DartStore, Surgery
+    from vkpush.store import DartStore, Surgery, Template
 
 
 class PushError(RuntimeError):
@@ -93,24 +99,21 @@ def _corner_instance(e: SchemeEntry, word: Word) -> Diagram:
     return inst
 
 
-def _pushed_star(
-    d: Diagram | DartStore, star: StarView, e: SchemeEntry
-) -> tuple[DiagramBuilder, list[int]]:
-    """Replacement for the closed star: corner fillings around a hub, collared.
+def _pushed_star(e: SchemeEntry, words: tuple[Word, ...]) -> tuple[DiagramBuilder, list[int]]:
+    """Replacement for a star with these corner words: fillings around a hub, collared.
 
     Adjacent fillings share one copy of each hatted spoke, so the complex
     comes out already cancelled.  The collar then joins the hatted link back
-    to the original link labels.  Returns the builder holding the fillings
-    and the collar, and the collar's outer path, whose word is the link
-    word; ``DartStore.glue`` glues them in without building a diagram.
+    to the link word.  Returns the builder holding the fillings and the
+    collar, and the collar's outer path, whose word is the link word.
     """
-    bld = DiagramBuilder(d.presentation, d.amap)
-    spoke_words = [hat_word(e, (d.letter[s],)) for s in star.darts]
+    bld = DiagramBuilder(e.presentation, e.amap)
+    spoke_words = [hat_word(e, w[:1]) for w in words]
     spoke_paths = [bld.path(w) for w in spoke_words]
-    k = len(star.corners)
+    k = len(words)
     walk: list[int] = []
-    for i, corner in enumerate(star.corners):
-        bwalk = bld.import_diagram(_corner_instance(e, corner.word))
+    for i, word in enumerate(words):
+        bwalk = bld.import_diagram(_corner_instance(e, word))
         nxt = (i + 1) % k
         no, nc = len(spoke_words[i]), len(spoke_words[nxt])
         for dd, ss in zip(bwalk[:no], spoke_paths[i]):
@@ -119,7 +122,22 @@ def _pushed_star(
         for dd, ss in zip([bld.twin[x] for x in reversed(tail)], spoke_paths[nxt]):
             bld.alias(dd, ss)
         walk.extend(bwalk[no : len(bwalk) - nc])
-    return bld, annular_collar(bld, walk, e, star.link_word)
+    link_word = tuple(x for w in words for x in w[1:-1])
+    return bld, annular_collar(bld, walk, e, link_word)
+
+
+def _template(e: SchemeEntry, words: tuple[Word, ...]) -> Template:
+    """The entry's compiled replacement for a star with these corner words.
+
+    Built on the first use of a key and cached on the entry; a build that
+    raises leaves nothing cached.
+    """
+    t = e.templates.get(words)
+    if t is None:
+        from vkpush.store import Template  # loaded on the first push
+
+        t = e.templates[words] = Template.compile(*_pushed_star(e, words))
+    return t
 
 
 def _check_boundary_inside(d: Diagram, q: float) -> None:
@@ -149,11 +167,16 @@ def push_step(d: Diagram, s: PushingScheme, k: SchemeConstants, q: float) -> tup
     from vkpush.store import DartStore  # loaded on the first push
 
     store = DartStore(d)
-    step, _ = _push_max(store, s, k)
+    step, _ = _push_max(store, s, k, {})
     return store.diagram(), step
 
 
-def _push_max(store: DartStore, s: PushingScheme, k: SchemeConstants) -> tuple[PushStep, Surgery]:
+def _push_max(
+    store: DartStore,
+    s: PushingScheme,
+    k: SchemeConstants,
+    choices: dict[Vector, tuple[SchemeEntry, int]],
+) -> tuple[PushStep, Surgery]:
     """Replace the star of the store's maximum-norm vertex, audited from the delta.
 
     The surgery is applied only once its checks pass: every vertex the step
@@ -163,7 +186,8 @@ def _push_max(store: DartStore, s: PushingScheme, k: SchemeConstants) -> tuple[P
     when the link walk traverses an edge twice the splice may also absorb
     link vertices whose whole neighbourhood lay in the closed star (their
     edges fold into the ring), so extra losses are accepted exactly on link
-    labels.
+    labels.  ``choices`` holds the run's entry and entry index per pushed
+    label, so entry choice runs once per label.
     """
     g = store.max_norm_vertex()
     label_g = store.labels[g]
@@ -172,11 +196,13 @@ def _push_max(store: DartStore, s: PushingScheme, k: SchemeConstants) -> tuple[P
         star = store.star(g)
     except ValidationError as exc:
         raise PushError(f"max-norm vertex has no regular star: {exc}") from exc
-    u = Character.from_vector([-x for x in label_g])
-    entry, _ = choose_entry(s, u)
-    entry_idx = next(i for i, x in enumerate(s.entries) if x is entry)
+    choice = choices.get(label_g)
+    if choice is None:
+        entry, _ = choose_entry(s, Character.from_vector([-x for x in label_g]))
+        choice = choices[label_g] = entry, next(i for i, x in enumerate(s.entries) if x is entry)
+    entry, entry_idx = choice
     try:
-        cut = store.glue(star, *_pushed_star(store, star, entry))
+        cut = store.glue(star, _template(entry, tuple(corner.word for corner in star.corners)))
     except ValidationError as exc:
         raise PushError(f"star replacement failed: {exc}") from exc
 
@@ -291,6 +317,7 @@ def push_to_corridor(
     store = DartStore(d)
     # degree budget per surviving vertex; a fold merging two link vertices adds theirs
     budgets = dict(original_degrees)
+    choices: dict[Vector, tuple[SchemeEntry, int]] = {}
     steps: list[PushStep] = []
     sweeps = 0
     steps_since_crossing = 0
@@ -304,7 +331,7 @@ def push_to_corridor(
                 PushTrace(steps, sweeps, d, store.diagram(), original_degrees, budgets),
             )
         try:
-            step, cut = _push_max(store, s, k)
+            step, cut = _push_max(store, s, k, choices)
         except PushError as exc:
             if exc.trace is None:
                 exc.trace = PushTrace(steps, sweeps, d, store.diagram(), original_degrees, budgets)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from vkpush.abelianization import (
     AbelianizationMap,
@@ -35,6 +36,9 @@ from vkpush.presentation import (
     word_to_text,
 )
 
+if TYPE_CHECKING:
+    from vkpush.store import Template
+
 
 class CertificationError(Exception):
     """A scheme failed verification or coverage certification."""
@@ -47,9 +51,13 @@ class SchemeEntry:
     t: int
     conj: dict[int, Word]
     fillings: dict[int, Diagram]
-    # relator variant -> its filling re-based for a star corner; the pusher
-    # fills it on first use
+    # relator variant -> its filling re-based for a star corner, and a star's
+    # corner words -> its compiled replacement; the pusher fills both on
+    # first use
     corner_instances: dict[Word, Diagram] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    templates: dict[tuple[Word, ...], Template] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 

@@ -1,10 +1,14 @@
 """Vertex stars replaced in place, on a mutable copy of a diagram's arrays.
 
 A push run keeps one DartStore and replaces one star per step, so a step
-costs O(star) and not O(diagram).  A replacement comes as the
-DiagramBuilder that assembled it and is glued in from there, unbuilt; a
-surgery checks only what it creates, and ``DartStore.diagram`` hands the
-arrays back to ``Diagram.build``, the full validator.  The pusher imports this module where it uses it, so a start
+costs O(star) and not O(diagram).  A replacement comes as a ``Template``:
+compiled once from the DiagramBuilder that assembled it, with what does not
+depend on the host checked then (relator words, one use per dart, interior
+rotations reached from the link, interior labels).  ``DartStore.glue``
+checks per step only what joining the link creates: the identifications,
+the rotations and labels at the link vertices, and the Euler count.
+``DartStore.diagram`` hands the arrays back to ``Diagram.build``, the full
+validator.  The pusher imports this module where it uses it, so a start
 that never pushes does not load it.
 """
 
@@ -42,6 +46,137 @@ class Surgery:
     area: int
 
 
+@dataclass(frozen=True)
+class Template:
+    """A star replacement compiled once, without ids or labels.
+
+    ``compile`` resolves the edge classes of a DiagramBuilder into ranks, in
+    the order of their roots, so a glue that numbers new darts from the
+    largest dart id plus one adds that number to a rank.  The seam is the
+    classes of the outer walk and their twins: the only classes a glue may
+    merge, with the link darts and with each other.  Every other class lies
+    on a cell, and so does its twin.
+    """
+
+    letter: tuple[int, ...]
+    twin: tuple[int, ...]
+    # the face predecessor of each class on its cell, -1 on none
+    pred: tuple[int, ...]
+    cells: tuple[tuple[int, ...], ...]
+    # the outer path, read as a boundary walk; it spells the link word
+    walk: tuple[int, ...]
+    seam: frozenset[int]
+    # (rank, letter, twin) of every class off the seam
+    inner: tuple[tuple[int, int, int], ...]
+    # the rotations of the vertices off the walk, each from its smallest
+    # rank and in that order; the one of them each class starts at (-1 on
+    # the walk); their labels less the label where the walk starts
+    interior: tuple[tuple[int, ...], ...]
+    vertex: tuple[int, ...]
+    offsets: tuple[Vector, ...]
+
+    @classmethod
+    def compile(cls, bld: DiagramBuilder, walk: Sequence[int]) -> Template:
+        """Resolve a builder and its outer walk, checking what no host changes.
+
+        Checked once here: each cell's relator word, one use per class
+        across the cells, that every class off the seam has its twin on a
+        cell, that the link reaches every interior vertex, and the labels
+        along every edge off the seam.
+        """
+        p, rep = bld.p, bld.rep
+        roots = {rep(x) for cell in bld.cells for x in cell}
+        roots.update(rep(x) for x in walk)
+        roots.update([rep(bld.twin[x]) for x in roots])
+        order = sorted(roots)
+        rank = {r: i for i, r in enumerate(order)}
+        letter = tuple(bld.letter[r] for r in order)
+        twin = tuple(rank[rep(bld.twin[r])] for r in order)
+        variant_set = p.variant_set
+        cells = []
+        for cell in bld.cells:
+            w = tuple(bld.letter[x] for x in cell)
+            if w not in variant_set:
+                raise ValidationError(
+                    f"interior face {word_to_text(w, p)!r} is not a relator variant"
+                )
+            cells.append(tuple(rank[rep(x)] for x in cell))
+        for r, count in Counter(r for cell in cells for r in cell).items():
+            if count > 1:
+                raise ValidationError(f"replacement dart {r} is used {count} times across faces")
+        pred = [-1] * len(order)
+        for cell in cells:
+            for j, r in enumerate(cell):
+                pred[r] = cell[j - 1]
+        ranks = tuple(rank[rep(x)] for x in walk)
+        seam = frozenset(ranks) | {twin[r] for r in ranks}
+        for r in range(len(order)):
+            if r not in seam and pred[r] < 0:
+                raise ValidationError(f"replacement dart {twin[r]} has a twin outside every face")
+
+        # the label offset of each dart's origin on the walk, from where it starts
+        column = bld.m.column
+        rim: dict[int, Vector] = {}
+        offset = bld.m.zero
+        for r in ranks:
+            rim.setdefault(r, offset)
+            offset = vec_add(offset, column(letter[r]))
+            rim.setdefault(twin[r], offset)
+        # off the seam a vertex turns by sigma(e) = twin(pred(e)); a cycle
+        # that reaches the seam lies on the walk, the others are interior
+        vertex = [-1] * len(order)
+        interior: list[tuple[int, ...]] = []
+        for r0 in range(len(order)):
+            if r0 in rim or vertex[r0] >= 0:
+                continue
+            cyc = [r0]
+            r = twin[pred[r0]]
+            while r != r0 and r not in rim:
+                if vertex[r] >= 0 or r in cyc:
+                    raise ValidationError("rotation system does not define a permutation of faces")
+                cyc.append(r)
+                r = twin[pred[r]]
+            if r == r0:
+                for x in cyc:
+                    vertex[x] = len(interior)
+                interior.append(tuple(cyc))
+            else:
+                for x in cyc:
+                    rim[x] = rim[r]
+
+        offsets: list[Vector | None] = [None] * len(interior)
+
+        def offset_at(r: int) -> Vector:
+            return rim[r] if vertex[r] < 0 else offsets[vertex[r]]
+
+        queue = [r for r in rim if r not in seam]
+        while queue:
+            r = queue.pop()
+            h = vertex[twin[r]]
+            if h >= 0 and offsets[h] is None:
+                offsets[h] = vec_add(offset_at(r), column(letter[r]))
+                queue.extend(interior[h])
+        if None in offsets:
+            raise ValidationError(
+                f"replacement vertex {offsets.index(None)} cannot be reached from the link"
+            )
+        for r in range(len(order)):
+            if r not in seam and offset_at(twin[r]) != vec_add(offset_at(r), column(letter[r])):
+                raise ValidationError(f"replacement dart {r} violates label consistency")
+        return cls(
+            letter=letter,
+            twin=twin,
+            pred=tuple(pred),
+            cells=tuple(cells),
+            walk=ranks,
+            seam=seam,
+            inner=tuple((r, letter[r], twin[r]) for r in range(len(order)) if r not in seam),
+            interior=tuple(interior),
+            vertex=tuple(vertex),
+            offsets=tuple(offsets),
+        )
+
+
 class DartStore:
     """The arrays of a diagram in mutable form, for replacing stars in place.
 
@@ -56,11 +191,11 @@ class DartStore:
     ``DiagramBuilder`` gives them (``tests/test_splice.py`` keeps that
     rebuild as the reference): host darts and vertices keep theirs; the
     replacement's edge classes are numbered from the largest dart id plus
-    one in root order; a glued edge class keeps the id ``DiagramBuilder.alias``
-    picks as its root; new and folded vertices are numbered from the
-    largest vertex id plus one, in the order of each new rotation's smallest
-    dart; and after the first surgery every rotation starts at its smallest
-    dart.
+    one in the rank order of their builder roots; a glued edge class keeps
+    the id of the root ``DiagramBuilder.alias`` would pick; new and folded
+    vertices are numbered from the largest vertex id plus one, in the order
+    of each new rotation's smallest dart; and after the first surgery every
+    rotation starts at its smallest dart.
     """
 
     def __init__(self, d: Diagram):
@@ -78,6 +213,7 @@ class DartStore:
         self.boundary_walk = d.boundary_walk
         self.boundary_vertices = d.boundary_vertices
         self.area = d.area
+        self.columns = {x: d.amap.column(x) for x in d.presentation.letters()}
         self._normalized = False
         # a max-heap of vertices by norm_key, and ascending lists holding
         # every live dart and vertex id; dead entries leave lazily
@@ -194,115 +330,143 @@ class DartStore:
 
     # -- surgery -----------------------------------------------------------------
 
-    def glue(self, star: StarView, bld: DiagramBuilder, walk: Sequence[int]) -> Surgery:
-        """The surgery replacing the star by a builder's cells, glued along the link.
+    def glue(self, star: StarView, t: Template) -> Surgery:
+        """The surgery replacing the star by a template's cells, glued along the link.
 
-        ``walk``, read as a boundary walk, is the replacement's outer path.
-        The builder's edge classes take ids from the largest dart id plus one
-        in root order; then the link darts join the builder and ``alias``
-        identifies each with its walk dart, so a glued class keeps its
-        replacement root's id.  A pinched walk on either side folds edges
+        The template's walk, read as a boundary walk, must spell the link
+        word.  Its classes take ids from the largest dart id plus one, by
+        rank.  The link darts join the seam through a union-find that picks
+        roots as ``DiagramBuilder.alias`` does, so a glued class keeps its
+        replacement root's id; a pinched walk on either side folds edges
         and merges link vertices.  The corner faces leave, the cells come
-        in, rotations are re-threaded at the link vertices only, and the
-        interior vertices are labelled from the link.  Checked here: the
-        walk word, the identifications, each cell's relator word, one use
-        per dart, that the link reaches every new vertex, the labels along
-        every edge at a re-threaded vertex, and the Euler count.  The store
-        is not changed; the builder is.
+        in, and only the link vertices are re-threaded: the interior
+        vertices keep the template's rotations, numbered by smallest dart
+        among the new vertices, and take its label offsets from the label
+        where the walk starts.  What ``Template.compile`` checked holds for
+        every host; checked here, on every step: the walk word, the
+        identifications, one use per seam dart, the rotations at the link
+        vertices, the labels along every edge at them, and the Euler count.
+        The store is not changed.
         """
         p = self.presentation
-        walk_word = tuple(bld.letter[x] for x in walk)
+        t_letter, t_twin, t_pred, seam, vertex = t.letter, t.twin, t.pred, t.seam, t.vertex
+        walk_word = tuple(t_letter[r] for r in t.walk)
         if walk_word != star.link_word:
             raise ValidationError(
                 "replacement boundary "
                 f"{word_to_text(walk_word, p)!r} does not match the link "
                 f"{word_to_text(star.link_word, p)!r}"
             )
-        origin, twin, letter = self.origin, self.twin, self.letter
+        origin, twin, letter, host_rotations, pos = (
+            self.origin, self.twin, self.letter, self.rotations, self.pos
+        )
         v = star.center
         gone = set(star.darts)
         for corner in star.corners:
             gone.add(corner.in_dart)
             gone.update(corner.arc)
-
-        # the builder's classes under fresh ids, numbered before the link joins
-        rep = bld.rep
-        classes = {rep(x) for cell in bld.cells for x in cell}
-        classes.update(rep(x) for x in walk)
-        classes.update([rep(bld.twin[x]) for x in classes])
-        start = _top(self._dart_ids, self.origin) + 1
-        number = {r: start + i for i, r in enumerate(sorted(classes))}
-        # a host dart x joins the builder as -x, clear of the builder's ids
         hosts = {y for x in star.link_darts for y in (x, twin[x])}
-        for x in hosts:
-            bld.add_dart(-x, letter[x], -twin[x])
-        for a, x in zip(walk, star.link_darts):
-            bld.alias(a, -x)
-        glued = {x: number[rep(-x)] for x in hosts}
+        start = _top(self._dart_ids, self.origin) + 1
 
-        # each surviving class: the face predecessor of its one use
-        variant_set = p.variant_set
-        pred: dict[int, int] = {}
-        uses = Counter()
-        for cell in bld.cells:
-            w = tuple(bld.letter[x] for x in cell)
-            if w not in variant_set:
-                raise ValidationError(
-                    f"interior face {word_to_text(w, p)!r} is not a relator variant"
-                )
-            ids = [number[rep(x)] for x in cell]
-            for j, r in enumerate(ids):
-                pred[r] = ids[j - 1]
-            uses.update(ids)
+        # the link joins the seam: a union-find over seam ranks and host darts,
+        # a host dart x as -x, that picks its roots as DiagramBuilder.alias does
+        parent: dict[int, int] = {}
+
+        def find(u: int) -> int:
+            while u in parent:
+                u = parent[u]
+            return u
+
+        def twin_node(u: int) -> int:
+            return t_twin[u] if u >= 0 else -twin[-u]
+
+        for a, x in zip(t.walk, star.link_darts):
+            ra, rb = find(a), find(-x)
+            if ra == rb:
+                continue
+            ta = find(twin_node(ra))
+            if ta == rb:
+                raise ValidationError(f"cannot identify link dart {x} with its own twin")
+            tb = find(twin_node(rb))
+            parent[rb] = ra
+            if ta != tb:
+                parent[tb] = ta
+        # every host dart ends up in a seam class, numbered by its root's rank
+        number = {r: start + find(r) for r in seam}
+        glued = {x: start + find(-x) for x in hosts}
+        seam_twin = {number[r]: number[t_twin[r]] for r in seam}
 
         def host_pred(x: int) -> int:
-            rot = self.rotations[origin[x]]
-            y = twin[rot[(self.pos[x] + 1) % len(rot)]]
+            rot = host_rotations[origin[x]]
+            y = twin[rot[(pos[x] + 1) % len(rot)]]
             return glued.get(y, y)
 
+        # each surviving seam class: the face predecessor of its one use
+        pred: dict[int, int] = {}
+        uses = Counter()
+        for r in seam:
+            q = t_pred[r]
+            if q >= 0:
+                pred[number[r]] = number[q] if q in seam else start + q
+                uses[number[r]] += 1
         for x in hosts - gone:
             pred[glued[x]] = host_pred(x)
             uses[glued[x]] += 1
         for r, count in uses.items():
             if count > 1:
                 raise ValidationError(f"dart {r} is used {count} times across faces")
-        root_of = {number[r]: r for r in classes}
-        tw = {r: number[rep(bld.twin[root_of[r]])] for r in pred}
+        for r in pred:
+            if seam_twin[r] not in pred:
+                raise ValidationError(f"dart {r} has a twin outside every face")
 
         def twin_of(x: int) -> int:
-            return tw[x] if x in tw else twin[x]
+            if x < start:
+                return twin[x]
+            return seam_twin[x] if x - start in seam else start + t_twin[x - start]
 
-        for r in pred:
-            if tw[r] not in pred:
-                raise ValidationError(f"dart {r} has a twin outside every face")
+        def letter_of(x: int) -> int:
+            return t_letter[x - start] if x >= start else letter[x]
 
         def sigma(e: int) -> int:
             # the next dart around the vertex: the twin of the face predecessor
-            return twin_of(pred[e] if e in pred else host_pred(e))
+            if e < start:
+                return twin_of(host_pred(e))
+            if e in pred:
+                return twin_of(pred[e])
+            q = t_pred[e - start]
+            return twin_of(number[q] if q in seam else start + q)
 
         touched = {origin[x] for x in gone} | {origin[x] for x in hosts}
         touched.discard(v)
-        threaded = set(pred)
-        for w in touched:
-            threaded.update(x for x in self.rotations[w] if x not in gone and x not in hosts)
+        rim = {x for w in touched for x in host_rotations[w] if x not in gone and x not in hosts}
 
-        cycles: list[list[int]] = []
+        def threaded(e: int) -> bool:
+            if e < start:
+                return e in rim
+            return e in pred if e - start in seam else vertex[e - start] < 0
+
+        # the rotations of the link vertices; each cycle holds a seam dart or a
+        # host dart, and the template's interior cycles are closed
+        cycles: list[tuple[int, ...]] = []
         placed: set[int] = set()
-        for e0 in sorted(threaded):
+        for e0 in [*pred, *rim]:
             if e0 in placed:
                 continue
             cyc = [e0]
             placed.add(e0)
             e = sigma(e0)
             while e != e0:
-                if e not in threaded or e in placed:
+                if e in placed or not threaded(e):
                     raise ValidationError("rotation system does not define a permutation of faces")
                 placed.add(e)
                 cyc.append(e)
                 e = sigma(e)
-            cycles.append(cyc)
+            i = cyc.index(min(cyc))
+            cycles.append(tuple(cyc[i:] + cyc[:i]))
+        cycles.sort()
 
-        # vertex ids as DiagramBuilder.build gives them from host-origin hints
+        # vertex ids as DiagramBuilder.build gives them from host-origin hints,
+        # by smallest dart across link and interior cycles
         hints: dict[int, set[int]] = {}
         for x in hosts:
             hints.setdefault(glued[x], set()).add(origin[x])
@@ -311,63 +475,64 @@ class DartStore:
         new_origin: dict[int, int] = {}
         fresh: dict[int, tuple[int, ...]] = {}
         labels: dict[int, Vector] = {}
-        for cyc in cycles:
-            wanted: set[int] = set()
-            for e in cyc:
-                wanted.update(hints.get(e, ()) if e in pred else (origin[e],))
-            if len(wanted) == 1 and not wanted & rotations.keys():
-                (vid,) = wanted
-            else:
+        interior = [tuple(start + c for c in cyc) for cyc in t.interior]
+        interior_ids: list[int] = []
+        # cycles are disjoint, so tuple order is the order of smallest darts
+        for cyc in heapq.merge(cycles, interior):
+            if cyc[0] >= start and vertex[cyc[0] - start] >= 0:
                 vid = fresh_id
                 fresh_id += 1
-                fresh[vid] = tuple(sorted(wanted))
-                if wanted:
-                    labels[vid] = self.labels[min(wanted)]
-            rotations[vid] = tuple(cyc)
-            for e in cyc:
-                new_origin[e] = vid
+                fresh[vid] = ()
+                interior_ids.append(vid)
+            else:
+                wanted: set[int] = set()
+                for e in cyc:
+                    wanted.update(hints.get(e, ()) if e >= start else (origin[e],))
+                if len(wanted) == 1 and not wanted & rotations.keys():
+                    (vid,) = wanted
+                else:
+                    vid = fresh_id
+                    fresh_id += 1
+                    fresh[vid] = tuple(sorted(wanted))
+                    if wanted:
+                        labels[vid] = self.labels[min(wanted)]
+                for e in cyc:
+                    new_origin[e] = vid
+            rotations[vid] = cyc
+
+        # the interior labels, translated from the label where the walk starts
+        anchor = self.labels[origin[star.link_darts[0]]]
+        inner_labels = [vec_add(anchor, off) for off in t.offsets]
+        labels.update(zip(interior_ids, inner_labels))
 
         def label_at(x: int) -> Vector:
             vid = new_origin.get(x)
-            if vid is None:
-                return self.labels[origin[x]]
-            return labels[vid] if vid in labels else self.labels[vid]
+            if vid is not None:
+                return labels[vid] if vid in labels else self.labels[vid]
+            if x >= start:
+                return inner_labels[vertex[x - start]]
+            return self.labels[origin[x]]
 
-        def letter_of(x: int) -> int:
-            return bld.letter[root_of[x]] if x in root_of else letter[x]
-
-        # the interior vertices, labelled outward from the link
-        column = self.amap.column
-        unlabelled = {vid for vid, parts in fresh.items() if not parts}
-        queue = [vid for vid in rotations if vid not in unlabelled]
-        while queue and unlabelled:
-            w = queue.pop()
-            for e in rotations[w]:
-                u = new_origin.get(twin_of(e))
-                if u in unlabelled:
-                    unlabelled.discard(u)
-                    labels[u] = vec_add(label_at(e), column(letter_of(e)))
-                    queue.append(u)
-        if unlabelled:
-            raise ValidationError(
-                f"replacement vertex {min(unlabelled)} cannot be reached from the link"
-            )
-
-        for e in threaded:
-            if label_at(twin_of(e)) != vec_add(label_at(e), column(letter_of(e))):
-                raise ValidationError(f"edge {e} violates label consistency")
+        columns = self.columns
+        for cyc in cycles:
+            at = label_at(cyc[0])
+            for e in cyc:
+                if label_at(twin_of(e)) != vec_add(at, columns[letter_of(e)]):
+                    raise ValidationError(f"edge {e} violates label consistency")
 
         dropped_darts = gone | hosts
         nv = len(self.rotations) - len(touched) - 1 + len(rotations)
-        ne = (len(self.origin) - len(dropped_darts) + len(pred)) // 2
-        area = self.area + len(bld.cells) - star.degree
+        ne = (len(self.origin) - len(dropped_darts) + len(t.inner) + len(pred)) // 2
+        area = self.area + len(t.cells) - star.degree
         if nv - ne + area + 1 != 2:
             raise ValidationError(f"Euler count V-E+F = {nv}-{ne}+{area + 1} != 2; not a sphere map")
 
+        darts = {start + c: (lt, start + tw) for c, lt, tw in t.inner}
+        darts.update((r, (t_letter[r - start], seam_twin[r])) for r in pred)
         bfd = glued.get(self.boundary_face_dart, self.boundary_face_dart)
         return Surgery(
             dropped_darts=frozenset(dropped_darts),
-            darts={r: (letter_of(r), tw[r]) for r in sorted(pred)},
+            darts=darts,
             rotations=rotations,
             dropped_vertices=(v, *sorted(touched - rotations.keys())),
             fresh=fresh,

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import pathlib
 
@@ -31,11 +32,15 @@ def heisenberg_bundle():
 
 @pytest.fixture
 def unglued_replacements(monkeypatch):
-    """Every star replacement offers its outer walk rotated by one, so none glues."""
-    pushed_star = pusher._pushed_star
+    """Every star replacement offers its outer walk rotated by one, so none glues.
 
-    def rotated(d, star, e):
-        bld, walk = pushed_star(d, star, e)
-        return bld, walk[1:] + walk[:1]
+    The rotation is applied to what the template lookup hands out, so a
+    template cached on a session-scoped bundle's entries is rotated too.
+    """
+    template = pusher._template
 
-    monkeypatch.setattr(pusher, "_pushed_star", rotated)
+    def rotated(e, words):
+        t = template(e, words)
+        return dataclasses.replace(t, walk=t.walk[1:] + t.walk[:1])
+
+    monkeypatch.setattr(pusher, "_template", rotated)

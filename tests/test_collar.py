@@ -16,7 +16,7 @@ from vkpush.oracle import sample_corridor_certificates, tower_diagram, wasteful_
 from vkpush.presentation import ValidationError
 from vkpush.pusher import _corner_instance, _push_max
 from vkpush.scheme import certify_coverage, choose_entry, hat_word
-from vkpush.store import DartStore
+from vkpush.store import DartStore, Template
 
 R = (1, 2, -1, -2)
 
@@ -91,6 +91,7 @@ def reference_pushed_star(d, star, e):
 def push_against_reference(d, s, k, q):
     """Push d in one store; each step's surgery must equal the reference's."""
     store = DartStore(d)
+    choices = {}
     steps = 0
     while norm(store.labels[store.max_norm_vertex()]) > q:
         g = store.max_norm_vertex()
@@ -98,8 +99,8 @@ def push_against_reference(d, s, k, q):
         entry, _ = choose_entry(s, Character.from_vector([-x for x in store.labels[g]]))
         ref = reference_pushed_star(store, star, entry)
         bld = DiagramBuilder(ref.presentation, ref.amap)
-        want = store.glue(star, bld, bld.import_diagram(ref))
-        _, got = _push_max(store, s, k)
+        want = store.glue(star, Template.compile(bld, bld.import_diagram(ref)))
+        _, got = _push_max(store, s, k, choices)
         assert got == want
         steps += 1
     return steps

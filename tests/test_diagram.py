@@ -14,7 +14,7 @@ from vkpush.diagram import (
     rebase_on_boundary,
 )
 from vkpush.presentation import Presentation, ValidationError, invert
-from vkpush.store import DartStore
+from vkpush.store import DartStore, Template
 
 
 @pytest.fixture
@@ -324,7 +324,7 @@ def center_star(grid):
 
 
 def as_builder(d):
-    """A validated diagram as glue takes a replacement: a builder and its outer walk."""
+    """A validated diagram as a replacement is assembled: a builder and its outer walk."""
     bld = DiagramBuilder(d.presentation, d.amap)
     return bld, bld.import_diagram(d)
 
@@ -334,7 +334,7 @@ def test_splice_star_back_is_identity(grid):
     store = DartStore(grid)
     star = store.star(center)
     assert piece.boundary_word == star.link_word
-    store.apply(store.glue(star, *as_builder(piece)))
+    store.apply(store.glue(star, Template.compile(*as_builder(piece))))
     assert canonical_signature(store.diagram()) == canonical_signature(grid)
 
 
@@ -343,40 +343,37 @@ def test_splice_rejects_wrong_boundary(grid, square):
     store = DartStore(grid)
     star = store.star(center)
     with pytest.raises(ValidationError, match="does not match the link"):
-        store.glue(star, *as_builder(square))
+        store.glue(star, Template.compile(*as_builder(square)))
     bld, walk = as_builder(piece)
     with pytest.raises(ValidationError, match="does not match the link"):
-        store.glue(star, bld, walk[1:] + walk[:1])
+        store.glue(star, Template.compile(bld, walk[1:] + walk[:1]))
 
 
 def test_splice_rejects_a_dart_used_twice(grid):
     center, piece = center_star(grid)
-    store = DartStore(grid)
     bld, walk = as_builder(piece)
     bld.add_cell(bld.cells[0])
     with pytest.raises(ValidationError, match="used 2 times across faces"):
-        store.glue(store.star(center), bld, walk)
+        Template.compile(bld, walk)
 
 
 def test_splice_rejects_a_cell_that_is_not_a_relator_variant(grid):
     center, piece = center_star(grid)
-    store = DartStore(grid)
     bld, walk = as_builder(piece)
     bld.add_cell(bld.path((1, 1)))
     with pytest.raises(ValidationError, match="'a a' is not a relator variant"):
-        store.glue(store.star(center), bld, walk)
+        Template.compile(bld, walk)
 
 
 def test_splice_rejects_a_vertex_the_link_does_not_reach(grid):
     # a sphere of two squares beside the replacement shares no vertex with it
     center, piece = center_star(grid)
-    store = DartStore(grid)
     bld, walk = as_builder(piece)
     cell = bld.path((1, 2, -1, -2))
     bld.add_cell(cell)
     bld.add_cell([bld.twin[x] for x in reversed(cell)])
     with pytest.raises(ValidationError, match="cannot be reached from the link"):
-        store.glue(store.star(center), bld, walk)
+        Template.compile(bld, walk)
 
 
 # -- boundary expansion ----------------------------------------------------

@@ -4,10 +4,11 @@ from collections import Counter
 
 import pytest
 
-from vkpush import pusher
+from vkpush import pusher, scheme
 from vkpush.abelianization import norm
 from vkpush.diagram import Diagram, DiagramBuilder
 from vkpush.oracle import (
+    annular_collar,
     brute_area,
     sample_corridor_certificates,
     tower_diagram,
@@ -150,17 +151,19 @@ def test_uncovered_character_mid_run_raises_with_trace(z2, monkeypatch):
     d = tower_diagram(up, R, 6, (0,))
     calls = []
 
-    def covers_two(s_, u):
+    def covers_one(s_, u):
         calls.append(u)
-        if len(calls) > 2:
+        if len(calls) > 1:
             raise CertificationError(f"character {u.direction} not covered by scheme")
         return choose_entry(s_, u)
 
-    monkeypatch.setattr(pusher, "choose_entry", covers_two)
+    # the run pushes labels 7, 6, 6 and asks for an entry once per label, so
+    # the second label fails
+    monkeypatch.setattr(pusher, "choose_entry", covers_one)
     with pytest.raises(PushError, match="no scheme entry for the pushed vertex: .*not covered") as info:
         push_to_corridor(d, s, k, 5.0)
     trace = info.value.trace
-    assert len(trace.steps) == 2
+    assert len(trace.steps) == 1
     assert trace.final.area == trace.steps[-1].area_after
     assert trace.final.boundary_word == d.boundary_word
 
@@ -191,6 +194,66 @@ def test_warm_run_validates_one_diagram(z2, monkeypatch):
             _, trace = push_to_corridor(d, s, k, 5.0)
         assert trace.steps
         assert calls == {"Diagram.build": 1}
+
+
+def test_warm_run_builds_no_replacement(z2, monkeypatch):
+    # with every template cached, a run assembles no builder and no collar
+    p, m, s, k = z2
+    calls = Counter()
+    builder_init = DiagramBuilder.__init__
+
+    def count_builder(self, *args, **kwargs):
+        calls["DiagramBuilder"] += 1
+        builder_init(self, *args, **kwargs)
+
+    def count_collar(*args, **kwargs):
+        calls["annular_collar"] += 1
+        return annular_collar(*args, **kwargs)
+
+    for e in s.entries:
+        d = tower_diagram(e, R, 9, (0,))
+        push_to_corridor(d, s, k, 5.0)  # compiles the templates it uses
+        calls.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(DiagramBuilder, "__init__", count_builder)
+            mp.setattr(pusher, "annular_collar", count_collar)
+            _, trace = push_to_corridor(d, s, k, 5.0)
+        assert trace.steps
+        assert calls == {}
+
+
+def test_entry_choice_runs_gap_once_per_label_and_entry(z2, heis, monkeypatch):
+    # a run asks for an entry once per distinct pushed label, and choose_entry
+    # runs gap once per entry
+    calls = Counter()
+    gap = scheme.gap
+
+    def count_gap(u, e):
+        calls[id(e)] += 1
+        return gap(u, e)
+
+    monkeypatch.setattr(scheme, "gap", count_gap)
+    p, m, s, k = z2
+    labels = 0
+    for e in s.entries:
+        for depth in range(9, 13):
+            _, trace = push_to_corridor(tower_diagram(e, R, depth, m.zero), s, k, k.q_min + 1.0)
+            labels += len({st.pushed_vertex_label for st in trace.steps})
+    assert labels == 48
+    assert calls == {id(e): 48 for e in s.entries}
+    assert sum(calls.values()) == 96
+    p, m, s, k = heis
+    q = k.q_min + 1.0
+    calls.clear()
+    labels = steps = 0
+    for cert in sample_corridor_certificates(p, m, q, 12, 20, 6):
+        _, trace = push_to_corridor(wasteful_diagram(s, cert, q), s, k, q)
+        labels += len({st.pushed_vertex_label for st in trace.steps})
+        steps += len(trace.steps)
+    # ROADMAP workload W1: 854 steps, which asked for 3,416 gaps before
+    assert (steps, labels) == (854, 67)
+    assert calls == {id(e): 67 for e in s.entries}
+    assert sum(calls.values()) == 268
 
 
 def test_audit_area_bound_survives_float_overflow(z2):

@@ -81,7 +81,7 @@ def reference_step(d, s, k):
     label_g = d.labels[g]
     star, _ = reference_star(d, g)
     entry, _ = choose_entry(s, Character.from_vector([-x for x in label_g]))
-    bld, walk = _pushed_star(d, star, entry)
+    bld, walk = _pushed_star(entry, tuple(c.word for c in star.corners))
     replacement = bld.build(walk, d.labels[d.head(star.darts[0])])
     nd = reference_splice(d, g, replacement)
     added = Counter(nd.labels.values()) - Counter(d.labels.values())
@@ -118,6 +118,7 @@ def assert_same(a: Diagram, b: Diagram):
 def push_both_ways(d, s, k, q):
     """Push d with one DartStore and with the reference, comparing every step."""
     store = DartStore(d)
+    choices = {}
     ref = d
     steps = []
     while ref.metrics()["norm"] > q:
@@ -127,7 +128,7 @@ def push_both_ways(d, s, k, q):
         assert got == want
         assert_same(wrapped, nxt)
         # the store a run keeps
-        got, _ = _push_max(store, s, k)
+        got, _ = _push_max(store, s, k, choices)
         assert got == want
         assert_same(store.diagram(), nxt)
         steps.append(want)
@@ -187,10 +188,11 @@ def test_store_apply_touches_only_the_star(z2):
     p, m, s, k, q = z2
     entry = next(e for e in s.entries if e.t == 1)
     store = DartStore(tower_diagram(entry, R, 11, m.zero))
+    choices = {}
     for _ in range(30):
-        _push_max(store, s, k)
+        _push_max(store, s, k, choices)
     before = dict(store.rotations)
-    _, cut = _push_max(store, s, k)
+    _, cut = _push_max(store, s, k, choices)
     changed = {v for v, rot in store.rotations.items() if before.get(v) != rot}
     assert changed == set(cut.rotations)
     assert set(before) - set(store.rotations) == set(cut.dropped_vertices)
