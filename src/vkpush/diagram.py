@@ -49,7 +49,6 @@ class Diagram:
         self.faces: tuple[tuple[int, ...], ...] = kw["faces"]
         self.boundary_face_index: int = kw["boundary_face_index"]
         self.labels: dict[int, Vector] = kw["labels"]
-        self._face_of: dict[int, int] = kw["face_of"]
         self._walk: tuple[int, ...] = kw["walk"]
 
     # -- construction -----------------------------------------------------
@@ -125,7 +124,6 @@ class Diagram:
                 faces=((),),
                 boundary_face_index=0,
                 labels={base: base_label},
-                face_of={},
                 walk=(),
             )
 
@@ -228,7 +226,6 @@ class Diagram:
             faces=tuple(faces),
             boundary_face_index=bindex,
             labels=labels,
-            face_of=face_of,
             walk=walk,
         )
 
@@ -236,9 +233,6 @@ class Diagram:
 
     def head(self, d: int) -> int:
         return self.origin[self.twin[d]]
-
-    def face_of(self, d: int) -> int:
-        return self._face_of[d]
 
     @property
     def area(self) -> int:
@@ -462,7 +456,6 @@ class DiagramBuilder:
         *,
         vertex_hints: Mapping[int, int] | None = None,
         allow_bubbles: bool = False,
-        merge_hints: bool = False,
     ) -> Diagram:
         resolved_cells = [[self.rep(d) for d in cell] for cell in self.cells]
         resolved_walk = [self.rep(d) for d in walk]
@@ -545,18 +538,13 @@ class DiagramBuilder:
         vertex_id: list[int] = []
         used: set[int] = set()
         for cyc in cycles:
-            wanted = sorted(set().union(*(hints.get(d, set()) for d in cyc)) or set())
-            if len(wanted) > 1 and not merge_hints:
-                raise ValidationError(f"vertex hints {wanted} collide on one vertex")
-            vid = None
-            if len(wanted) == 1:
-                if wanted[0] not in used:
-                    vid = wanted[0]
-                elif not merge_hints:
-                    raise ValidationError(f"vertex id {wanted[0]} claimed by two distinct vertices")
+            wanted = set().union(*(hints.get(d, set()) for d in cyc))
             # a class carrying several hints is a fold product: a new vertex,
-            # not any one of its constituents, so it never usurps their ids
-            if vid is None:
+            # not any one of its constituents, so it never usurps their ids;
+            # a hint an earlier class took is not reused either
+            if len(wanted) == 1 and not wanted & used:
+                (vid,) = wanted
+            else:
                 vid = fresh
                 fresh += 1
             used.add(vid)
@@ -583,66 +571,6 @@ class DiagramBuilder:
             base_label=tuple(base_label),
             boundary_face_dart=bfd,
         )
-
-
-# -- orientation and base moves -------------------------------------------
-
-
-def mirror(d: Diagram) -> Diagram:
-    """Reverse the orientation; the boundary word becomes its inverse."""
-    if not d.origin:
-        return d
-    orbit = d.faces[d.boundary_face_index]
-    return Diagram.build(
-        d.presentation,
-        d.amap,
-        origin=d.origin,
-        letter=d.letter,
-        twin=d.twin,
-        rotations={v: tuple(reversed(rot)) for v, rot in d.rotations.items()},
-        base=d.base,
-        base_label=d.base_label,
-        boundary_face_dart=d.twin[orbit[-1]],
-    )
-
-
-def rebase_on_boundary(d: Diagram, position: int, base_label: Sequence[int] | None = None) -> Diagram:
-    """Move the base to the boundary-walk vertex at ``position``.
-
-    Labels shift so the new base carries ``base_label`` (default: its current
-    label, leaving all labels unchanged).
-    """
-    walk = d.boundary_walk
-    if not walk:
-        if position != 0:
-            raise ValidationError("the trivial diagram has only boundary position 0")
-        label = d.base_label if base_label is None else tuple(base_label)
-        return Diagram.build(
-            d.presentation,
-            d.amap,
-            origin={},
-            letter={},
-            twin={},
-            rotations={d.base: ()},
-            base=d.base,
-            base_label=label,
-            boundary_face_dart=None,
-        )
-    position %= len(walk)
-    new_base = d.origin[walk[position]]
-    new_bfd = d.boundary_face_dart if position == 0 else d.twin[walk[position - 1]]
-    label = d.labels[new_base] if base_label is None else tuple(base_label)
-    return Diagram.build(
-        d.presentation,
-        d.amap,
-        origin=d.origin,
-        letter=d.letter,
-        twin=d.twin,
-        rotations=d.rotations,
-        base=new_base,
-        base_label=label,
-        boundary_face_dart=new_bfd,
-    )
 
 
 # -- vertex stars ------------------------------------------------------------
@@ -718,7 +646,7 @@ def canonical_signature(d: Diagram) -> tuple:
 
     Darts are renumbered by a breadth-first sweep anchored at the boundary
     face dart, so the signature is independent of concrete dart and vertex
-    ids.
+    ids.  It reads only arrays a ``store.DartStore`` holds too.
     """
     if not d.origin:
         return ("trivial", d.base_label)
@@ -735,7 +663,7 @@ def canonical_signature(d: Diagram) -> tuple:
         for dart in ordered:
             dart_index[dart] = len(dart_index)
         for dart in ordered:
-            h = d.head(dart)
+            h = d.origin[d.twin[dart]]
             if h not in seen:
                 seen.add(h)
                 queue.append((h, d.twin[dart]))

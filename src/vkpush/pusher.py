@@ -1,22 +1,23 @@
 """The pushing engine: replace worst-vertex stars until the corridor holds.
 
 One step swaps the closed star of the maximum-norm vertex for a conjugation
-ring plus re-based scheme fillings.  That replacement depends only on the
-scheme entry and the star's corner words, so it is assembled in one
-DiagramBuilder and compiled into a ``store.Template`` once per such key,
-cached on the entry; a template that fails its checks is never cached.  A
-run keeps one DartStore, which glues the template along the link: a step
-costs O(star) and not O(diagram) and builds no diagram, and the full
-validator runs once, on the final diagram.  What a template holds for any
-host (relator words, one use per dart, interior rotations and labels) is
-checked when it is compiled; what the host brings (identifications,
-rotations and labels at the link, the Euler count) is checked on every
-step.  Every quantitative promise the certified constants make is audited
-at runtime; a violation is reported as a broken scheme, never glossed
-over.  Each step is checked from what it removed and created, and
-``audit`` is the one place the run bounds (sweep cap, (1+4AB)^sweeps area
-bound, degree doubling) are computed, for the engine and the command line
-alike.
+ring plus one scheme filling per corner: the entry's stored filling of the
+corner's relator, read from the corner's boundary point and mirrored for an
+inverse relator.  That replacement depends only on the scheme entry and the
+star's corner words, so it is assembled in one DiagramBuilder and compiled
+into a ``store.Template`` once per such key, cached on the entry; a template
+that fails its checks is never cached.  A run keeps one DartStore, which
+glues the template along the link: a step costs O(star) and not O(diagram)
+and builds no diagram, and the full validator runs once, on the final
+diagram.  What a template holds for any host (relator words, one use per
+dart, interior rotations and labels) is checked when it is compiled; what
+the host brings (identifications, rotations and labels at the link, the
+Euler count) is checked on every step.  Every quantitative promise the
+certified constants make is audited at runtime; a violation is reported as
+a broken scheme, never glossed over.  Each step is checked from what it
+removed and created, and ``audit`` is the one place the run bounds (sweep
+cap, (1+4AB)^sweeps area bound, degree doubling) are computed, for the
+engine and the command line alike.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Callable
 
 from vkpush.abelianization import FLOAT_TOL, Character, Vector, norm
-from vkpush.diagram import Diagram, DiagramBuilder, mirror, rebase_on_boundary
+from vkpush.diagram import Diagram, DiagramBuilder
 from vkpush.oracle import annular_collar
 from vkpush.presentation import ValidationError, Word, invert
 from vkpush.scheme import (
@@ -79,33 +80,36 @@ class PushTrace:
     budgets: dict[int, int]
 
 
-def _corner_instance(e: SchemeEntry, word: Word) -> Diagram:
-    """The entry's filling re-based to bound the hat of one star corner.
+def _import_corner(bld: DiagramBuilder, e: SchemeEntry, word: Word) -> list[int]:
+    """Copy the entry's filling of a relator variant into bld; returns its walk.
 
-    Built once per (entry, relator variant).  Its labels are the filling's
-    own: callers read only its darts, faces and boundary walk.
+    The filling of the variant's relator, mirrored for an inverse variant
+    (each cell and the walk reversed through the twins), with the walk
+    starting at the hat block of the variant's first letter.
     """
-    inst = e.corner_instances.get(word)
-    if inst is None:
-        p = e.presentation
-        idx, sign, shift = p.variant_origin[word]
-        f = e.fillings[idx]
-        bw = p.relators[idx]
-        if sign == -1:
-            f = mirror(f)
-            bw = invert(bw)
-        start = sum(len(hat_word(e, (x,))) for x in bw[:shift])
-        inst = e.corner_instances[word] = rebase_on_boundary(f, start)
-    return inst
+    p = e.presentation
+    idx, sign, shift = p.variant_origin[word]
+    first = len(bld.cells)
+    walk = bld.import_diagram(e.fillings[idx])
+    bw = p.relators[idx]
+    if sign == -1:
+        twin = bld.twin
+        bld.cells[first:] = [[twin[x] for x in reversed(cell)] for cell in bld.cells[first:]]
+        walk = [twin[x] for x in reversed(walk)]
+        bw = invert(bw)
+    start = len(hat_word(e, bw[:shift]))
+    return walk[start:] + walk[:start]
 
 
 def _pushed_star(e: SchemeEntry, words: tuple[Word, ...]) -> tuple[DiagramBuilder, list[int]]:
     """Replacement for a star with these corner words: fillings around a hub, collared.
 
-    Adjacent fillings share one copy of each hatted spoke, so the complex
-    comes out already cancelled.  The collar then joins the hatted link back
-    to the link word.  Returns the builder holding the fillings and the
-    collar, and the collar's outer path, whose word is the link word.
+    Each corner gets the entry's filling of its word, read from the hat
+    block of the word's first letter.  Adjacent fillings share one copy of
+    each hatted spoke, so the complex comes out already cancelled.  The
+    collar then joins the hatted link back to the link word.  Returns the
+    builder holding the fillings and the collar, and the collar's outer
+    path, whose word is the link word.
     """
     bld = DiagramBuilder(e.presentation, e.amap)
     spoke_words = [hat_word(e, w[:1]) for w in words]
@@ -113,7 +117,7 @@ def _pushed_star(e: SchemeEntry, words: tuple[Word, ...]) -> tuple[DiagramBuilde
     k = len(words)
     walk: list[int] = []
     for i, word in enumerate(words):
-        bwalk = bld.import_diagram(_corner_instance(e, word))
+        bwalk = _import_corner(bld, e, word)
         nxt = (i + 1) % k
         no, nc = len(spoke_words[i]), len(spoke_words[nxt])
         for dd, ss in zip(bwalk[:no], spoke_paths[i]):

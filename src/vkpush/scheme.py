@@ -51,12 +51,8 @@ class SchemeEntry:
     t: int
     conj: dict[int, Word]
     fillings: dict[int, Diagram]
-    # relator variant -> its filling re-based for a star corner, and a star's
-    # corner words -> its compiled replacement; the pusher fills both on
-    # first use
-    corner_instances: dict[Word, Diagram] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    # a star's corner words -> its compiled replacement; the pusher fills it
+    # on first use
     templates: dict[tuple[Word, ...], Template] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )

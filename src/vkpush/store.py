@@ -62,7 +62,8 @@ class Template:
     twin: tuple[int, ...]
     # the face predecessor of each class on its cell, -1 on none
     pred: tuple[int, ...]
-    cells: tuple[tuple[int, ...], ...]
+    # the number of cells, which is the area the template brings
+    area: int
     # the outer path, read as a boundary walk; it spells the link word
     walk: tuple[int, ...]
     seam: frozenset[int]
@@ -167,7 +168,7 @@ class Template:
             letter=letter,
             twin=twin,
             pred=tuple(pred),
-            cells=tuple(cells),
+            area=len(cells),
             walk=ranks,
             seam=seam,
             inner=tuple((r, letter[r], twin[r]) for r in range(len(order)) if r not in seam),
@@ -224,9 +225,6 @@ class DartStore:
 
     # -- queries ---------------------------------------------------------------
 
-    def head(self, d: int) -> int:
-        return self.origin[self.twin[d]]
-
     @property
     def boundary_word(self) -> Word:
         return tuple(self.letter[d] for d in self.boundary_walk)
@@ -266,19 +264,6 @@ class DartStore:
             d = rotations[origin[t]][pos[t] - 1]
         return tuple(face)
 
-    def _face_index(self, dart: int) -> int:
-        """The index of the face of dart in Diagram.faces, which go by smallest dart."""
-        low = min(self._face(dart))
-        seen: set[int] = set()
-        index = 0
-        for x in sorted(self.origin):
-            if x >= low:
-                break
-            if x not in seen:
-                seen.update(self._face(x))
-                index += 1
-        return index
-
     def star(self, v: int) -> StarView:
         """The closed star of an interior vertex with a regular neighbourhood.
 
@@ -305,7 +290,7 @@ class DartStore:
             key = min(face)
             if key in seen_faces:
                 raise ValidationError(
-                    f"face {self._face_index(out)} has a repeated corner at vertex {v}"
+                    f"face of dart {out} has a repeated corner at vertex {v}"
                 )
             seen_faces.add(key)
             corners.append(
@@ -523,7 +508,7 @@ class DartStore:
         dropped_darts = gone | hosts
         nv = len(self.rotations) - len(touched) - 1 + len(rotations)
         ne = (len(self.origin) - len(dropped_darts) + len(t.inner) + len(pred)) // 2
-        area = self.area + len(t.cells) - star.degree
+        area = self.area + t.area - star.degree
         if nv - ne + area + 1 != 2:
             raise ValidationError(f"Euler count V-E+F = {nv}-{ne}+{area + 1} != 2; not a sphere map")
 

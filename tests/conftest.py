@@ -1,13 +1,15 @@
 import dataclasses
 import json
 import pathlib
+from typing import Sequence
 
 import pytest
 
 from vkpush import pusher
 from vkpush.abelianization import AbelianizationMap
-from vkpush.presentation import Presentation
-from vkpush.scheme import PushingScheme
+from vkpush.diagram import Diagram
+from vkpush.presentation import Presentation, ValidationError, Word, invert
+from vkpush.scheme import PushingScheme, SchemeEntry, hat_word
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -44,3 +46,79 @@ def unglued_replacements(monkeypatch):
         return dataclasses.replace(t, walk=t.walk[1:] + t.walk[:1])
 
     monkeypatch.setattr(pusher, "_template", rotated)
+
+
+# -- reference orientation and base moves ---------------------------------
+#
+# A push step reads each corner's filling straight off the stored one
+# (pusher._import_corner).  These build that filling as a validated diagram
+# of its own, mirrored and re-based, as the tests' reference.
+
+
+def mirror(d: Diagram) -> Diagram:
+    """Reverse the orientation; the boundary word becomes its inverse."""
+    if not d.origin:
+        return d
+    orbit = d.faces[d.boundary_face_index]
+    return Diagram.build(
+        d.presentation,
+        d.amap,
+        origin=d.origin,
+        letter=d.letter,
+        twin=d.twin,
+        rotations={v: tuple(reversed(rot)) for v, rot in d.rotations.items()},
+        base=d.base,
+        base_label=d.base_label,
+        boundary_face_dart=d.twin[orbit[-1]],
+    )
+
+
+def rebase_on_boundary(d: Diagram, position: int, base_label: Sequence[int] | None = None) -> Diagram:
+    """Move the base to the boundary-walk vertex at ``position``.
+
+    Labels shift so the new base carries ``base_label`` (default: its current
+    label, leaving all labels unchanged).
+    """
+    walk = d.boundary_walk
+    if not walk:
+        if position != 0:
+            raise ValidationError("the trivial diagram has only boundary position 0")
+        label = d.base_label if base_label is None else tuple(base_label)
+        return Diagram.build(
+            d.presentation,
+            d.amap,
+            origin={},
+            letter={},
+            twin={},
+            rotations={d.base: ()},
+            base=d.base,
+            base_label=label,
+            boundary_face_dart=None,
+        )
+    position %= len(walk)
+    new_base = d.origin[walk[position]]
+    new_bfd = d.boundary_face_dart if position == 0 else d.twin[walk[position - 1]]
+    label = d.labels[new_base] if base_label is None else tuple(base_label)
+    return Diagram.build(
+        d.presentation,
+        d.amap,
+        origin=d.origin,
+        letter=d.letter,
+        twin=d.twin,
+        rotations=d.rotations,
+        base=new_base,
+        base_label=label,
+        boundary_face_dart=new_bfd,
+    )
+
+
+def corner_instance(e: SchemeEntry, word: Word) -> Diagram:
+    """The entry's filling of a relator variant as a diagram, re-based to bound one star corner."""
+    p = e.presentation
+    idx, sign, shift = p.variant_origin[word]
+    f = e.fillings[idx]
+    bw = p.relators[idx]
+    if sign == -1:
+        f = mirror(f)
+        bw = invert(bw)
+    return rebase_on_boundary(f, len(hat_word(e, bw[:shift])))

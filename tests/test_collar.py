@@ -1,20 +1,23 @@
-"""Collars built in place against the two-pass reference.
+"""Collars and corner fillings built in place against the two-pass reference.
 
 ``reference_collar`` and ``reference_pushed_star`` keep the construction in
 which a collar maps one validated Diagram to another: the inner disc is
 built and validated first, and the collar adopts its darts and builds the
 whole disc again.  ``reference_tower`` stacks such collars one build per
-level.  The one-builder path must give the same towers, ids included, and
-the same surgery at every push step.
+level, and each corner filling is a validated diagram of its own, mirrored
+and re-based (``conftest.corner_instance``).  The one-builder path must give
+the same towers and corner fillings, ids included, and the same surgery at
+every push step.
 """
 
 import pytest
+from conftest import _load_bundle, corner_instance
 
 from vkpush.abelianization import Character, norm, vec_add, vec_sub
 from vkpush.diagram import DiagramBuilder
 from vkpush.oracle import sample_corridor_certificates, tower_diagram, wasteful_diagram
 from vkpush.presentation import ValidationError
-from vkpush.pusher import _corner_instance, _push_max
+from vkpush.pusher import _import_corner, _push_max
 from vkpush.scheme import certify_coverage, choose_entry, hat_word
 from vkpush.store import DartStore, Template
 
@@ -74,7 +77,7 @@ def reference_pushed_star(d, star, e):
     k = len(star.corners)
     walk = []
     for i, corner in enumerate(star.corners):
-        bwalk = bld.import_diagram(_corner_instance(e, corner.word))
+        bwalk = bld.import_diagram(corner_instance(e, corner.word))
         nxt = (i + 1) % k
         no, nc = len(spoke_words[i]), len(spoke_words[nxt])
         for dd, ss in zip(bwalk[:no], spoke_paths[i]):
@@ -83,7 +86,7 @@ def reference_pushed_star(d, star, e):
         for dd, ss in zip([bld.twin[x] for x in reversed(tail)], spoke_paths[nxt]):
             bld.alias(dd, ss)
         walk.extend(bwalk[no : len(bwalk) - nc])
-    v0 = d.head(star.darts[0])
+    v0 = d.origin[d.twin[star.darts[0]]]
     inner = bld.build(walk, vec_add(d.labels[v0], m.column(e.t)))
     return reference_collar(inner, e, star.link_word)
 
@@ -118,6 +121,34 @@ def heis(heisenberg_bundle):
     p, m, s = heisenberg_bundle
     k = certify_coverage(s, 0.01)
     return p, m, s, k, k.q_min + 1.0
+
+
+def rotated_cells(cells):
+    """The cells as a sorted list, each rotated to start at its smallest dart."""
+    out = []
+    for cell in cells:
+        i = cell.index(min(cell))
+        out.append(tuple(cell[i:] + cell[:i]))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("name", ["z2", "heisenberg"])
+def test_corner_import_matches_rebased_mirror(name):
+    # every relator variant, imported one after another into one builder, as
+    # the corners of a star are: the same darts, walk and cells up to rotation
+    p, m, s = _load_bundle(name)
+    variants = sorted(p.variant_set)
+    assert any(p.variant_origin[w][1] == -1 for w in variants)
+    for e in s.entries:
+        got, want = DiagramBuilder(p, m), DiagramBuilder(p, m)
+        for word in variants:
+            first = len(got.cells)
+            walk = _import_corner(got, e, word)
+            assert walk == want.import_diagram(corner_instance(e, word))
+            assert tuple(got.letter[x] for x in walk) == hat_word(e, word)
+            assert rotated_cells(got.cells[first:]) == rotated_cells(want.cells[first:])
+        assert (got.letter, got.twin) == (want.letter, want.twin)
+        assert rotated_cells(got.cells) == rotated_cells(want.cells)
 
 
 @pytest.mark.parametrize("t", [1, -1])

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from conftest import mirror, rebase_on_boundary
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,8 +11,6 @@ from vkpush.diagram import (
     DiagramBuilder,
     canonical_signature,
     expand_boundary,
-    mirror,
-    rebase_on_boundary,
 )
 from vkpush.presentation import Presentation, ValidationError, invert
 from vkpush.store import DartStore, Template
@@ -194,6 +193,31 @@ def test_builder_rejects_reused_dart(zp, zm):
     bld.add_cell([d1])
     with pytest.raises(ValidationError, match="used 3 times"):
         bld.build([t1], (0, 0))
+
+
+def test_builder_gives_a_fold_product_a_fresh_id(zp, zm):
+    # an alias that folds two hinted vertices makes a new vertex, numbered
+    # past every hint, as DartStore.glue numbers a fold
+    bld = DiagramBuilder(zp, zm)
+    cell = bld.path((1, 2, -1, -2))
+    bld.add_cell(cell)
+    spare = bld.new_edge(1)[0]
+    bld.alias(cell[0], spare)
+    hints = {cell[0]: 5, spare: 7, cell[1]: 1, cell[2]: 2, cell[3]: 3}
+    d = bld.build(cell, (0, 0), vertex_hints=hints)
+    assert [d.origin[x] for x in cell] == [8, 1, 2, 3]
+    assert d.labels[8] == (0, 0)
+
+
+def test_builder_gives_a_claimed_hint_a_fresh_id(zp, zm):
+    # two vertices hinted with one id: the first in dart order keeps it, and
+    # the other is numbered past every hint, as DartStore.glue does
+    bld = DiagramBuilder(zp, zm)
+    cell = bld.path((1, 2, -1, -2))
+    bld.add_cell(cell)
+    d = bld.build(cell, (0, 0), vertex_hints={cell[0]: 0, cell[1]: 0, cell[2]: 2, cell[3]: 3})
+    assert [d.origin[x] for x in cell] == [0, 4, 2, 3]
+    assert d.labels[4] == (1, 0)
 
 
 def test_alias_letter_mismatch(zp, zm):

@@ -3,6 +3,7 @@ import math
 from collections import Counter
 
 import pytest
+from conftest import _load_bundle
 
 from vkpush import pusher, scheme
 from vkpush.abelianization import norm
@@ -194,6 +195,42 @@ def test_warm_run_validates_one_diagram(z2, monkeypatch):
             _, trace = push_to_corridor(d, s, k, 5.0)
         assert trace.steps
         assert calls == {"Diagram.build": 1}
+
+
+def test_cold_run_validates_one_diagram(monkeypatch):
+    # on a fresh bundle, with no template compiled yet, a run reads the corner
+    # fillings straight off the stored ones: the final diagram is still the
+    # one full validation
+    diagram_build = Diagram.build.__func__
+    runs = []
+
+    def cold_runs(d, s, k, q):
+        calls = Counter()
+
+        def count_diagram(cls, *args, **kwargs):
+            calls["Diagram.build"] += 1
+            return diagram_build(cls, *args, **kwargs)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(Diagram, "build", classmethod(count_diagram))
+            _, trace = push_to_corridor(d, s, k, q)
+        assert trace.steps
+        runs.append(calls)
+
+    p, m, s = _load_bundle("z2")
+    k = certify_coverage(s, 0.05)
+    for e in s.entries:
+        cold_runs(tower_diagram(e, R, 9, (0,)), s, k, 5.0)
+    p, m, s = _load_bundle("heisenberg")
+    k = certify_coverage(s, 0.01)
+    q = k.q_min + 1.0
+    for cert in sample_corridor_certificates(p, m, q, 12, 20, 6):
+        d = wasteful_diagram(s, cert, q)
+        if d.metrics()["norm"] > q:
+            cold_runs(d, s, k, q)
+    # two z2 towers and the ten W1 loops that need pushing
+    assert len(runs) == 12
+    assert runs == [{"Diagram.build": 1}] * 12
 
 
 def test_warm_run_builds_no_replacement(z2, monkeypatch):

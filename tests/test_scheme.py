@@ -3,9 +3,10 @@ import math
 import random
 
 import pytest
+from conftest import mirror, rebase_on_boundary
 
 from vkpush.abelianization import AbelianizationMap, Character, norm, prefix_labels
-from vkpush.diagram import DiagramBuilder, mirror, rebase_on_boundary
+from vkpush.diagram import DiagramBuilder
 from vkpush.presentation import Presentation, ValidationError, invert
 from vkpush.scheme import (
     CertificationError,

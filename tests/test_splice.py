@@ -35,9 +35,10 @@ def reference_star(d, v):
     if v in d.boundary_vertices:
         raise ValidationError(f"vertex {v} lies on the boundary")
     spokes = d.rotations[v]
+    face_of = {x: j for j, face in enumerate(d.faces) for x in face}
     corners, faces = [], []
     for i, out in enumerate(spokes):
-        fi = d.face_of(out)
+        fi = face_of[out]
         assert fi not in faces
         faces.append(fi)
         face = d.faces[fi]
@@ -68,11 +69,11 @@ def reference_splice(d, v, replacement):
             bld.add_cell(face)
     walk = bld.import_diagram(replacement)
     # a replacement whose boundary walk is pinched (one edge used twice)
-    # folds the two host edges it glues onto; merge_hints accepts the
-    # induced merge of same-label link vertices
+    # folds the two host edges it glues onto; the induced merge of
+    # same-label link vertices is a fold product and gets a fresh id
     for rep_dart, link_dart in zip(walk, star.link_darts):
         bld.alias(rep_dart, link_dart)
-    return bld.build(d.boundary_walk, d.base_label, vertex_hints=dict(d.origin), merge_hints=True)
+    return bld.build(d.boundary_walk, d.base_label, vertex_hints=dict(d.origin))
 
 
 def reference_step(d, s, k):
