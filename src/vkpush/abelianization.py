@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Sequence
 
 from vkpush.presentation import Presentation, ValidationError, Word
@@ -33,7 +33,7 @@ def vec_sub(v: Vector, w: Vector) -> Vector:
 
 
 def dot(u: Sequence[float], v: Sequence[float]) -> float:
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ import numpy as np
 from vkpush.abelianization import AbelianizationMap, check_compatible, norm
 from vkpush.diagram import Diagram
 from vkpush.oracle import (
+    MAX_WORDS,
     FillingSearchError,
     SearchBudgetError,
     brute_area,
@@ -391,13 +392,15 @@ def cmd_push(args) -> int:
 
 
 def cmd_area_oracle(args) -> int:
+    if args.max_words < 1:
+        raise UsageError("--max-words must be positive")
     p, m, s = _load_bundle(args.bundle)
     w = parse_word(args.word, p)
     out = {"word": word_to_text(w, p), "max_area": args.max_area}
     if args.max_len is not None:
         out["max_len"] = args.max_len
     if args.certificate:
-        cert = search_filling(p, w, args.max_area, args.max_len)
+        cert = search_filling(p, w, args.max_area, args.max_len, args.max_words)
         out["area"] = len(cert.factors) if cert is not None else "unknown"
         if cert is not None:
             out["certificate"] = [
@@ -405,7 +408,7 @@ def cmd_area_oracle(args) -> int:
                 for u, r in cert.factors
             ]
     else:
-        area = brute_area(p, w, args.max_area, args.max_len)
+        area = brute_area(p, w, args.max_area, args.max_len, args.max_words)
         out["area"] = area if area is not None else "unknown"
     _emit(out)
     return EXIT_OK
@@ -569,6 +572,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--word", required=True, help="word in the generators, e.g. 'a b a^-1 b^-1'")
     sp.add_argument("--max-area", type=int, required=True)
     sp.add_argument("--max-len", type=int, default=None)
+    sp.add_argument(
+        "--max-words",
+        type=int,
+        default=MAX_WORDS,
+        help=f"stored search words before giving up with exit 2 (default {MAX_WORDS:,})",
+    )
     sp.add_argument("--certificate", action="store_true", help="also emit a filling certificate")
 
     sp = add("sample", cmd_sample, "sample null-homotopic corridor loops")

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable
 
 from vkpush.abelianization import (
@@ -30,13 +31,13 @@ from vkpush.abelianization import (
     norm,
     prefix_labels,
     project,
+    vec_add,
 )
 from vkpush.diagram import Diagram, DiagramBuilder, expand_boundary
 from vkpush.presentation import (
     Presentation,
     ValidationError,
     Word,
-    cyclic_reduce,
     free_reduce,
     invert,
     word_to_text,
@@ -92,56 +93,80 @@ def _check_letters(p: Presentation, w: Word) -> None:
             raise ValidationError(f"word uses letter {x!r} outside the presentation")
 
 
-Move = tuple[Word, int]
+# Search words are bytes: letter x is the code 2(|x| - 1) + (x < 0), so the
+# inverse of code c is c ^ 1, and one byte holds the letters of at most
+# MAX_RANK generators.  Words are decoded back to tuples only for the chain.
+MAX_RANK = 128
+_LETTER = tuple(-(c // 2 + 1) if c & 1 else c // 2 + 1 for c in range(2 * MAX_RANK))
+
+# Stored words at which a search gives up.  The largest search of the tests,
+# the fixture builds and the benchmark, the [a^2, b^3] peel, stores 56,439
+# words; the Heisenberg area-5 peel of x x y y x^-1 x^-1 y^-1 y^-1 stores
+# 3,499,675 (about 680 MB).
+MAX_WORDS = 4_000_000
+
+Move = tuple[bytes, int]
 
 
-def _insert_reduced(u: Word, v: Word, pos: int) -> Word:
-    """free_reduce(u[:pos] + v + u[pos:]) for freely reduced u and v.
+def _check_rank(p: Presentation) -> None:
+    if p.rank > MAX_RANK:
+        raise ValidationError(
+            f"the oracle's searches take at most {MAX_RANK} generators, not {p.rank}"
+        )
 
-    Letters can cancel only at the two seams where v meets u, and, once v is
-    used up, between the two halves of u.
-    """
-    i, j, k, m, n = pos, 0, pos, len(v), len(u)
-    while j < m and i and u[i - 1] == -v[j]:
-        i -= 1
-        j += 1
-    while m > j and k < n and v[m - 1] == -u[k]:
-        m -= 1
-        k += 1
-    if j == m:
-        while i and k < n and u[i - 1] == -u[k]:
-            i -= 1
-            k += 1
-    return u[:i] + v[j:m] + u[k:]
+
+def _encode(w: Word) -> bytes:
+    return bytes(2 * abs(x) - 2 + (x < 0) for x in w)
+
+
+def _decode(u: bytes) -> Word:
+    return tuple(map(_LETTER.__getitem__, u))
 
 
 def _insertion_search(
     p: Presentation,
-    start: Word,
-    goal: Word,
-    moves: Callable[[Word, bool], list[Move]],
+    start: bytes,
+    goal: bytes,
+    moves: Callable[[bytes, bool], list[Move]],
     max_area: int,
     max_len: int,
+    max_words: int,
 ) -> list[tuple[Word, Word, int]] | None:
     """Chain of insertions from start to goal, found level by level.
 
     moves(u, last) lists, in search order, the (variant, position)
-    insertions tried on the word u; last marks the final level, which only
-    tests for goal and records no word.  The first insertion that reaches a
-    freely reduced word is kept, and the search stops at the first discovery
-    of goal, so the chain depends only on the move order.  None when goal is
-    not reached within max_area insertions and max_len letters.
+    insertions tried on the encoded word u; last marks the final level,
+    which only tests for goal and records no word.  The first insertion that
+    reaches a freely reduced word is kept, and the search stops at the first
+    discovery of goal, so the chain depends only on the move order.  None
+    when goal is not reached within max_area insertions and max_len letters;
+    SearchBudgetError once more than max_words words are stored.
     """
     if start == goal:
         return []
-    parent: dict[Word, tuple[Word, Word, int] | None] = {start: None}
+    parent: dict[bytes, tuple[bytes, bytes, int] | None] = {start: None}
     frontier = [start]
     for level in range(max_area):
         last = level == max_area - 1
-        nxt: list[Word] = []
+        nxt: list[bytes] = []
         for u in frontier:
+            n = len(u)
             for v, pos in moves(u, last):
-                cand = _insert_reduced(u, v, pos)
+                # free_reduce(u[:pos] + v + u[pos:]) for freely reduced u and v:
+                # letters cancel only at the two seams where v meets u, and,
+                # once v is used up, between the two halves of u
+                i, j, k, m = pos, 0, pos, len(v)
+                while j < m and i and u[i - 1] == v[j] ^ 1:
+                    i -= 1
+                    j += 1
+                while m > j and k < n and v[m - 1] == u[k] ^ 1:
+                    m -= 1
+                    k += 1
+                if j == m:
+                    while i and k < n and u[i - 1] == u[k] ^ 1:
+                        i -= 1
+                        k += 1
+                cand = u[:i] + v[j:m] + u[k:]
                 if cand == goal:
                     parent[cand] = (u, v, pos)
                     return _insertion_chain(p, parent, goal)
@@ -149,6 +174,10 @@ def _insertion_search(
                     continue
                 parent[cand] = (u, v, pos)
                 nxt.append(cand)
+            if len(parent) > max_words:
+                raise SearchBudgetError(
+                    f"search budget of {max_words} stored words exhausted at area {level + 1}"
+                )
         if not nxt:
             break
         frontier = nxt
@@ -156,7 +185,7 @@ def _insertion_search(
 
 
 def _insertion_chain(
-    p: Presentation, parent: dict[Word, tuple[Word, Word, int] | None], goal: Word
+    p: Presentation, parent: dict[bytes, tuple[bytes, bytes, int] | None], goal: bytes
 ) -> list[tuple[Word, Word, int]]:
     """(prefix, relator, rotation) per insertion, the last insertion first.
 
@@ -167,15 +196,15 @@ def _insertion_chain(
     step = parent[goal]
     while step is not None:
         prev, v, pos = step
-        i, sign, j = p.variant_origin[v]
+        i, sign, j = p.variant_origin[_decode(v)]
         s = p.relators[i] if sign == 1 else invert(p.relators[i])
-        chain.append((prev[:pos], s, j))
+        chain.append((_decode(prev[:pos]), s, j))
         step = parent[prev]
     return chain
 
 
 def _peel_chain(
-    p: Presentation, w: Word, max_area: int, max_len: int | None
+    p: Presentation, w: Word, max_area: int, max_len: int | None, max_words: int
 ) -> list[tuple[Word, Word, int]] | None:
     """Insertion chain from w down to the empty word, one cell deletion per step.
 
@@ -186,6 +215,7 @@ def _peel_chain(
     chain's length is the exact filling area whenever max_len admits the
     rewritten boundaries.
     """
+    _check_rank(p)
     word = free_reduce(w)
     _check_letters(p, word)
     if max_area < 0:
@@ -201,21 +231,33 @@ def _peel_chain(
     for g in range(1, p.rank + 1):
         if word.count(g) != word.count(-g) and all(r.count(g) == r.count(-g) for r in p.relators):
             return None
-    by_last: dict[int, list[Word]] = {}
-    for v in sorted(p.variant_set):
-        by_last.setdefault(v[-1], []).append(v)
+    variants = [_encode(v) for v in sorted(p.variant_set)]
+    # per code: the variants whose last letter cancels it
+    by_code = [[v for v in variants if v[-1] == c ^ 1] for c in range(2 * p.rank)]
     lengths = {len(r) for r in p.relators}
 
-    def moves(u: Word, last: bool) -> list[Move]:
-        # one insertion empties u only if u is a conjugate of an inverse variant
-        if last and len(cyclic_reduce(u)) not in lengths:
-            return []
-        return [(v, pos) for pos, x in enumerate(u) for v in by_last.get(-x, ())]
+    def moves(u: bytes, last: bool) -> list[Move]:
+        if last:
+            # one insertion empties u only if u is a conjugate of an inverse
+            # variant, so its cyclic core must be as long as a relator
+            i, j = 0, len(u) - 1
+            while i < j and u[i] == u[j] ^ 1:
+                i += 1
+                j -= 1
+            if j - i + 1 not in lengths:
+                return []
+        return [(v, pos) for pos, c in enumerate(u) for v in by_code[c]]
 
-    return _insertion_search(p, word, (), moves, max_area, max_len)
+    return _insertion_search(p, _encode(word), b"", moves, max_area, max_len, max_words)
 
 
-def brute_area(p: Presentation, w: Word, max_area: int, max_len: int | None = None) -> int | None:
+def brute_area(
+    p: Presentation,
+    w: Word,
+    max_area: int,
+    max_len: int | None = None,
+    max_words: int = MAX_WORDS,
+) -> int | None:
     """Minimal filling area of w, or None if not found within bounds.
 
     With the default max_len = |w| + max_area * B every cell-by-cell
@@ -223,15 +265,19 @@ def brute_area(p: Presentation, w: Word, max_area: int, max_len: int | None = No
     count is the true minimum.  A tighter cap can lose fillings and report a
     larger count or None, but never undercounts.
     """
-    chain = _peel_chain(p, w, max_area, max_len)
+    chain = _peel_chain(p, w, max_area, max_len, max_words)
     return None if chain is None else len(chain)
 
 
 def search_filling(
-    p: Presentation, w: Word, max_area: int, max_len: int | None = None
+    p: Presentation,
+    w: Word,
+    max_area: int,
+    max_len: int | None = None,
+    max_words: int = MAX_WORDS,
 ) -> FillingCertificate | None:
     """Certificate for free_reduce(w), or None if not found within bounds."""
-    chain = _peel_chain(p, w, max_area, max_len)
+    chain = _peel_chain(p, w, max_area, max_len, max_words)
     if chain is None:
         return None
     # a peeled cell is the inverse relator conjugated by the prefix and, for a
@@ -271,23 +317,31 @@ def _boxed_filling(
         return None
     # a variant stays in the box iff its start label lies in its window: the
     # box shrunk by the variant's own label excursion from its start
-    windows = []
+    variants, windows = [], []
     for v in sorted(p.variant_set):
         offsets = prefix_labels(m, v)
         wlo = tuple(lo[i] - min(o[i] for o in offsets) for i in range(m.rank))
         whi = tuple(hi[i] - max(o[i] for o in offsets) for i in range(m.rank))
-        windows.append((v, wlo, whi))
+        variants.append(_encode(v))
+        windows.append((wlo, whi))
+    columns = [m.column(x) for x in _LETTER[: 2 * p.rank]]
+    admitted: dict[Vector, list[int]] = {}  # label -> variants whose window holds it
 
-    def moves(u: Word, last: bool) -> list[Move]:
-        labels = prefix_labels(m, u, base_label)
-        return [
-            (v, pos)
-            for v, wlo, whi in windows
-            for pos, lbl in enumerate(labels)
-            if all(a <= x <= b for a, x, b in zip(wlo, lbl, whi))
-        ]
+    def moves(u: bytes, last: bool) -> list[Move]:
+        hits = []
+        for pos, lbl in enumerate(accumulate((columns[c] for c in u), vec_add, initial=base_label)):
+            ids = admitted.get(lbl)
+            if ids is None:
+                ids = admitted[lbl] = [
+                    i
+                    for i, (wlo, whi) in enumerate(windows)
+                    if all(a <= x <= b for a, x, b in zip(wlo, lbl, whi))
+                ]
+            hits.extend((i, pos) for i in ids)
+        hits.sort()
+        return [(variants[i], pos) for i, pos in hits]
 
-    chain = _insertion_search(p, (), word, moves, max_area, max_len)
+    chain = _insertion_search(p, b"", _encode(word), moves, max_area, max_len, MAX_WORDS)
     if chain is None:
         return None
     return FillingCertificate(
@@ -421,6 +475,7 @@ def build_scheme_entry(
     outright; missing fillings within the search bounds raise
     FillingSearchError listing the relators left unfilled.
     """
+    _check_rank(p)
     problems = conjugation_problems(p, t, conj)
     if problems:
         raise CertificationError("; ".join(problems))

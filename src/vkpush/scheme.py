@@ -56,6 +56,11 @@ class SchemeEntry:
     templates: dict[tuple[Word, ...], Template] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    # per relator: the distinct vertex labels of its filling and of its path
+    # from the origin; gap fills it on first use
+    valuation_labels: tuple[tuple[tuple[Vector, ...], tuple[Vector, ...]], ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
 
 @dataclass
@@ -226,12 +231,21 @@ def gap(u: Character, e: SchemeEntry) -> float:
     Returns -inf when the direction does not advance along u.
     """
     m = e.amap
-    if dot(u.direction, m.column(e.t)) <= 0.0:
+    d = u.direction
+    if dot(d, m.column(e.t)) <= 0.0:
         return float("-inf")
+    if e.valuation_labels is None:
+        e.valuation_labels = tuple(
+            (
+                tuple(dict.fromkeys(e.fillings[i].labels.values())),
+                tuple(dict.fromkeys(prefix_labels(m, r, m.zero))),
+            )
+            for i, r in enumerate(e.presentation.relators)
+        )
     worst = math.inf
-    for i, r in enumerate(e.presentation.relators):
-        fill_min = min(dot(u.direction, lbl) for lbl in e.fillings[i].labels.values())
-        path_min = min(dot(u.direction, lbl) for lbl in prefix_labels(m, r, m.zero))
+    for fill, path in e.valuation_labels:
+        fill_min = min([dot(d, lbl) for lbl in fill])
+        path_min = min([dot(d, lbl) for lbl in path])
         worst = min(worst, fill_min - path_min)
     return worst
 

@@ -192,6 +192,40 @@ def test_area_oracle_non_null_word_ends_in_bounded_time():
         assert json.loads(proc.stdout)["area"] == "unknown"
 
 
+def test_area_oracle_spent_budget_is_a_json_error(capsys):
+    # [a^2, b^2] has area 4; its peel stores more than 10 words before that
+    word = "a a b b a^-1 a^-1 b^-1 b^-1"
+    code, out, err = run(capsys, "area-oracle", Z2, "--word", word, "--max-area", "4")
+    assert code == 0 and out["area"] == 4
+    for extra in ([], ["--certificate"]):
+        code = main(["area-oracle", Z2, "--word", word, "--max-area", "4", "--max-words", "10"] + extra)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        error = json.loads(captured.err)["error"]
+        assert error["type"] == "SearchBudgetError"
+        assert "10 stored words" in error["message"]
+    code, out, err = run(capsys, "area-oracle", Z2, "--word", word, "--max-area", "4", "--max-words", "0")
+    assert code == 64 and err["error"]["type"] == "UsageError"
+
+
+def test_area_oracle_rejects_more_generators_than_a_byte_holds(capsys, tmp_path):
+    gens = [f"g{i}" for i in range(1, 130)]
+    obj = {
+        "presentation": {"generators": gens, "relators": ["g129"]},
+        "map": {"rank": 1, "columns": {g: [0] for g in gens}},
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(obj))
+    code = main(["area-oracle", str(path), "--word", "g129", "--max-area", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert json.loads(captured.err)["error"]["type"] == "ValidationError"
+
+
 def test_sample_is_deterministic(capsys):
     code1, out1, _ = run(capsys, "sample", Z2, "--q", "5", "--count", "4", "--seed", "9")
     code2, out2, _ = run(capsys, "sample", Z2, "--q", "5", "--count", "4", "--seed", "9")

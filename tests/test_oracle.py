@@ -5,6 +5,7 @@ import pytest
 from vkpush.abelianization import AbelianizationMap, norm, prefix_labels, project
 from vkpush.diagram import DiagramBuilder, canonical_signature
 from vkpush.oracle import (
+    MAX_RANK,
     FillingCertificate,
     FillingSearchError,
     SearchBudgetError,
@@ -107,6 +108,23 @@ def test_brute_area_input_invariances():
 def test_brute_area_rejects_foreign_letters():
     with pytest.raises(ValidationError, match="outside the presentation"):
         brute_area(ZP, (5,), 2)
+
+
+def test_searches_reject_more_generators_than_a_byte_holds():
+    # search words spend one byte per letter, two codes per generator
+    gens = tuple(f"g{i}" for i in range(1, MAX_RANK + 2))
+    widest = Presentation(gens[:MAX_RANK], ((MAX_RANK,),))
+    assert brute_area(widest, (MAX_RANK,), 1) == 1
+    assert search_filling(widest, (MAX_RANK,), 1) is not None
+    p = Presentation(gens, ((MAX_RANK + 1,),))
+    m = AbelianizationMap(1, ((0,),) * (MAX_RANK + 1))
+    for search in (
+        lambda: brute_area(p, (MAX_RANK + 1,), 1),
+        lambda: search_filling(p, (MAX_RANK + 1,), 1),
+        lambda: build_scheme_entry(p, m, 1, {}, max_area=1),
+    ):
+        with pytest.raises(ValidationError, match=f"at most {MAX_RANK} generators"):
+            search()
 
 
 def test_search_filling_certificates_reduce_to_target():

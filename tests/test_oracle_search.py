@@ -1,8 +1,8 @@
 """The oracle's insertion search against a plain reference search.
 
-``reference_insertion_search`` reduces every candidate as a whole word and
-records every level, the last one included.  The differential tests run each
-search both ways, through the same move lists, and ask for the same chain.
+``reference_insertion_search`` runs on decoded words: it reduces every
+candidate as a whole word and records every level, the last one included.  The differential tests run each search both ways, through the
+same move lists, and ask for the same chain.
 """
 
 import random
@@ -11,7 +11,8 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from vkpush import oracle
-from vkpush.oracle import brute_area, build_scheme_entry, search_filling
+from vkpush.oracle import MAX_RANK, _decode, _encode, brute_area, build_scheme_entry, search_filling
+from vkpush.abelianization import prefix_labels
 from vkpush.presentation import Presentation, free_reduce, invert, is_freely_reduced
 
 ZP = Presentation.from_texts(("a", "b"), ("a b a^-1 b^-1",))
@@ -30,6 +31,9 @@ P23 = Presentation.from_texts(("a", "b"), ("a a b b b a^-1 a^-1 b^-1 b^-1 b^-1",
 
 
 def reference_insertion_search(p, start, goal, moves, max_area, max_len):
+    # searches decoded words, encoding each only to ask for its moves and
+    # to hand the parent links to the chain extraction
+    start, goal = _decode(start), _decode(goal)
     if start == goal:
         return []
     parent = {start: None}
@@ -37,13 +41,19 @@ def reference_insertion_search(p, start, goal, moves, max_area, max_len):
     for _ in range(max_area):
         nxt = []
         for u in frontier:
-            for v, pos in moves(u, False):
-                cand = free_reduce(u[:pos] + v + u[pos:])
+            for v, pos in moves(_encode(u), False):
+                cand = free_reduce(u[:pos] + _decode(v) + u[pos:])
                 if len(cand) > max_len or cand in parent:
                     continue
                 parent[cand] = (u, v, pos)
                 if cand == goal:
-                    return oracle._insertion_chain(p, parent, goal)
+                    links, w = {}, goal
+                    while parent[w] is not None:
+                        prev, v, pos = parent[w]
+                        links[_encode(w)] = (_encode(prev), v, pos)
+                        w = prev
+                    links[_encode(w)] = None
+                    return oracle._insertion_chain(p, links, _encode(goal))
                 nxt.append(cand)
         if not nxt:
             break
@@ -57,8 +67,8 @@ def chains(monkeypatch):
     fast = oracle._insertion_search
     seen = []
 
-    def both(p, start, goal, moves, max_area, max_len):
-        got = fast(p, start, goal, moves, max_area, max_len)
+    def both(p, start, goal, moves, max_area, max_len, max_words):
+        got = fast(p, start, goal, moves, max_area, max_len, max_words)
         assert got == reference_insertion_search(p, start, goal, moves, max_area, max_len)
         seen.append(got)
         return got
@@ -124,6 +134,59 @@ def test_box_searches_match_reference(chains, z2_bundle, heisenberg_bundle):
     assert len(chains) == 2 * 1 + 4 * 5
 
 
+def reference_box_moves(p, m, target, base_label):
+    """The box search's moves, testing each variant's window at each prefix label."""
+    bounds = prefix_labels(m, target, base_label)
+    lo = tuple(min(lbl[i] for lbl in bounds) for i in range(m.rank))
+    hi = tuple(max(lbl[i] for lbl in bounds) for i in range(m.rank))
+    windows = []
+    for v in sorted(p.variant_set):
+        offsets = prefix_labels(m, v)
+        wlo = tuple(lo[i] - min(o[i] for o in offsets) for i in range(m.rank))
+        whi = tuple(hi[i] - max(o[i] for o in offsets) for i in range(m.rank))
+        windows.append((_encode(v), wlo, whi))
+
+    def moves(u):
+        labels = prefix_labels(m, _decode(u), base_label)
+        return [
+            (v, pos)
+            for v, wlo, whi in windows
+            for pos, lbl in enumerate(labels)
+            if all(a <= x <= b for a, x, b in zip(wlo, lbl, whi))
+        ]
+
+    return moves
+
+
+def test_box_moves_match_reference(monkeypatch, z2_bundle, heisenberg_bundle):
+    boxed, search = oracle._boxed_filling, oracle._insertion_search
+    checked = []
+
+    def boxed_against_reference(p, m, target, base_label, max_area, max_len):
+        want = reference_box_moves(p, m, target, base_label)
+
+        def search_checking_moves(p, start, goal, moves, *bounds):
+            def both(u, last):
+                got = moves(u, last)
+                assert got == want(u)
+                checked.append(u)
+                return got
+
+            return search(p, start, goal, both, *bounds)
+
+        monkeypatch.setattr(oracle, "_insertion_search", search_checking_moves)
+        try:
+            return boxed(p, m, target, base_label, max_area, max_len)
+        finally:
+            monkeypatch.setattr(oracle, "_insertion_search", search)
+
+    monkeypatch.setattr(oracle, "_boxed_filling", boxed_against_reference)
+    for (p, m, s), bounds in ((z2_bundle, {"max_area": 2}), (heisenberg_bundle, {"max_area": 4, "max_len": 12})):
+        for e in s.entries:
+            build_scheme_entry(p, m, e.t, {x: tuple(w) for x, w in e.conj.items()}, **bounds)
+    assert len(checked) >= 2 * 1 + 4 * 5  # one move list or more per box search
+
+
 VARIANTS = sorted(ZP.variant_set | HP.variant_set)
 letters = st.integers(min_value=-3, max_value=3).filter(lambda x: x != 0)
 words = st.lists(letters, max_size=12).map(tuple)
@@ -147,5 +210,20 @@ def insertions(draw):
 
 @given(insertions())
 def test_seam_reduction_equals_whole_word_reduction(case):
+    # a one-level search reaches its goal iff its one insertion, reduced at
+    # the seams, gives exactly the goal
     u, v, pos = case
-    assert oracle._insert_reduced(u, v, pos) == free_reduce(u[:pos] + v + u[pos:])
+    goal = _encode(free_reduce(u[:pos] + v + u[pos:]))
+    p = ZP if v in ZP.variant_set else HP
+    move = [(_encode(v), pos)]
+    chain = oracle._insertion_search(p, _encode(u), goal, lambda w, last: move, 1, len(goal), 1)
+    assert chain is not None and len(chain) == 1
+
+
+def test_encoding_round_trips_every_letter():
+    letters = [x for g in range(1, MAX_RANK + 1) for x in (g, -g)]
+    codes = _encode(tuple(letters))
+    assert sorted(codes) == list(range(2 * MAX_RANK))
+    assert _decode(codes) == tuple(letters)
+    for x in letters:
+        assert _encode((-x,))[0] == _encode((x,))[0] ^ 1

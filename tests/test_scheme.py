@@ -5,6 +5,7 @@ import random
 import pytest
 from conftest import mirror, rebase_on_boundary
 
+from vkpush import scheme
 from vkpush.abelianization import AbelianizationMap, Character, norm, prefix_labels
 from vkpush.diagram import DiagramBuilder
 from vkpush.presentation import Presentation, ValidationError, invert
@@ -141,6 +142,44 @@ def test_gap_matches_rotated_rebased_instances():
                     low = min(u.value(lbl) for lbl in prefix_labels(ZM, rotated, ZM.zero))
                     observed = min(observed, val - low)
         assert math.isclose(observed, gap(u, e), abs_tol=1e-12)
+
+
+def reference_gap(u, e):
+    """The valuation gap from scratch: label lists rebuilt and a generator dot per call."""
+
+    def dot(a, b):
+        return sum(x * y for x, y in zip(a, b))
+
+    m = e.amap
+    if dot(u.direction, m.column(e.t)) <= 0.0:
+        return float("-inf")
+    worst = math.inf
+    for i, r in enumerate(e.presentation.relators):
+        fill_min = min(dot(u.direction, lbl) for lbl in e.fillings[i].labels.values())
+        path_min = min(dot(u.direction, lbl) for lbl in prefix_labels(m, r, m.zero))
+        worst = min(worst, fill_min - path_min)
+    return worst
+
+
+@pytest.mark.parametrize("bundle", ["z2_bundle", "heisenberg_bundle"])
+def test_gap_equals_reference_gap_exactly(bundle, request):
+    p, m, s = request.getfixturevalue(bundle)
+    rng = random.Random(2024)
+    grid = [(1.0,), (-1.0,)] if m.rank == 1 else _sphere_grid(m.rank, 0.05)
+    randoms = [tuple(rng.gauss(0.0, 1.0) for _ in range(m.rank)) for _ in range(200)]
+    for direction in grid + randoms:
+        u = Character.from_vector(direction)
+        for e in s.entries:
+            assert gap(u, e) == reference_gap(u, e)
+
+
+@pytest.mark.parametrize("bundle", ["z2_bundle", "heisenberg_bundle"])
+def test_certified_constants_equal_the_reference_gap_ones(bundle, request, monkeypatch):
+    p, m, s = request.getfixturevalue(bundle)
+    grids = (0.05, 0.01, 0.005)
+    got = [certify_coverage(s, grid) for grid in grids]
+    monkeypatch.setattr(scheme, "gap", reference_gap)
+    assert got == [certify_coverage(s, grid) for grid in grids]
 
 
 def test_choose_entry_picks_covering_direction():
