@@ -21,8 +21,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from vkpush.abelianization import AbelianizationMap, check_compatible, norm
 from vkpush.diagram import Diagram
 from vkpush.oracle import (
@@ -215,6 +213,8 @@ def _layout(d):
         pos[d.base] = (0.0, 0.0)
     interior = [v for v in d.vertices if v not in pos]
     if interior:
+        import numpy as np  # only rendering needs it, so other commands start faster
+
         idx = {v: i for i, v in enumerate(interior)}
         lap = np.zeros((len(interior), len(interior)))
         rhs = np.zeros((len(interior), 2))

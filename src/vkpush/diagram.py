@@ -167,21 +167,6 @@ class Diagram:
         if origin[boundary_face_dart] != base:
             raise ValidationError("the boundary face dart must start at the base vertex")
 
-        # connectivity over the 1-skeleton
-        reached = {base}
-        queue = deque([base])
-        neighbours: dict[int, list[int]] = {v: [] for v in rotations}
-        for d in darts:
-            neighbours[origin[d]].append(origin[twin[d]])
-        while queue:
-            v = queue.popleft()
-            for w in neighbours[v]:
-                if w not in reached:
-                    reached.add(w)
-                    queue.append(w)
-        if len(reached) != len(rotations):
-            raise ValidationError("diagram is not connected")
-
         variant_set = presentation.variant_set
         for i, face in enumerate(faces):
             if i == bindex:
@@ -192,13 +177,14 @@ class Diagram:
                     f"interior face {word_to_text(w, presentation)!r} is not a relator variant"
                 )
 
+        # one walk checks the edge equation of every out-dart of every vertex
+        # it reaches, so labelling every vertex also proves connectivity
         labels: dict[int, Vector] = {base: base_label}
         queue = deque([base])
-        out_darts = rot_lists
         while queue:
             v = queue.popleft()
             lv = labels[v]
-            for d in out_darts[v]:
+            for d in rot_lists[v]:
                 w = origin[twin[d]]
                 lw = vec_add(lv, amap.column(letter[d]))
                 if w in labels:
@@ -207,10 +193,8 @@ class Diagram:
                 else:
                     labels[w] = lw
                     queue.append(w)
-        # connected, so every vertex got a label; recheck all edges once
-        for d in darts:
-            if labels[origin[twin[d]]] != vec_add(labels[origin[d]], amap.column(letter[d])):
-                raise ValidationError(f"edge {d} violates label consistency")
+        if len(labels) != len(rotations):
+            raise ValidationError("diagram is not connected")
 
         walk = tuple(twin[d] for d in reversed(faces[bindex]))
         return cls(

@@ -386,15 +386,30 @@ def certificate_to_diagram(
     """
     if expected is not None and free_reduce(expected) != cert.reduced_word():
         raise ValidationError("certificate product does not reduce to the expected word")
+    return _lollipops(p, m, cert, base_label, lambda bld, u, r: _cell(bld, r))
+
+
+def _cell(bld: DiagramBuilder, r: Word) -> list[int]:
+    petal = bld.path(r)
+    bld.add_cell(petal)
+    return petal
+
+
+def _lollipops(
+    p: Presentation,
+    m: AbelianizationMap,
+    cert: FillingCertificate,
+    base_label: Vector,
+    petal: Callable[[DiagramBuilder, Word, Word], list[int]],
+) -> Diagram:
+    """certificate_to_diagram with the petal of each factor (u, r) built by petal(bld, u, r)."""
     bld = DiagramBuilder(p, m)
     walk: list[int] = []
     for u, r in cert.factors:
         _check_factor(p, u, r)
         stem = bld.path(u)
-        petal = bld.path(r)
-        bld.add_cell(petal)
         walk.extend(stem)
-        walk.extend(petal)
+        walk.extend(petal(bld, u, r))
         walk.extend(bld.twin[s] for s in reversed(stem))
     return bld.build(_fold_walk(bld, walk), base_label, allow_bubbles=True)
 
@@ -549,19 +564,23 @@ def tower_diagram(e: SchemeEntry, word: Word, depth: int, base_label: Vector) ->
     direction image.  Area grows linearly in depth; so does the label norm.
     The core's vertices keep the ids 0 to len(word) - 1.
     """
+    bld = DiagramBuilder(e.presentation, e.amap)
+    cell, walk = _tower(bld, e, word, depth)
+    return bld.build(walk, base_label, vertex_hints={x: i for i, x in enumerate(cell)})
+
+
+def _tower(bld: DiagramBuilder, e: SchemeEntry, word: Word, depth: int) -> tuple[list[int], list[int]]:
+    """Add a tower's core cell and collars to bld; returns the core's darts and the outer walk."""
     if depth < 0:
         raise ValidationError("tower depth must be nonnegative")
     if word not in e.presentation.variant_set:
         raise ValidationError("tower core must be a relator variant")
     if hat_word(e, word) != word:
         raise ValidationError("tower word is not fixed by the entry's conjugations")
-    bld = DiagramBuilder(e.presentation, e.amap)
-    cell = bld.path(word)
-    bld.add_cell(cell)
-    walk = cell
+    cell = walk = _cell(bld, word)
     for _ in range(depth):
         walk = annular_collar(bld, walk, e, word)
-    return bld.build(walk, base_label, vertex_hints={x: i for i, x in enumerate(cell)})
+    return cell, walk
 
 
 def _tower_choice(s: PushingScheme, v: Word, attach: Vector, q: float, slack: float):
@@ -593,20 +612,12 @@ def wasteful_diagram(
     """
     p, m = s.presentation, s.amap
     label0 = m.zero if base_label is None else base_label
-    bld = DiagramBuilder(p, m)
-    walk: list[int] = []
-    for u, r in cert.factors:
-        _check_factor(p, u, r)
-        stem = bld.path(u)
-        attach = project(m, u, label0)
-        choice = _tower_choice(s, r, attach, q, slack)
+
+    def petal(bld: DiagramBuilder, u: Word, r: Word) -> list[int]:
+        choice = _tower_choice(s, r, project(m, u, label0), q, slack)
         if choice is None:
-            petal = bld.path(r)
-            bld.add_cell(petal)
-        else:
-            entry, depth = choice
-            petal = bld.import_diagram(tower_diagram(entry, r, depth, attach))
-        walk.extend(stem)
-        walk.extend(petal)
-        walk.extend(bld.twin[x] for x in reversed(stem))
-    return bld.build(_fold_walk(bld, walk), label0, allow_bubbles=True)
+            return _cell(bld, r)
+        entry, depth = choice
+        return _tower(bld, entry, r, depth)[1]
+
+    return _lollipops(p, m, cert, label0, petal)

@@ -303,9 +303,14 @@ def push_to_corridor(
     the completed sweeps, and the original degrees; at the end the final
     diagram goes through the full validator and the run is checked by audit,
     and any failed check, or a pushed vertex whose character no scheme entry
-    covers, raises PushError carrying the trace.  A step budget
-    of |V| * ceil(2(c0-q)/a) * 4 guards against a scheme that spins without
-    descending.
+    covers, raises PushError carrying the trace.
+
+    The loop needs no step cap.  A step that passes _push_max's checks
+    removes a vertex of the top norm c, and each vertex it creates has norm
+    at most c - a/2 + tol, below c; for an a so small that this bound reaches
+    c, the count of vertices at or above it must still drop.  So the multiset
+    of labels strictly descends in the multiset order, which is well-founded
+    here: the labels are integer vectors of norm at most c0, finitely many.
     """
     if not q > k.q_min:
         raise PushError(f"corridor radius {q} must exceed q_min = {k.q_min}")
@@ -315,7 +320,6 @@ def push_to_corridor(
     trace = PushTrace([], 0, d, d, original_degrees, dict(original_degrees))
     if c0 <= q:
         return d, trace
-    cap = max(1, len(d.vertices)) * _sweep_cap(c0, q, k) * 4
     from vkpush.store import DartStore  # loaded on the first push
 
     store = DartStore(d)
@@ -328,12 +332,6 @@ def push_to_corridor(
     threshold = c0 - k.a / 2
     cur_norm = c0
     while cur_norm > q:
-        if len(steps) >= cap:
-            raise PushError(
-                f"no corridor after {len(steps)} steps (cap {cap}); norm stuck at {cur_norm:.4f},"
-                f" last steps: {[s_.pushed_vertex_label for s_ in steps[-3:]]}",
-                PushTrace(steps, sweeps, d, store.diagram(), original_degrees, budgets),
-            )
         try:
             step, cut = _push_max(store, s, k, choices)
         except PushError as exc:

@@ -394,6 +394,17 @@ def test_unknown_subcommand_is_usage(capsys):
     assert code == 64
 
 
+def test_import_leaves_numpy_out():
+    # only rendering needs numpy, and it imports numpy itself
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, vkpush.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "False"
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "vkpush", "certify", Z2],

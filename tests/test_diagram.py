@@ -12,6 +12,7 @@ from vkpush.diagram import (
     canonical_signature,
     expand_boundary,
 )
+from vkpush.oracle import tower_diagram
 from vkpush.presentation import Presentation, ValidationError, invert
 from vkpush.store import DartStore, Template
 
@@ -146,6 +147,39 @@ def test_non_relator_cell_rejected(zp, zm):
     bld.add_cell(cell)
     with pytest.raises(ValidationError, match="relator variant"):
         bld.build(cell, (0, 0))
+
+
+def test_inconsistent_labels_rejected():
+    # a 2-gon over <a | a a>: the map a -> (1) is no homomorphism, so the
+    # walk around the one cell returns with label 2 where it started at 0
+    p = Presentation.from_texts(["a"], ["a a"])
+    m = AbelianizationMap.from_json_dict({"rank": 1, "columns": {"a": [1]}}, p)
+    bld = DiagramBuilder(p, m)
+    cell = bld.path((1, 1))
+    bld.add_cell(cell)
+    with pytest.raises(ValidationError, match="inconsistent labels"):
+        bld.build(cell, (0,))
+
+
+def test_disconnected_diagram_rejected(z2_bundle):
+    # a z2 tower plus a one-vertex torus whose one face is a relator variant:
+    # the Euler count of the union is 2 + 0, so only connectivity fails
+    p, m, s = z2_bundle
+    tower = tower_diagram(s.entries[0], (1, 2, -1, -2), 2, (0,))
+    a, ai, b, bi = (max(tower.origin) + i for i in range(1, 5))
+    v = max(tower.rotations) + 1
+    with pytest.raises(ValidationError, match="diagram is not connected"):
+        Diagram.build(
+            p,
+            m,
+            origin={**tower.origin, a: v, ai: v, b: v, bi: v},
+            letter={**tower.letter, a: 1, ai: -1, b: 2, bi: -2},
+            twin={**tower.twin, a: ai, ai: a, b: bi, bi: b},
+            rotations={**tower.rotations, v: (a, b, ai, bi)},
+            base=tower.base,
+            base_label=tower.base_label,
+            boundary_face_dart=tower.boundary_face_dart,
+        )
 
 
 def test_twin_letter_mismatch_rejected(zp, zm):

@@ -135,6 +135,29 @@ def test_run_audit_failure_raises_with_trace(z2):
     assert audit(trace, k, 5.0)["area_within_bound"] is True
 
 
+def test_step_without_enough_descent_fails_the_step_audit(z2):
+    # with a = 4 a step from the top label 7 must land at norm 5 or below;
+    # the tower's first step creates norm 6, so the audit refuses it
+    p, m, s, k = z2
+    up = next(e for e in s.entries if e.t == 1)
+    d = tower_diagram(up, R, 6, (0,))
+    with pytest.raises(PushError, match=r"a new vertex has norm 6\.000000 > c - a/2 = 5\.000000") as info:
+        push_to_corridor(d, s, dataclasses.replace(k, a=4.0), 5.0)
+    assert info.value.trace.steps == []
+
+
+def test_deep_tower_runs_to_the_corridor(z2):
+    # the steps grow as 2^depth, while the tower has 38 vertices; the run
+    # ends because every step passes its audit, however many steps it takes
+    p, m, s, k = z2
+    up = next(e for e in s.entries if e.t == 1)
+    q = k.q_min + 1.0
+    final, trace = push_to_corridor(tower_diagram(up, R, 17, (0,)), s, k, q)
+    assert (len(trace.steps), trace.sweeps, final.area) == (6623, 13, 2**15 + 5)
+    checks = audit(trace, k, q)
+    assert all(v for key, v in checks.items() if key != "sweep_cap")
+
+
 def test_replacement_that_does_not_glue_raises_with_trace(z2, unglued_replacements):
     p, m, s, k = z2
     up = next(e for e in s.entries if e.t == 1)
@@ -231,6 +254,25 @@ def test_cold_run_validates_one_diagram(monkeypatch):
     # two z2 towers and the ten W1 loops that need pushing
     assert len(runs) == 12
     assert runs == [{"Diagram.build": 1}] * 12
+
+
+def test_w1_fill_validates_one_diagram(heis, monkeypatch):
+    # each tower goes into the fill's own builder, so a fill builds one
+    # diagram, the whole fill
+    p, m, s, k = heis
+    q = k.q_min + 1.0
+    diagram_build = Diagram.build.__func__
+    calls = []
+
+    def count_diagram(cls, *args, **kwargs):
+        calls[-1] += 1
+        return diagram_build(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Diagram, "build", classmethod(count_diagram))
+    for cert in sample_corridor_certificates(p, m, q, 12, 20, 6):
+        calls.append(0)
+        wasteful_diagram(s, cert, q)
+    assert calls == [1] * 20
 
 
 def test_warm_run_builds_no_replacement(z2, monkeypatch):
