@@ -5,15 +5,15 @@ as independent oracles in tests.  One level-synchronous insertion search
 serves both word searches; each run supplies its own ordered moves.  The area
 search runs from the queried word down to the empty word; its moves insert a
 cyclic relator variant whose last letter cancels the letter at the insertion
-point, which is exactly how deleting a boundary cell of a filling rewrites
-the boundary word, so the first level that reaches the empty word is the
-area.  The scheme-filling search runs the other way, from the empty word up
-to the target, because its box constraint speaks about the labels swept
-while building: every variant may go at every position unless it leaves the
-box.  The search stores only the levels it will expand: the last level is a
-goal test that records no word, where the area search skips every word whose
-cyclic core is not as long as some relator.  The tower builders produce
-deliberately wasteful fillings used to exercise the pushing loop.
+point, which is how deleting a boundary cell rewrites the boundary word, so
+the first level that reaches the empty word is the area.  Gersten's class-2
+invariants (Presentation.phi) bound it below: a word whose phi leaves the
+relators' span is not null-homotopic, and a word whose phi needs more cells
+than the levels left is dropped.  Its last level is a goal test that stores no
+word and skips words whose cyclic core is not as long as some relator.  The
+scheme-filling search runs from the empty word up to the target, because its
+box constraint speaks about the labels swept while building.  The tower
+builders produce deliberately wasteful fillings for the pushing loop.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import add, gt
 from typing import Callable
 
 from vkpush.abelianization import (
@@ -100,9 +101,9 @@ MAX_RANK = 128
 _LETTER = tuple(-(c // 2 + 1) if c & 1 else c // 2 + 1 for c in range(2 * MAX_RANK))
 
 # Stored words at which a search gives up.  The largest search of the tests,
-# the fixture builds and the benchmark, the [a^2, b^3] peel, stores 56,439
-# words; the Heisenberg area-5 peel of x x y y x^-1 x^-1 y^-1 y^-1 stores
-# 3,499,675 (about 680 MB).
+# the fixture builds and the benchmark, a Heisenberg box search, stores 5,159
+# words, the largest peel there ([a^2, b^3]) 1,678; the area-9 peel of
+# [a^3, b^3] stores 241,597 (about 80 MB).
 MAX_WORDS = 4_000_000
 
 Move = tuple[bytes, int]
@@ -131,6 +132,7 @@ def _insertion_search(
     max_area: int,
     max_len: int,
     max_words: int,
+    bound: tuple | None = None,
 ) -> list[tuple[Word, Word, int]] | None:
     """Chain of insertions from start to goal, found level by level.
 
@@ -141,17 +143,32 @@ def _insertion_search(
     discovery of goal, so the chain depends only on the move order.  None
     when goal is not reached within max_area insertions and max_len letters;
     SearchBudgetError once more than max_words words are stored.
+
+    A bound (phi(start) - phi(goal), each variant's phi, M) drops each word
+    u with level + h(u) > max_area, h(u) = max_c ceil(|phi_c(u)| / M_c); no
+    insertion moves h by more than 1, so the chain stays the same.
     """
     if start == goal:
         return []
+    phi, table, weights = bound or ((), {}, ())
     parent: dict[bytes, tuple[bytes, bytes, int] | None] = {start: None}
-    frontier = [start]
+    frontier = [(start, phi)]
     for level in range(max_area):
         last = level == max_area - 1
-        nxt: list[bytes] = []
-        for u in frontier:
+        limits = [(max_area - level - 1) * m for m in weights]
+        nxt: list[tuple[bytes, tuple[int, ...]]] = []
+        for u, fu in frontier:
+            if bound is not None:
+                # phi of every candidate that can still reach goal, by variant
+                sums = {v: tuple(map(add, fu, fv)) for v, fv in table.items()}
+                ahead = {v: f for v, f in sums.items() if not any(map(gt, map(abs, f), limits))}
+                if not ahead:
+                    continue
             n = len(u)
             for v, pos in moves(u, last):
+                f = fu if bound is None else ahead.get(v)
+                if f is None:
+                    continue
                 # free_reduce(u[:pos] + v + u[pos:]) for freely reduced u and v:
                 # letters cancel only at the two seams where v meets u, and,
                 # once v is used up, between the two halves of u
@@ -173,7 +190,7 @@ def _insertion_search(
                 if last or len(cand) > max_len or cand in parent:
                     continue
                 parent[cand] = (u, v, pos)
-                nxt.append(cand)
+                nxt.append((cand, f))
             if len(parent) > max_words:
                 raise SearchBudgetError(
                     f"search budget of {max_words} stored words exhausted at area {level + 1}"
@@ -224,16 +241,17 @@ def _peel_chain(
         max_len = len(word) + max_area * p.max_relator_length
     if not word:
         return []
-    if len(word) > max_len:
+    if len(word) > max_len or not p.spans(word):
         return None
-    # a generator whose exponent sum vanishes on every relator gives a map
-    # onto Z, and a null-homotopic word must map to 0
-    for g in range(1, p.rank + 1):
-        if word.count(g) != word.count(-g) and all(r.count(g) == r.count(-g) for r in p.relators):
-            return None
-    variants = [_encode(v) for v in sorted(p.variant_set)]
+    table = {_encode(v): p.phi(v) for v in sorted(p.variant_set)}
+    # phi(word) is now 0 where no variant moves phi; elsewhere the area is
+    # at least ceil(|phi_c(word)| / M_c), with M_c the largest |phi_c(v)|
+    live = [c for c, col in enumerate(zip(*table.values())) if any(col)]
+    weights = tuple(max(abs(f[c]) for f in table.values()) for c in live)
+    table = {v: tuple(f[c] for c in live) for v, f in table.items()}
+    bound = (tuple(p.phi(word)[c] for c in live), table, weights)
     # per code: the variants whose last letter cancels it
-    by_code = [[v for v in variants if v[-1] == c ^ 1] for c in range(2 * p.rank)]
+    by_code = [[v for v in table if v[-1] == c ^ 1] for c in range(2 * p.rank)]
     lengths = {len(r) for r in p.relators}
 
     def moves(u: bytes, last: bool) -> list[Move]:
@@ -248,7 +266,7 @@ def _peel_chain(
                 return []
         return [(v, pos) for pos, c in enumerate(u) for v in by_code[c]]
 
-    return _insertion_search(p, _encode(word), b"", moves, max_area, max_len, max_words)
+    return _insertion_search(p, _encode(word), b"", moves, max_area, max_len, max_words, bound)
 
 
 def brute_area(

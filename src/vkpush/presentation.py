@@ -10,6 +10,7 @@ lives here as well; the grammar is whitespace-separated tokens of the form
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
@@ -49,6 +50,13 @@ def is_cyclically_reduced(w: Sequence[int]) -> bool:
     if not is_freely_reduced(w):
         return False
     return len(w) < 2 or w[0] != -w[-1]
+
+
+def _reduce(basis: list[tuple[int, list[Fraction]]], row: Sequence[Fraction | int]) -> Sequence[Fraction | int]:
+    """row less its part along echelon rows, each 1 at its pivot and 0 at earlier pivots."""
+    for piv, b in basis:
+        row = [x - row[piv] * y for x, y in zip(row, b)]
+    return row
 
 
 def rotations(w: Word) -> Iterator[Word]:
@@ -162,6 +170,40 @@ class Presentation:
     @cached_property
     def variant_set(self) -> frozenset[Word]:
         return frozenset(self.variant_origin)
+
+    @cached_property
+    def area_pairs(self) -> tuple[tuple[int, int], ...]:
+        """Pairs i < j of generators whose exponent sums vanish on every relator."""
+        flat = [g for g in range(1, self.rank + 1) if all(r.count(g) == r.count(-g) for r in self.relators)]
+        return tuple((i, j) for i in flat for j in flat if i < j)
+
+    def phi(self, w: Sequence[int]) -> tuple[int, ...]:
+        """Exponent sums of w, then its signed (i, j)-area for each area pair: the
+        running sum of i, added at each letter j and subtracted at each j^-1.
+        Free reduction keeps phi, and inserting a relator variant v adds phi(v).
+        """
+        sums = [0] * (self.rank + 1)
+        areas = [0] * len(self.area_pairs)
+        for x in w:
+            s = 1 if x > 0 else -1
+            areas = [a + s * sums[i] * (j == abs(x)) for a, (i, j) in zip(areas, self.area_pairs)]
+            sums[abs(x)] += s
+        return tuple(sums[1:]) + tuple(areas)
+
+    @cached_property
+    def relator_span(self) -> list[tuple[int, list[Fraction]]]:
+        """Echelon basis, as (pivot, row), of the rational span of the relators' phi."""
+        basis: list[tuple[int, list[Fraction]]] = []
+        for r in self.relators:
+            row = _reduce(basis, self.phi(r))
+            piv = next((c for c, x in enumerate(row) if x), None)
+            if piv is not None:
+                basis.append((piv, [Fraction(x, row[piv]) for x in row]))
+        return basis
+
+    def spans(self, w: Sequence[int]) -> bool:
+        """Whether phi(w) is in the relators' rational span; a word outside is not null-homotopic."""
+        return not any(_reduce(self.relator_span, self.phi(w)))
 
 
 def parse_word(text: str, p: Presentation) -> Word:

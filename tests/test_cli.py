@@ -192,6 +192,15 @@ def test_area_oracle_non_null_word_ends_in_bounded_time():
         assert json.loads(proc.stdout)["area"] == "unknown"
 
 
+def test_area_oracle_rejects_a_non_null_word_before_any_search(capsys):
+    # e_z + A_xy vanishes on every Heisenberg relator and is 4 on this word,
+    # so no word is stored: a one-word budget is never spent
+    word = "x x y y x^-1 x^-1 y^-1 y^-1"
+    for max_area in ("5", "6"):
+        code, out, err = run(capsys, "area-oracle", HEIS, "--word", word, "--max-area", max_area, "--max-words", "1")
+        assert code == 0 and out["area"] == "unknown"
+
+
 def test_area_oracle_spent_budget_is_a_json_error(capsys):
     # [a^2, b^2] has area 4; its peel stores more than 10 words before that
     word = "a a b b a^-1 a^-1 b^-1 b^-1"

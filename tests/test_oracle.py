@@ -172,7 +172,8 @@ def test_search_ends_at_once_on_words_with_nonzero_exponent_sum():
     for w in ((1, 2), (1,), (2, 2, -1, 2)):
         assert brute_area(ZP, w, 50) is None
         assert search_filling(ZP, w, 50) is None
-    # z has exponent sum -1 in [x, y] z^-1, so [x, y] still gets searched
+    # no exponent sum rules out [x, y] in the Heisenberg group, but e_z plus
+    # the signed (x, y)-area vanishes on every relator and is 1 on [x, y]
     assert brute_area(HP, (1, 2, -1, -2), 3) is None
     assert brute_area(HP, (1, 2, -1, -2, -3), 3) == 1
 

@@ -2,13 +2,17 @@
 
 ``reference_insertion_search`` runs on decoded words: it reduces every
 candidate as a whole word and records every level, the last one included.  The differential tests run each search both ways, through the
-same move lists, and ask for the same chain.
+same move lists, and ask for the same chain.  The reference ignores the
+area lower bound the peel search prunes with, so the tests also show that
+pruning never changes a chain.
 """
 
+import math
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from vkpush import oracle
 from vkpush.oracle import MAX_RANK, _decode, _encode, brute_area, build_scheme_entry, search_filling
@@ -67,8 +71,8 @@ def chains(monkeypatch):
     fast = oracle._insertion_search
     seen = []
 
-    def both(p, start, goal, moves, max_area, max_len, max_words):
-        got = fast(p, start, goal, moves, max_area, max_len, max_words)
+    def both(p, start, goal, moves, max_area, max_len, max_words, bound=None):
+        got = fast(p, start, goal, moves, max_area, max_len, max_words, bound)
         assert got == reference_insertion_search(p, start, goal, moves, max_area, max_len)
         seen.append(got)
         return got
@@ -121,10 +125,17 @@ def test_peel_matches_reference_on_random_words(chains, pres, seed, factors):
 
 
 def test_peel_matches_reference_on_non_null_words(chains):
-    for pres, w, max_area in ((HP, (3,), 3), (HP, (1, 2, -1, -2), 3), (P23, (1, 2, -1, -2), 3), (ZP, (1, 2), 4)):
+    for pres, w, max_area in (
+        (HP, (3,), 3),
+        (HP, (1, 2, -1, -2), 3),
+        (P23, (1, 2, -1, -2), 3),
+        (P23, (1, 1, 2, -1, -1, -2), 3),
+        (ZP, (1, 2), 4),
+    ):
         assert brute_area(pres, w, max_area) is None
-    # the exponent sums rule out a b in Z^2 before any search
-    assert len(chains) == 3
+    # phi(w) leaves the relator span for z and [x, y] in the Heisenberg group
+    # and for a b in Z^2, so only the two [a^2, b^3] words get searched
+    assert len(chains) == 2
 
 
 def test_box_searches_match_reference(chains, z2_bundle, heisenberg_bundle):
@@ -227,3 +238,52 @@ def test_encoding_round_trips_every_letter():
     assert _decode(codes) == tuple(letters)
     for x in letters:
         assert _encode((-x,))[0] == _encode((x,))[0] ^ 1
+
+
+def test_peel_stores_few_words_under_the_area_bound():
+    # A_ab is 6 on [a^2, b^3] in Z^2 and no insertion moves it by more than
+    # 1, so every word the search keeps is on its way down; unpruned, the
+    # peel stores 56,439 words here
+    assert brute_area(ZP, commutator_power(2, 3), 6, max_words=3000) == 6
+
+
+PRESENTATIONS = {"z2": ZP, "heis": HP, "p23": P23}
+
+
+def area_lower_bound(p, w):
+    """max over coordinates c of ceil(|phi_c(w)| / M_c), M_c the largest |phi_c| of a relator."""
+    caps = [max(abs(f[c]) for f in map(p.phi, p.relators)) for c in range(len(p.phi(())))]
+    return max((math.ceil(abs(x) / m) for x, m in zip(p.phi(w), caps) if m), default=0)
+
+
+@given(st.sampled_from(sorted(PRESENTATIONS)), words)
+def test_phi_is_invariant_under_free_reduction(name, w):
+    p = PRESENTATIONS[name]
+    w = tuple(x for x in w if abs(x) <= p.rank)
+    assert p.phi(w) == p.phi(free_reduce(w))
+
+
+@given(st.sampled_from(sorted(PRESENTATIONS)), words, st.data())
+def test_phi_adds_up_over_insertions(name, u, data):
+    p = PRESENTATIONS[name]
+    u = free_reduce(x for x in u if abs(x) <= p.rank)
+    v = data.draw(st.sampled_from(sorted(p.variant_set)))
+    pos = data.draw(st.integers(0, len(u)))
+    cand = free_reduce(u[:pos] + v + u[pos:])
+    assert p.phi(cand) == tuple(a + b for a, b in zip(p.phi(u), p.phi(v)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(PRESENTATIONS)), st.integers(0, 10**6))
+def test_area_lower_bound_never_exceeds_the_reference_area(name, seed):
+    p = PRESENTATIONS[name]
+    factors = 3 if p is ZP else 2
+    w = random_null_words(p, seed, 1, factors)[0]
+
+    def unpruned(p, start, goal, moves, max_area, max_len, max_words, bound):
+        return reference_insertion_search(p, start, goal, moves, max_area, max_len)
+
+    with mock.patch.object(oracle, "_insertion_search", unpruned):
+        chain = oracle._peel_chain(p, w, factors, None, oracle.MAX_WORDS)
+    assert chain is not None
+    assert area_lower_bound(p, w) <= len(chain)
