@@ -10,7 +10,6 @@ lives here as well; the grammar is whitespace-separated tokens of the form
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
@@ -50,13 +49,6 @@ def is_cyclically_reduced(w: Sequence[int]) -> bool:
     if not is_freely_reduced(w):
         return False
     return len(w) < 2 or w[0] != -w[-1]
-
-
-def _reduce(basis: list[tuple[int, list[Fraction]]], row: Sequence[Fraction | int]) -> Sequence[Fraction | int]:
-    """row less its part along echelon rows, each 1 at its pivot and 0 at earlier pivots."""
-    for piv, b in basis:
-        row = [x - row[piv] * y for x, y in zip(row, b)]
-    return row
 
 
 def rotations(w: Word) -> Iterator[Word]:
@@ -191,19 +183,31 @@ class Presentation:
         return tuple(sums[1:]) + tuple(areas)
 
     @cached_property
-    def relator_span(self) -> list[tuple[int, list[Fraction]]]:
-        """Echelon basis, as (pivot, row), of the rational span of the relators' phi."""
-        basis: list[tuple[int, list[Fraction]]] = []
+    def relator_lattice(self) -> dict[int, list[int]]:
+        """Echelon basis, pivot -> row, of the integer lattice the relators' phi span."""
+        basis: dict[int, list[int]] = {}
         for r in self.relators:
-            row = _reduce(basis, self.phi(r))
-            piv = next((c for c, x in enumerate(row) if x), None)
-            if piv is not None:
-                basis.append((piv, [Fraction(x, row[piv]) for x in row]))
+            row = list(self.phi(r))
+            for c in range(len(row)):
+                b = basis.get(c)
+                if row[c] and b is None:
+                    basis[c] = row
+                    break
+                # Euclid on column c by unimodular row moves: b keeps the gcd
+                while row[c]:
+                    b, row = row, [x - b[c] // row[c] * y for x, y in zip(b, row)]
+                if b is not None:
+                    basis[c] = b
         return basis
 
     def spans(self, w: Sequence[int]) -> bool:
-        """Whether phi(w) is in the relators' rational span; a word outside is not null-homotopic."""
-        return not any(_reduce(self.relator_span, self.phi(w)))
+        """Whether phi(w) is in the relators' integer lattice; a word outside is not null-homotopic."""
+        row = self.phi(w)
+        for c, b in sorted(self.relator_lattice.items()):
+            if row[c] % b[c]:
+                return False
+            row = [x - row[c] // b[c] * y for x, y in zip(row, b)]
+        return not any(row)
 
 
 def parse_word(text: str, p: Presentation) -> Word:

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import ast
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable
@@ -175,11 +174,16 @@ def push_step(d: Diagram, s: PushingScheme, k: SchemeConstants, q: float) -> tup
     return store.diagram(), step
 
 
+# how a failed step names itself, after its message
+_WHERE = " (step {}, vertex {}, label {}, entry {})"
+
+
 def _push_max(
     store: DartStore,
     s: PushingScheme,
     k: SchemeConstants,
     choices: dict[Vector, tuple[SchemeEntry, int]],
+    index: int = 0,
 ) -> tuple[PushStep, Surgery]:
     """Replace the star of the store's maximum-norm vertex, audited from the delta.
 
@@ -191,7 +195,9 @@ def _push_max(
     link vertices whose whole neighbourhood lay in the closed star (their
     edges fold into the ring), so extra losses are accepted exactly on link
     labels.  ``choices`` holds the run's entry and entry index per pushed
-    label, so entry choice runs once per label.
+    label, so entry choice runs once per label.  A failed step names itself
+    by ``index``, the step's place in the run, and by its vertex, label and
+    entry.
     """
     g = store.max_norm_vertex()
     label_g = store.labels[g]
@@ -205,29 +211,32 @@ def _push_max(
         entry, _ = choose_entry(s, Character.from_vector([-x for x in label_g]))
         choice = choices[label_g] = entry, next(i for i, x in enumerate(s.entries) if x is entry)
     entry, entry_idx = choice
+    where = (index, g, label_g, entry_idx)
     try:
         cut = store.glue(star, _template(entry, tuple(corner.word for corner in star.corners)))
     except ValidationError as exc:
-        raise PushError(f"star replacement failed: {exc}") from exc
+        raise PushError(f"star replacement failed: {exc}" + _WHERE.format(*where)) from exc
 
     problems: list[str] = []
     lost = [store.labels[w] for w in cut.dropped_vertices]
-    removed = Counter(lost) - Counter(cut.labels.values())
-    added = Counter(cut.labels.values()) - Counter(lost)
-    link_labels = Counter(
-        store.labels[v] for v in {store.origin[x] for x in star.link_darts}
-    )
-    extra = removed - Counter({label_g: 1})
-    if removed[label_g] < 1:
+    # the signed change of each label's count: new labels less lost ones
+    delta: dict[Vector, int] = {}
+    for lbl in lost:
+        delta[lbl] = delta.get(lbl, 0) - 1
+    for lbl in cut.labels.values():
+        delta[lbl] = delta.get(lbl, 0) + 1
+    if delta.get(label_g, 0) >= 0:
         problems.append("the pushed vertex label did not leave the multiset")
-    elif any(extra[lbl] > link_labels[lbl] for lbl in extra):
-        problems.append(
-            f"labels lost beyond the pushed vertex and its link: {dict(extra)}"
-        )
+    elif extra := {lbl: n for lbl, d in delta.items() if (n := -d - (lbl == label_g)) > 0}:
+        # lost beyond the pushed label: only link labels may go
+        link = [store.labels[v] for v in {store.origin[x] for x in star.link_darts}]
+        if any(n > link.count(lbl) for lbl, n in extra.items()):
+            problems.append(f"labels lost beyond the pushed vertex and its link: {extra}")
+    norms = {lbl: norm(lbl) for lbl in delta}
     # a new vertex without host parts lies inside the replacement
     new_max = max(
-        [norm(cut.labels[v]) for v, parts in cut.fresh.items() if not parts]
-        + [norm(lbl) for lbl in added.elements()],
+        [norms[cut.labels[v]] for v, parts in cut.fresh.items() if not parts]
+        + [norms[lbl] for lbl, d in delta.items() if d > 0],
         default=0.0,
     )
     if new_max > c - k.a / 2 + FLOAT_TOL:
@@ -237,15 +246,17 @@ def _push_max(
             f"area grew by {cut.area - store.area} > A*degree = {k.A * star.degree:.1f}"
         )
     tau = c - k.a / 2 + FLOAT_TOL
-    high_lost = sum(1 for lbl in lost if norm(lbl) >= tau)
-    high_new = sum(1 for lbl in cut.labels.values() if norm(lbl) >= tau)
+    high_lost = sum(1 for lbl in lost if norms[lbl] >= tau)
+    high_new = sum(1 for lbl in cut.labels.values() if norms[lbl] >= tau)
     if not high_new < high_lost:
         problems.append("the count of vertices above the c - a/2 threshold did not decrease")
     letters = [cut.darts[x][0] if x in cut.darts else store.letter[x] for x in cut.boundary_walk]
     if tuple(letters) != store.boundary_word:
         problems.append("the boundary word changed")
     if problems:
-        raise PushError("push step invariant violation (broken scheme?): " + "; ".join(problems))
+        raise PushError(
+            "push step invariant violation (broken scheme?): " + "; ".join(problems) + _WHERE.format(*where)
+        )
     step = PushStep(
         pushed_vertex_label=label_g,
         c=c,
@@ -333,7 +344,7 @@ def push_to_corridor(
     cur_norm = c0
     while cur_norm > q:
         try:
-            step, cut = _push_max(store, s, k, choices)
+            step, cut = _push_max(store, s, k, choices, len(steps))
         except PushError as exc:
             if exc.trace is None:
                 exc.trace = PushTrace(steps, sweeps, d, store.diagram(), original_degrees, budgets)

@@ -4,12 +4,16 @@ A push run keeps one DartStore and replaces one star per step, so a step
 costs O(star) and not O(diagram).  A replacement comes as a ``Template``:
 compiled once from the DiagramBuilder that assembled it, with what does not
 depend on the host checked then (relator words, one use per dart, interior
-rotations reached from the link, interior labels).  ``DartStore.glue``
-checks per step only what joining the link creates: the identifications,
-the rotations and labels at the link vertices, and the Euler count.
-``DartStore.diagram`` hands the arrays back to ``Diagram.build``, the full
-validator.  The pusher imports this module where it uses it, so a start
-that never pushes does not load it.
+rotations reached from the link, label offsets along every edge).
+``DartStore.glue`` checks per step only what joining the link creates: the
+identifications, the rotations at the link vertices, the label at each link
+position and the Euler count.  The host darts around the link that the step
+keeps, its rim, are copied into the new rotations as slices of their host
+rotations and never re-checked: a rim edge held before the step, its far
+end keeps its label, and its near end is a link vertex, whose label glue
+checks.  ``DartStore.diagram`` hands the arrays back to ``Diagram.build``,
+the full validator.  The pusher imports this module where it uses it, so a
+start that never pushes does not load it.
 """
 
 from __future__ import annotations
@@ -75,6 +79,8 @@ class Template:
     interior: tuple[tuple[int, ...], ...]
     vertex: tuple[int, ...]
     offsets: tuple[Vector, ...]
+    # the same offset at each position of the walk
+    walk_offsets: tuple[Vector, ...]
 
     @classmethod
     def compile(cls, bld: DiagramBuilder, walk: Sequence[int]) -> Template:
@@ -82,8 +88,9 @@ class Template:
 
         Checked once here: each cell's relator word, one use per class
         across the cells, that every class off the seam has its twin on a
-        cell, that the link reaches every interior vertex, and the labels
-        along every edge off the seam.
+        cell, that the link reaches every interior vertex, and the label
+        offsets along every edge and every turn of a cell, the seam's
+        included, so a glue need only check the labels at the walk.
         """
         p, rep = bld.p, bld.rep
         roots = {rep(x) for cell in bld.cells for x in cell}
@@ -161,8 +168,9 @@ class Template:
             raise ValidationError(
                 f"replacement vertex {offsets.index(None)} cannot be reached from the link"
             )
+        heads = [vec_add(offset_at(r), column(letter[r])) for r in range(len(order))]
         for r in range(len(order)):
-            if r not in seam and offset_at(twin[r]) != vec_add(offset_at(r), column(letter[r])):
+            if offset_at(twin[r]) != heads[r] or (pred[r] >= 0 and heads[pred[r]] != offset_at(r)):
                 raise ValidationError(f"replacement dart {r} violates label consistency")
         return cls(
             letter=letter,
@@ -175,6 +183,7 @@ class Template:
             interior=tuple(interior),
             vertex=tuple(vertex),
             offsets=tuple(offsets),
+            walk_offsets=tuple(rim[r] for r in ranks),
         )
 
 
@@ -186,7 +195,9 @@ class DartStore:
     faces are read off the rotations on demand.  ``glue`` computes the
     surgery that replaces a star, and ``apply`` commits it.  Both cost
     O(star): the replacement, the corner faces and the rotations of the link
-    vertices.  ``diagram`` hands the arrays back to the full validator.
+    vertices.  Glue does per-dart work only for the darts a step drops or
+    creates; the kept host darts at the link vertices come along as slices.
+    ``diagram`` hands the arrays back to the full validator.
 
     Ids come out as a rebuild of the whole diagram through a
     ``DiagramBuilder`` gives them (``tests/test_splice.py`` keeps that
@@ -214,7 +225,6 @@ class DartStore:
         self.boundary_walk = d.boundary_walk
         self.boundary_vertices = d.boundary_vertices
         self.area = d.area
-        self.columns = {x: d.amap.column(x) for x in d.presentation.letters()}
         self._normalized = False
         # a max-heap of vertices by norm_key, and ascending lists holding
         # every live dart and vertex id; dead entries leave lazily
@@ -327,11 +337,21 @@ class DartStore:
         in, and only the link vertices are re-threaded: the interior
         vertices keep the template's rotations, numbered by smallest dart
         among the new vertices, and take its label offsets from the label
-        where the walk starts.  What ``Template.compile`` checked holds for
-        every host; checked here, on every step: the walk word, the
-        identifications, one use per seam dart, the rotations at the link
-        vertices, the labels along every edge at them, and the Euler count.
-        The store is not changed.
+        where the walk starts.  The store is not changed.
+
+        The rim, the host darts at the link vertices that the step neither
+        drops nor glues, is never walked dart by dart: around a link vertex
+        a rim dart turns to the next dart of its host rotation, so each run
+        of rim darts between two dropped darts joins a new rotation as one
+        slice.  Checked here, on every step: the walk word, the
+        identifications, one use per seam dart, that the new rotations take
+        every rim dart once, the label of each link position, and the Euler
+        count.  The label check is complete in O(link): compile checked
+        every template edge and turn against the walk's offsets, host edges
+        held after the previous step (the first host went through
+        ``Diagram.build``) and no step changes a rim edge, and host vertices
+        that fold together sit at one template vertex, so they share its
+        offset and the label they keep.
         """
         p = self.presentation
         t_letter, t_twin, t_pred, seam, vertex = t.letter, t.twin, t.pred, t.seam, t.vertex
@@ -342,15 +362,13 @@ class DartStore:
                 f"{word_to_text(walk_word, p)!r} does not match the link "
                 f"{word_to_text(star.link_word, p)!r}"
             )
-        origin, twin, letter, host_rotations, pos = (
-            self.origin, self.twin, self.letter, self.rotations, self.pos
-        )
+        origin, twin, host_rotations, pos = self.origin, self.twin, self.rotations, self.pos
         v = star.center
-        gone = set(star.darts)
-        for corner in star.corners:
-            gone.add(corner.in_dart)
-            gone.update(corner.arc)
+        # the corner faces less the spokes, which all start at the center
+        gone = {corner.in_dart for corner in star.corners}
+        gone.update(star.link_darts)
         hosts = {y for x in star.link_darts for y in (x, twin[x])}
+        off_center = gone | hosts
         start = _top(self._dart_ids, self.origin) + 1
 
         # the link joins the seam: a union-find over seam ranks and host darts,
@@ -362,169 +380,156 @@ class DartStore:
                 u = parent[u]
             return u
 
-        def twin_node(u: int) -> int:
-            return t_twin[u] if u >= 0 else -twin[-u]
-
         for a, x in zip(t.walk, star.link_darts):
             ra, rb = find(a), find(-x)
             if ra == rb:
                 continue
-            ta = find(twin_node(ra))
+            ta = find(t_twin[ra])
             if ta == rb:
                 raise ValidationError(f"cannot identify link dart {x} with its own twin")
-            tb = find(twin_node(rb))
+            tb = find(t_twin[rb] if rb >= 0 else -twin[-rb])
             parent[rb] = ra
             if ta != tb:
                 parent[tb] = ta
         # every host dart ends up in a seam class, numbered by its root's rank
-        number = {r: start + find(r) for r in seam}
+        number = {r: start + (find(r) if r in parent else r) for r in seam}
         glued = {x: start + find(-x) for x in hosts}
         seam_twin = {number[r]: number[t_twin[r]] for r in seam}
 
-        def host_pred(x: int) -> int:
-            rot = host_rotations[origin[x]]
-            y = twin[rot[(pos[x] + 1) % len(rot)]]
-            return glued.get(y, y)
-
-        # each surviving seam class: the face predecessor of its one use
-        pred: dict[int, int] = {}
-        uses = Counter()
-        for r in seam:
-            q = t_pred[r]
-            if q >= 0:
-                pred[number[r]] = number[q] if q in seam else start + q
-                uses[number[r]] += 1
-        for x in hosts - gone:
-            pred[glued[x]] = host_pred(x)
-            uses[glued[x]] += 1
-        for r, count in uses.items():
-            if count > 1:
-                raise ValidationError(f"dart {r} is used {count} times across faces")
-        for r in pred:
-            if seam_twin[r] not in pred:
+        # each surviving seam class: the face predecessor of its one use on a
+        # cell, or (outer) the host dart whose face it continues
+        on_cells = [r for r in seam if t_pred[r] >= 0]
+        outer_hosts = hosts - gone
+        uses = [number[r] for r in on_cells] + [glued[x] for x in outer_hosts]
+        if len(set(uses)) < len(uses):
+            r, count = next((r, c) for r, c in Counter(uses).items() if c > 1)
+            raise ValidationError(f"dart {r} is used {count} times across faces")
+        pred = {number[r]: number[q] if (q := t_pred[r]) in seam else start + q for r in on_cells}
+        outer = {glued[x]: x for x in outer_hosts}
+        for r in uses:
+            if seam_twin[r] not in pred and seam_twin[r] not in outer:
                 raise ValidationError(f"dart {r} has a twin outside every face")
 
-        def twin_of(x: int) -> int:
-            if x < start:
-                return twin[x]
-            return seam_twin[x] if x - start in seam else start + t_twin[x - start]
+        # the dropped darts at each link vertex by rotation position; after[x]
+        # is the run of rim darts that follows dropped dart x there, and the
+        # dropped dart that ends the run
+        dropped_at: dict[int, list[int]] = {}
+        for x in off_center:
+            dropped_at.setdefault(origin[x], []).append(pos[x])
+        after: dict[int, tuple[tuple[int, ...], int]] = {}
+        rim = 0
+        for w, ps in dropped_at.items():
+            rot = host_rotations[w]
+            ps.sort()
+            rim += len(rot) - len(ps)
+            ps.append(ps[0] + len(rot))
+            ring = rot + rot
+            for i, j in zip(ps, ps[1:]):
+                after[rot[i]] = ring[i + 1 : j], ring[j]
 
-        def letter_of(x: int) -> int:
-            return t_letter[x - start] if x >= start else letter[x]
-
-        def sigma(e: int) -> int:
-            # the next dart around the vertex: the twin of the face predecessor
-            if e < start:
-                return twin_of(host_pred(e))
-            if e in pred:
-                return twin_of(pred[e])
-            q = t_pred[e - start]
-            return twin_of(number[q] if q in seam else start + q)
-
-        touched = {origin[x] for x in gone} | {origin[x] for x in hosts}
-        touched.discard(v)
-        rim = {x for w in touched for x in host_rotations[w] if x not in gone and x not in hosts}
-
-        def threaded(e: int) -> bool:
-            if e < start:
-                return e in rim
-            return e in pred if e - start in seam else vertex[e - start] < 0
-
-        # the rotations of the link vertices; each cycle holds a seam dart or a
-        # host dart, and the template's interior cycles are closed
-        cycles: list[tuple[int, ...]] = []
-        placed: set[int] = set()
-        for e0 in [*pred, *rim]:
-            if e0 in placed:
-                continue
-            cyc = [e0]
-            placed.add(e0)
-            e = sigma(e0)
-            while e != e0:
-                if e in placed or not threaded(e):
-                    raise ValidationError("rotation system does not define a permutation of faces")
-                placed.add(e)
-                cyc.append(e)
-                e = sigma(e)
-            i = cyc.index(min(cyc))
-            cycles.append(tuple(cyc[i:] + cyc[:i]))
-        cycles.sort()
-
-        # vertex ids as DiagramBuilder.build gives them from host-origin hints,
-        # by smallest dart across link and interior cycles
+        # the rotations of the link vertices, by sigma(e) = twin(pred(e)); each
+        # cycle holds a seam dart, the template's interior cycles are closed,
+        # and a seam dart glued on the outer side of the link turns into the
+        # host rotation: a run of rim darts, then the seam dart glued to the
+        # dropped dart ending it.  Each cycle keeps the host vertices it takes.
         hints: dict[int, set[int]] = {}
         for x in hosts:
             hints.setdefault(glued[x], set()).add(origin[x])
+        cycles: list[tuple[tuple[int, ...], set[int]]] = []
+        placed: set[int] = set()
+        for e0 in uses:
+            if e0 in placed:
+                continue
+            cyc = [e0]
+            wanted: set[int] = set()
+            placed.add(e0)
+            e = e0
+            while True:
+                wanted.update(hints.get(e, ()))
+                x = outer.get(e)
+                if x is None:
+                    if e in pred:
+                        q = pred[e]
+                    else:
+                        q = t_pred[e - start]
+                        q = number[q] if q in seam else start + q
+                    e = seam_twin[q] if q - start in seam else start + t_twin[q - start]
+                else:
+                    run, y = after[x]
+                    if not placed.isdisjoint(run) or y not in hosts:
+                        raise ValidationError("rotation system does not define a permutation of faces")
+                    placed.update(run)
+                    cyc.extend(run)
+                    rim -= len(run)
+                    e = seam_twin[glued[twin[y]]]
+                if e == e0:
+                    break
+                threaded = (e in pred or e in outer) if e - start in seam else vertex[e - start] < 0
+                if e in placed or not threaded:
+                    raise ValidationError("rotation system does not define a permutation of faces")
+                placed.add(e)
+                cyc.append(e)
+            i = cyc.index(min(cyc))
+            cycles.append((tuple(cyc[i:] + cyc[:i]), wanted))
+        if rim:
+            raise ValidationError("rotation system does not define a permutation of faces")
+
+        # vertex ids as DiagramBuilder.build gives them from host-origin hints,
+        # by smallest dart across link and interior cycles
         fresh_id = max(_top(self._vertex_ids, self.rotations) + 1, 0)
         rotations: dict[int, tuple[int, ...]] = {}
-        new_origin: dict[int, int] = {}
         fresh: dict[int, tuple[int, ...]] = {}
         labels: dict[int, Vector] = {}
-        interior = [tuple(start + c for c in cyc) for cyc in t.interior]
         interior_ids: list[int] = []
+        cycles.extend((tuple(map(start.__add__, cyc)), None) for cyc in t.interior)
         # cycles are disjoint, so tuple order is the order of smallest darts
-        for cyc in heapq.merge(cycles, interior):
-            if cyc[0] >= start and vertex[cyc[0] - start] >= 0:
+        cycles.sort()
+        for cyc, wanted in cycles:
+            if wanted is None:
                 vid = fresh_id
                 fresh_id += 1
                 fresh[vid] = ()
                 interior_ids.append(vid)
+            elif len(wanted) == 1 and not wanted & rotations.keys():
+                (vid,) = wanted
             else:
-                wanted: set[int] = set()
-                for e in cyc:
-                    wanted.update(hints.get(e, ()) if e >= start else (origin[e],))
-                if len(wanted) == 1 and not wanted & rotations.keys():
-                    (vid,) = wanted
-                else:
-                    vid = fresh_id
-                    fresh_id += 1
-                    fresh[vid] = tuple(sorted(wanted))
-                    if wanted:
-                        labels[vid] = self.labels[min(wanted)]
-                for e in cyc:
-                    new_origin[e] = vid
+                vid = fresh_id
+                fresh_id += 1
+                fresh[vid] = tuple(sorted(wanted))
+                if wanted:
+                    labels[vid] = self.labels[min(wanted)]
             rotations[vid] = cyc
 
         # the interior labels, translated from the label where the walk starts
         anchor = self.labels[origin[star.link_darts[0]]]
-        inner_labels = [vec_add(anchor, off) for off in t.offsets]
-        labels.update(zip(interior_ids, inner_labels))
+        labels.update((vid, vec_add(anchor, off)) for vid, off in zip(interior_ids, t.offsets))
+        for x, off in zip(star.link_darts, t.walk_offsets):
+            if self.labels[origin[x]] != vec_add(anchor, off):
+                raise ValidationError(f"link dart {x} violates label consistency")
 
-        def label_at(x: int) -> Vector:
-            vid = new_origin.get(x)
-            if vid is not None:
-                return labels[vid] if vid in labels else self.labels[vid]
-            if x >= start:
-                return inner_labels[vertex[x - start]]
-            return self.labels[origin[x]]
-
-        columns = self.columns
-        for cyc in cycles:
-            at = label_at(cyc[0])
-            for e in cyc:
-                if label_at(twin_of(e)) != vec_add(at, columns[letter_of(e)]):
-                    raise ValidationError(f"edge {e} violates label consistency")
-
-        dropped_darts = gone | hosts
-        nv = len(self.rotations) - len(touched) - 1 + len(rotations)
-        ne = (len(self.origin) - len(dropped_darts) + len(t.inner) + len(pred)) // 2
+        nv = len(self.rotations) - len(dropped_at) - 1 + len(rotations)
+        ne = (len(self.origin) - len(off_center) - len(star.darts) + len(t.inner) + len(uses)) // 2
         area = self.area + t.area - star.degree
         if nv - ne + area + 1 != 2:
             raise ValidationError(f"Euler count V-E+F = {nv}-{ne}+{area + 1} != 2; not a sphere map")
 
         darts = {start + c: (lt, start + tw) for c, lt, tw in t.inner}
-        darts.update((r, (t_letter[r - start], seam_twin[r])) for r in pred)
+        darts.update((r, (t_letter[r - start], seam_twin[r])) for r in uses)
         bfd = glued.get(self.boundary_face_dart, self.boundary_face_dart)
+        if bfd in placed:
+            base = next(vid for vid, rot in rotations.items() if bfd in rot)
+        else:
+            base = origin[bfd]
         return Surgery(
-            dropped_darts=frozenset(dropped_darts),
+            dropped_darts=frozenset(off_center).union(star.darts),
             darts=darts,
             rotations=rotations,
-            dropped_vertices=(v, *sorted(touched - rotations.keys())),
+            dropped_vertices=(v, *sorted(dropped_at.keys() - rotations.keys())),
             fresh=fresh,
             labels=labels,
             boundary_walk=tuple(glued.get(x, x) for x in self.boundary_walk),
             boundary_face_dart=bfd,
-            base=new_origin[bfd] if bfd in new_origin else origin[bfd],
+            base=base,
             area=area,
         )
 

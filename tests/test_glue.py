@@ -1,0 +1,93 @@
+"""What DartStore.glue checks per step, and its rim runs against the rebuild reference.
+
+A glue copies each run of untouched host darts around a link vertex as one
+slice and checks labels only at the link positions.  The negative tests
+break a label on either side of the seam; the differential test pushes
+towers whose rotations start at random darts, so the runs wrap around the
+ends of the host rotations.
+"""
+
+import dataclasses
+import json
+
+import pytest
+from hypothesis import given, settings, strategies as st
+from test_splice import push_both_ways
+
+from vkpush import pusher
+from vkpush.abelianization import Character, vec_add
+from vkpush.diagram import Diagram
+from vkpush.oracle import tower_diagram
+from vkpush.presentation import Presentation, ValidationError
+from vkpush.pusher import PushError, _push_max
+from vkpush.scheme import certify_coverage, choose_entry
+from vkpush.store import DartStore
+
+R = (1, 2, -1, -2)
+
+
+@pytest.fixture(scope="module")
+def z2(z2_bundle):
+    p, m, s = z2_bundle
+    k = certify_coverage(s, 0.05)
+    return p, m, s, k, k.q_min + 1.0
+
+
+def first_step(z2):
+    """A store holding a depth-6 tower, the star it pushes first, and that star's template."""
+    p, m, s, k, q = z2
+    up = next(e for e in s.entries if e.t == 1)
+    store = DartStore(tower_diagram(up, R, 6, m.zero))
+    g = store.max_norm_vertex()
+    entry, _ = choose_entry(s, Character.from_vector([-x for x in store.labels[g]]))
+    star = store.star(g)
+    return store, star, pusher._template(entry, tuple(c.word for c in star.corners))
+
+
+def test_glue_rejects_a_shifted_link_label(z2):
+    p, m, s, k, q = z2
+    store, star, t = first_step(z2)
+    assert store.glue(star, t)
+    w = store.origin[star.link_darts[2]]
+    store.labels[w] = vec_add(store.labels[w], (-1,))
+    with pytest.raises(ValidationError, match="violates label consistency"):
+        store.glue(star, t)
+    with pytest.raises(PushError, match="star replacement failed: .*violates label consistency"):
+        _push_max(store, s, k, {})
+
+
+def test_glue_rejects_a_template_with_a_wrong_walk_offset(z2, monkeypatch):
+    p, m, s, k, q = z2
+    store, star, t = first_step(z2)
+    offsets = list(t.walk_offsets)
+    offsets[3] = vec_add(offsets[3], (1,))
+    bad = dataclasses.replace(t, walk_offsets=tuple(offsets))
+    with pytest.raises(ValidationError, match="violates label consistency"):
+        store.glue(star, bad)
+    monkeypatch.setattr(pusher, "_template", lambda e, words: bad)
+    with pytest.raises(PushError, match="star replacement failed: .*violates label consistency"):
+        _push_max(store, s, k, {})
+
+
+# the cyclic variants of [a, b] and of its inverse
+VARIANTS = sorted(Presentation(("a", "b"), (R,)).variant_set)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    st.sampled_from([1, -1]),
+    st.sampled_from(VARIANTS),
+    st.integers(2, 7),
+    st.randoms(use_true_random=False),
+)
+def test_rim_runs_match_reference_from_random_rotation_starts(z2, t, word, depth, rng):
+    p, m, s, k, _ = z2
+    # a narrow corridor, so a depth-7 tower takes 6 to 13 steps
+    q = k.q_min + 0.25
+    entry = next(e for e in s.entries if e.t == t)
+    obj = tower_diagram(entry, word, depth, m.zero).to_json_dict()
+    for v, rot in obj["rotations"].items():
+        i = rng.randrange(len(rot))
+        obj["rotations"][v] = rot[i:] + rot[:i]
+    d = Diagram.from_json_dict(json.loads(json.dumps(obj)), p, m)
+    push_both_ways(d, s, k, q)

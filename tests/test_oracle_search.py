@@ -128,14 +128,26 @@ def test_peel_matches_reference_on_non_null_words(chains):
     for pres, w, max_area in (
         (HP, (3,), 3),
         (HP, (1, 2, -1, -2), 3),
-        (P23, (1, 2, -1, -2), 3),
-        (P23, (1, 1, 2, -1, -1, -2), 3),
+        (P23, (1, 1, 1, 2, 2, -1, -1, -1, -2, -2), 3),
+        (P23, (1,) * 6 + (2, -1, -1, -1, -1, -1, -1, -2), 3),
         (ZP, (1, 2), 4),
     ):
         assert brute_area(pres, w, max_area) is None
-    # phi(w) leaves the relator span for z and [x, y] in the Heisenberg group
-    # and for a b in Z^2, so only the two [a^2, b^3] words get searched
+    # phi(w) leaves the relators' lattice for z and [x, y] in the Heisenberg
+    # group and for a b in Z^2; [a^3, b^2] and [a^6, b] have A_ab = 6, on the
+    # lattice 6Z of [a^2, b^3], so they are the two words searched
     assert len(chains) == 2
+
+
+def test_words_off_the_integer_lattice_are_rejected_without_a_search():
+    # [a, b] and [a^2, b] have A_ab = 1 and 2: in the rational span of the
+    # relator's 6 but not in 6Z.  A search would store a word and overrun
+    # max_words=1 at once.
+    assert P23.relator_lattice == {2: [0, 0, 6]}
+    for w in ((1, 2, -1, -2), (1, 1, 2, -1, -1, -2)):
+        assert not P23.spans(w)
+        assert brute_area(P23, w, 5, max_words=1) is None
+    assert P23.spans((1, 1, 1, 2, 2, -1, -1, -1, -2, -2))
 
 
 def test_box_searches_match_reference(chains, z2_bundle, heisenberg_bundle):

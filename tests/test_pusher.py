@@ -6,7 +6,7 @@ import pytest
 from conftest import _load_bundle
 
 from vkpush import pusher, scheme
-from vkpush.abelianization import norm
+from vkpush.abelianization import Character, norm
 from vkpush.diagram import Diagram, DiagramBuilder
 from vkpush.oracle import (
     annular_collar,
@@ -26,6 +26,7 @@ from vkpush.pusher import (
     push_to_corridor,
 )
 from vkpush.scheme import CertificationError, PushingScheme, certify_coverage, choose_entry
+from vkpush.store import DartStore
 
 R = (1, 2, -1, -2)
 
@@ -146,6 +147,57 @@ def test_step_without_enough_descent_fails_the_step_audit(z2):
     assert info.value.trace.steps == []
 
 
+def reference_label_problems(store, star, cut, label_g):
+    """The step audit's label checks as Counters compute them."""
+    lost = [store.labels[w] for w in cut.dropped_vertices]
+    removed = Counter(lost) - Counter(cut.labels.values())
+    link_labels = Counter(store.labels[v] for v in {store.origin[x] for x in star.link_darts})
+    extra = removed - Counter({label_g: 1})
+    if removed[label_g] < 1:
+        return ["the pushed vertex label did not leave the multiset"]
+    if any(extra[lbl] > link_labels[lbl] for lbl in extra):
+        return [f"labels lost beyond the pushed vertex and its link: {dict(extra)}"]
+    return []
+
+
+def test_step_audit_reports_label_losses_as_counters_do(z2, monkeypatch):
+    # surgeries doctored after glue: as they are, giving back every copy of
+    # the pushed label they lose, and dropping a vertex of the least norm too
+    p, m, s, k = z2
+    up = next(e for e in s.entries if e.t == 1)
+    d = tower_diagram(up, R, 6, (0,))
+    far = min(d.vertices, key=lambda v: norm(d.labels[v]))
+    glue = DartStore.glue
+
+    def give_back(store, cut, label_g):
+        lost = [store.labels[w] for w in cut.dropped_vertices]
+        back = {max(d.vertices) + 99 + i: label_g for i in range(lost.count(label_g))}
+        return dataclasses.replace(cut, labels={**cut.labels, **back})
+
+    def drop_far(store, cut, label_g):
+        return dataclasses.replace(cut, dropped_vertices=cut.dropped_vertices + (far,))
+
+    seen = []
+    for change in (lambda store, cut, label_g: cut, give_back, drop_far):
+
+        def doctored(store, star, t):
+            label_g = store.labels[star.center]
+            cut = change(store, glue(store, star, t), label_g)
+            seen.append(reference_label_problems(store, star, cut, label_g))
+            return cut
+
+        monkeypatch.setattr(DartStore, "glue", doctored)
+        try:
+            pusher._push_max(DartStore(d), s, k, {})
+            message = ""
+        except PushError as exc:
+            message = str(exc)
+        assert all(problem in message for problem in seen[-1])
+        assert bool(message) == bool(seen[-1])
+    assert [len(problems) for problems in seen] == [0, 1, 1]
+    assert seen[2] == [f"labels lost beyond the pushed vertex and its link: {{(7,): 1, {d.labels[far]}: 1}}"]
+
+
 def test_deep_tower_runs_to_the_corridor(z2):
     # the steps grow as 2^depth, while the tower has 38 vertices; the run
     # ends because every step passes its audit, however many steps it takes
@@ -167,6 +219,28 @@ def test_replacement_that_does_not_glue_raises_with_trace(z2, unglued_replacemen
     trace = info.value.trace
     assert trace is not None and trace.steps == []
     assert trace.final.to_json_dict() == d.to_json_dict()
+    # the failing step names its index, vertex, label and entry
+    g = d.max_norm_vertex()
+    entry, _ = choose_entry(s, Character.from_vector([-x for x in d.labels[g]]))
+    where = f" (step 0, vertex {g}, label {d.labels[g]}, entry {s.entries.index(entry)})"
+    assert str(info.value).endswith(where) and d.labels[g] == (7,)
+
+
+def test_a_failed_step_audit_names_the_step(z2):
+    # a = 4 refuses the tower's first step (see above); after two steps at
+    # the certified a, a run whose audit refuses the third names step 2
+    p, m, s, k = z2
+    up = next(e for e in s.entries if e.t == 1)
+    d = tower_diagram(up, R, 6, (0,))
+    store, choices = DartStore(d), {}
+    for i in range(2):
+        pusher._push_max(store, s, k, choices, i)
+    g = store.max_norm_vertex()
+    entry, _ = choose_entry(s, Character.from_vector([-x for x in store.labels[g]]))
+    with pytest.raises(PushError, match="push step invariant violation") as info:
+        pusher._push_max(store, s, dataclasses.replace(k, a=4.0), choices, 2)
+    where = f" (step 2, vertex {g}, label {store.labels[g]}, entry {s.entries.index(entry)})"
+    assert str(info.value).endswith(where)
 
 
 def test_uncovered_character_mid_run_raises_with_trace(z2, monkeypatch):
