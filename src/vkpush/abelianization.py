@@ -8,7 +8,7 @@ character directions.  All float comparisons elsewhere in the package use a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import add, mul, sub
 from typing import Sequence
 
@@ -42,6 +42,9 @@ class AbelianizationMap:
 
     rank: int
     columns: tuple[Vector, ...]
+    # letter -> its signed column; derived from columns, so it takes no part
+    # in equality or hashing
+    signed_columns: dict[int, Vector] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.rank, int) or self.rank < 1:
@@ -51,6 +54,11 @@ class AbelianizationMap:
                 raise ValidationError(f"column {col!r} does not have rank {self.rank} entries")
             if not all(isinstance(c, int) for c in col):
                 raise ValidationError(f"column {col!r} has non-integer entries")
+        signed: dict[int, Vector] = {}
+        for g, col in enumerate(self.columns, 1):
+            signed[g] = col
+            signed[-g] = tuple(-c for c in col)
+        object.__setattr__(self, "signed_columns", signed)
 
     @classmethod
     def from_json_dict(cls, obj: object, p: Presentation) -> "AbelianizationMap":
@@ -83,8 +91,7 @@ class AbelianizationMap:
         }
 
     def column(self, letter: int) -> Vector:
-        col = self.columns[abs(letter) - 1]
-        return col if letter > 0 else tuple(-c for c in col)
+        return self.signed_columns[letter]
 
     @property
     def zero(self) -> Vector:

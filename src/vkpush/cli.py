@@ -41,7 +41,7 @@ from vkpush.presentation import (
     word_to_text,
 )
 from vkpush.pusher import ARPair, PushError, audit, predicted_area_bound, push_to_corridor
-from vkpush.scheme import CertificationError, PushingScheme, certify_coverage
+from vkpush.scheme import MAX_GRID_POINTS, CertificationError, PushingScheme, certify_coverage
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -51,6 +51,10 @@ EXIT_INVARIANT = 4
 EXIT_USAGE = 64
 
 BOUND_SAMPLE_POINTS = (10, 100, 1000)
+GRID_HELP = (
+    "sphere grid spacing: a positive finite number (exit 64 otherwise) whose grid"
+    f" has at most {MAX_GRID_POINTS:,} points (exit 2 otherwise); default %(default)s"
+)
 
 
 class UsageError(Exception):
@@ -134,8 +138,8 @@ def _sha256(path):
 
 
 def _grid(args) -> float:
-    if args.grid <= 0:
-        raise UsageError("grid spacing must be positive")
+    if not (math.isfinite(args.grid) and args.grid > 0):
+        raise UsageError("grid spacing must be a positive finite number")
     return args.grid
 
 
@@ -560,12 +564,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("diagrams", nargs="*", help="diagram JSON files to validate")
 
     sp = add("certify", cmd_certify, "certify scheme coverage and print its constants")
-    sp.add_argument("--grid", type=float, default=0.05, help="sphere grid spacing")
+    sp.add_argument("--grid", type=float, default=0.05, help=GRID_HELP)
 
     sp = add("push", cmd_push, "push a diagram into the corridor of radius q")
     sp.add_argument("diagram", help="diagram JSON file")
     sp.add_argument("--q", type=float, required=True, help="corridor radius")
-    sp.add_argument("--grid", type=float, default=0.05)
+    sp.add_argument("--grid", type=float, default=0.05, help=GRID_HELP)
     sp.add_argument("--render", metavar="DIR", help="write DOT and SVG before/after")
 
     sp = add("area-oracle", cmd_area_oracle, "brute force minimal filling area")
@@ -591,7 +595,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--count", type=int, default=20)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--target-len", type=int, default=12)
-    sp.add_argument("--grid", type=float, default=0.05)
+    sp.add_argument("--grid", type=float, default=0.05, help=GRID_HELP)
     sp.add_argument("--ar", help="area,radius growth expressions in n for bound prediction")
     sp.add_argument("--oracle-check", action="store_true", help="cross-check with brute_area")
     sp.add_argument("--max-area", type=int, default=6, help="oracle cross-check budget")

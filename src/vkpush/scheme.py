@@ -6,12 +6,21 @@ single relator cell.  It also stores one based filling diagram per relator r
 whose boundary spells the hat word of r (the letterwise conjugate, not
 reduced).  Certification measures the uniform valuation gap these fillings
 provide over the whole character sphere and derives the corridor constants.
+
+Every valuation the gap needs is a character value of a vertex label: of a
+filling, of a relator's path from the origin, or of a direction image.  A
+scheme holds one ValuationTable, built once: the distinct labels of all of
+these, with each label set stored as index tuples into that list.  gap,
+choose_entry and certify_coverage all read it, so at one direction each
+distinct label's value is one dot product, and certification takes each
+relator's path minimum once for all entries.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -56,9 +65,9 @@ class SchemeEntry:
     templates: dict[tuple[Word, ...], Template] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    # per relator: the distinct vertex labels of its filling and of its path
-    # from the origin; gap fills it on first use
-    valuation_labels: tuple[tuple[tuple[Vector, ...], tuple[Vector, ...]], ...] | None = field(
+    # the valuation table holding this entry and the entry's row in it; set
+    # when a table is built over the entry
+    table_row: tuple[ValuationTable, int] | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -68,6 +77,13 @@ class PushingScheme:
     presentation: Presentation
     amap: AbelianizationMap
     entries: tuple[SchemeEntry, ...]
+    table: ValuationTable | None = field(default=None, init=False, repr=False, compare=False)
+
+    def valuation_table(self) -> ValuationTable:
+        """The scheme's table, built on first use; its entries then point into it."""
+        if self.table is None:
+            self.table = _build_table(self.presentation, self.amap, self.entries)
+        return self.table
 
     def verify(self) -> None:
         """Raise CertificationError unless every entry checks out."""
@@ -221,6 +237,65 @@ def verify_entry(e: SchemeEntry, p: Presentation, m: AbelianizationMap) -> list[
     return problems
 
 
+@dataclass(frozen=True)
+class ValuationTable:
+    """The distinct vertex labels that entry gaps are measured on.
+
+    paths[i] indexes the labels of relator i's path from the origin; for
+    entry k, advance[k] indexes the image of its direction t and fills[k][i]
+    the labels of its filling of relator i.  Each index tuple lists its
+    labels in first-appearance order, without repeats.
+    """
+
+    labels: tuple[Vector, ...]
+    paths: tuple[tuple[int, ...], ...]
+    advance: tuple[int, ...]
+    fills: tuple[tuple[tuple[int, ...], ...], ...]
+
+    def evaluate(self, direction: Sequence[float]) -> tuple[list[float], list[float]]:
+        """Every label's value at the direction, and each relator's path minimum."""
+        values = [dot(direction, lbl) for lbl in self.labels]
+        lows = [min([values[j] for j in path]) for path in self.paths]
+        return values, lows
+
+    def entry_gap(
+        self, k: int, values: list[float], lows: list[float], floor: float = -math.inf
+    ) -> float:
+        """Entry k's gap from evaluate's output.
+
+        Stops at the first relator that brings the running minimum to floor
+        or below, so a result <= floor only says the gap does not exceed it.
+        """
+        if values[self.advance[k]] <= 0.0:
+            return -math.inf
+        worst = math.inf
+        for fill, low in zip(self.fills[k], lows):
+            worst = min(worst, min([values[j] for j in fill]) - low)
+            if worst <= floor:
+                break
+        return worst
+
+
+def _build_table(
+    p: Presentation, m: AbelianizationMap, entries: Sequence[SchemeEntry]
+) -> ValuationTable:
+    index: dict[Vector, int] = {}
+
+    def indices(labels) -> tuple[int, ...]:
+        return tuple(index.setdefault(lbl, len(index)) for lbl in dict.fromkeys(labels))
+
+    paths = tuple(indices(prefix_labels(m, r, m.zero)) for r in p.relators)
+    advance = tuple(indices((m.column(e.t),))[0] for e in entries)
+    fills = tuple(
+        tuple(indices(e.fillings[i].labels.values()) for i in range(len(p.relators)))
+        for e in entries
+    )
+    table = ValuationTable(tuple(index), paths, advance, fills)
+    for k, e in enumerate(entries):
+        e.table_row = (table, k)
+    return table
+
+
 def gap(u: Character, e: SchemeEntry) -> float:
     """Worst valuation surplus of the entry's fillings over bare relator paths.
 
@@ -228,29 +303,19 @@ def gap(u: Character, e: SchemeEntry) -> float:
     rotation is the stored filling re-based at the matching hat-block start.
     Mirrors keep vertex labels and rotations shift the whole prefix set, so
     the minimum collapses to one valuation difference per relator.
-    Returns -inf when the direction does not advance along u.
+    Returns -inf when the direction does not advance along u.  Reads the
+    table of the entry's scheme, or a table of the entry alone if it has
+    none yet.
     """
-    m = e.amap
-    d = u.direction
-    if dot(d, m.column(e.t)) <= 0.0:
-        return float("-inf")
-    if e.valuation_labels is None:
-        e.valuation_labels = tuple(
-            (
-                tuple(dict.fromkeys(e.fillings[i].labels.values())),
-                tuple(dict.fromkeys(prefix_labels(m, r, m.zero))),
-            )
-            for i, r in enumerate(e.presentation.relators)
-        )
-    worst = math.inf
-    for fill, path in e.valuation_labels:
-        fill_min = min([dot(d, lbl) for lbl in fill])
-        path_min = min([dot(d, lbl) for lbl in path])
-        worst = min(worst, fill_min - path_min)
-    return worst
+    if e.table_row is None:
+        _build_table(e.presentation, e.amap, (e,))
+    table, k = e.table_row
+    values, lows = table.evaluate(u.direction)
+    return table.entry_gap(k, values, lows)
 
 
 def choose_entry(s: PushingScheme, u: Character) -> tuple[SchemeEntry, float]:
+    s.valuation_table()
     best: tuple[SchemeEntry, float] | None = None
     for e in s.entries:
         g = gap(u, e)
@@ -261,25 +326,45 @@ def choose_entry(s: PushingScheme, u: Character) -> tuple[SchemeEntry, float]:
     return best
 
 
-def _sphere_grid(n: int, delta: float) -> list[Vector]:
+# Grids with more points are refused before any point is made; at about 35
+# microseconds a point on the Heisenberg fixture (2-core machine) this is
+# over a minute.
+MAX_GRID_POINTS = 2_000_000
+
+
+def _grid_steps(n: int, delta: float) -> int:
+    """Lattice steps along each cube-face axis for spacing delta in rank n > 1.
+
+    Raises ValidationError when the grid would exceed MAX_GRID_POINTS; its
+    2n (steps+1)^(n-1) points are counted in integers before any is made.
+    """
+    h = 2.0 * delta / math.sqrt(n - 1)
+    ratio = 2.0 / h if h > 0.0 else math.inf
+    if math.isfinite(ratio):
+        steps = max(1, math.ceil(ratio))
+        if 2 * n * (steps + 1) ** (n - 1) <= MAX_GRID_POINTS:
+            return steps
+    raise ValidationError(
+        f"grid spacing {delta:g} needs more than {MAX_GRID_POINTS:,} sphere points in rank {n}"
+    )
+
+
+def _sphere_grid(n: int, delta: float) -> Iterator[Vector]:
     """A delta-net of the unit sphere: cube-face lattices projected radially.
 
     The radial projection is 1-Lipschitz outside the unit ball and every face
     point has norm at least 1, so face spacing delta gives sphere spacing
-    delta.
+    delta.  Points are yielded one at a time.
     """
-    h = 2.0 * delta / math.sqrt(n - 1)
-    steps = max(1, math.ceil(2.0 / h))
+    steps = _grid_steps(n, delta)
     coords = [-1.0 + 2.0 * k / steps for k in range(steps + 1)]
-    points: list[Vector] = []
     for axis in range(n):
         for sign in (1.0, -1.0):
             for combo in itertools.product(coords, repeat=n - 1):
                 x = list(combo)
                 x.insert(axis, sign)
                 scale = math.hypot(*x)
-                points.append(tuple(c / scale for c in x))
-    return points
+                yield tuple(c / scale for c in x)
 
 
 def certify_coverage(s: PushingScheme, grid_spacing: float) -> SchemeConstants:
@@ -287,45 +372,70 @@ def certify_coverage(s: PushingScheme, grid_spacing: float) -> SchemeConstants:
 
     Rank 1 is handled exactly over the two unit characters; higher rank takes
     the minimum over a grid_spacing-net and subtracts the certified Lipschitz
-    slack.
+    slack.  The spacing must be a positive finite number whose grid has at
+    most MAX_GRID_POINTS points.
+
+    Each direction is evaluated once on the scheme's ValuationTable, and two
+    early exits skip work that cannot change the result.  An entry stops at
+    the first relator that brings its running minimum to the best gap
+    already found at this direction: it can no longer be the first strict
+    maximum, which is also how choose_entry breaks ties.  A direction stops
+    once its best gap reaches the minimum over the directions before it,
+    since it can no longer lower that minimum.  Every value that reaches a
+    min or a max is the same dot product of the same label with the same
+    Character.from_vector direction as in gap, so the certified constants
+    are the same floats as a minimum over gap maxima.
     """
-    if not isinstance(grid_spacing, (int, float)) or grid_spacing <= 0:
-        raise ValidationError("grid spacing must be positive")
+    if (
+        isinstance(grid_spacing, bool)
+        or not isinstance(grid_spacing, (int, float))
+        or not (math.isfinite(grid_spacing) and grid_spacing > 0)
+    ):
+        raise ValidationError("grid spacing must be a positive finite number")
     s.verify()
     p, m = s.presentation, s.amap
     if not p.relators:
         raise CertificationError("presentation has no relators to certify against")
     n = m.rank
-
-    relator_prefixes = [tuple(prefix_labels(m, r, m.zero)) for r in p.relators]
+    table = s.valuation_table()
+    labels = table.labels
 
     b = 0.0
     cap_A = 0.0
-    for e in s.entries:
-        for i in range(len(p.relators)):
+    for e, fills in zip(s.entries, table.fills):
+        for i, (fill, path) in enumerate(zip(fills, table.paths)):
             cap_A = max(cap_A, float(len(p.relators[i]) + e.fillings[i].area))
-            prefixes = relator_prefixes[i]
-            for lbl in e.fillings[i].labels.values():
-                for pref in prefixes:
-                    b = max(b, norm(vec_sub(lbl, pref)))
+            for j in fill:
+                for l in path:
+                    b = max(b, norm(vec_sub(labels[j], labels[l])))
     rotation_reach = max(
-        norm(vec_sub(q2, q1))
-        for prefixes in relator_prefixes
-        for q1 in prefixes
-        for q2 in prefixes
+        norm(vec_sub(labels[l2], labels[l1]))
+        for path in table.paths
+        for l1 in path
+        for l2 in path
     )
     lip_bound = 2.0 * max(b, rotation_reach)
 
-    def best_gap(direction: Vector) -> float:
-        u = Character.from_vector(direction)
-        return max(gap(u, e) for e in s.entries)
-
     if n == 1:
-        a = min(best_gap((1.0,)), best_gap((-1.0,)))
+        points: Iterable[Vector] = ((1.0,), (-1.0,))
         spacing: float | None = None
     else:
-        a = min(best_gap(x) for x in _sphere_grid(n, grid_spacing)) - lip_bound * grid_spacing
+        points = _sphere_grid(n, grid_spacing)
         spacing = grid_spacing
+    entries = range(len(s.entries))
+    a = math.inf
+    for x in points:
+        values, lows = table.evaluate(Character.from_vector(x).direction)
+        best = -math.inf
+        for k in entries:
+            g = table.entry_gap(k, values, lows, best)
+            if g > best:
+                best = g
+                if best >= a:
+                    break
+        a = min(a, best)
+    if spacing is not None:
+        a -= lip_bound * spacing
     if not (math.isfinite(a) and a > 0.0):
         raise CertificationError("coverage not certified; refine grid or fix scheme")
     q_min = max(b * b / a, a)

@@ -56,6 +56,26 @@ def test_certify_rejects_nonpositive_grid(capsys):
     assert err["error"]["type"] == "UsageError"
 
 
+@pytest.mark.parametrize("command", ["certify", "push", "bench"])
+@pytest.mark.parametrize(
+    "grid, code, kind",
+    [("nan", 64, "UsageError"), ("inf", 64, "UsageError"), ("1e-300", 2, "ValidationError")],
+)
+def test_grid_outside_its_range_is_a_json_error(capsys, tmp_path, command, grid, code, kind):
+    # 1e-300 asks for about 10^300 sphere points; the count is refused before any is made
+    argv = {
+        "certify": ["certify", HEIS],
+        "push": ["push", HEIS, str(tmp_path / "unused.json"), "--q", "20"],
+        "bench": ["bench", HEIS, "--q", "20", "--count", "1"],
+    }[command]
+    got = main(argv + ["--grid", grid])
+    captured = capsys.readouterr()
+    assert got == code
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert json.loads(captured.err)["error"]["type"] == kind
+
+
 def test_certify_uncovered_scheme_exits_three(capsys, tmp_path):
     obj = json.loads((FIXTURES / "z2.json").read_text())
     obj["scheme"]["entries"] = [e for e in obj["scheme"]["entries"] if e["t"] == "a"]

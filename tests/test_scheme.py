@@ -4,12 +4,15 @@ import random
 
 import pytest
 from conftest import mirror, rebase_on_boundary
+from hypothesis import given, settings, strategies as st
 
 from vkpush import scheme
 from vkpush.abelianization import AbelianizationMap, Character, norm, prefix_labels
 from vkpush.diagram import DiagramBuilder
+from vkpush.oracle import build_scheme_entry
 from vkpush.presentation import Presentation, ValidationError, invert
 from vkpush.scheme import (
+    MAX_GRID_POINTS,
     CertificationError,
     PushingScheme,
     SchemeEntry,
@@ -18,6 +21,7 @@ from vkpush.scheme import (
     gap,
     hat_word,
     verify_entry,
+    _grid_steps,
     _sphere_grid,
 )
 
@@ -161,11 +165,21 @@ def reference_gap(u, e):
     return worst
 
 
+@pytest.fixture(scope="module")
+def rebuilt_heisenberg(heisenberg_bundle):
+    """The Heisenberg scheme built again from its conjugation tables, as the fixture script does."""
+    p, m, s = heisenberg_bundle
+    entries = tuple(
+        build_scheme_entry(p, m, e.t, dict(e.conj), max_area=4, max_len=12) for e in s.entries
+    )
+    return p, m, PushingScheme(p, m, entries)
+
+
 @pytest.mark.parametrize("bundle", ["z2_bundle", "heisenberg_bundle"])
 def test_gap_equals_reference_gap_exactly(bundle, request):
     p, m, s = request.getfixturevalue(bundle)
     rng = random.Random(2024)
-    grid = [(1.0,), (-1.0,)] if m.rank == 1 else _sphere_grid(m.rank, 0.05)
+    grid = [(1.0,), (-1.0,)] if m.rank == 1 else list(_sphere_grid(m.rank, 0.05))
     randoms = [tuple(rng.gauss(0.0, 1.0) for _ in range(m.rank)) for _ in range(200)]
     for direction in grid + randoms:
         u = Character.from_vector(direction)
@@ -173,13 +187,60 @@ def test_gap_equals_reference_gap_exactly(bundle, request):
             assert gap(u, e) == reference_gap(u, e)
 
 
-@pytest.mark.parametrize("bundle", ["z2_bundle", "heisenberg_bundle"])
-def test_certified_constants_equal_the_reference_gap_ones(bundle, request, monkeypatch):
+def reference_certified_a(s, grid, lipschitz_bound):
+    """Certification from scratch: the minimum over the grid of the best reference gap."""
+    points = [(1.0,), (-1.0,)] if s.amap.rank == 1 else _sphere_grid(s.amap.rank, grid)
+    a = min(
+        max(reference_gap(Character.from_vector(x), e) for e in s.entries) for x in points
+    )
+    return a if s.amap.rank == 1 else a - lipschitz_bound * grid
+
+
+@pytest.mark.parametrize("bundle", ["z2_bundle", "heisenberg_bundle", "rebuilt_heisenberg"])
+def test_certified_constants_equal_the_reference_gap_ones(bundle, request):
     p, m, s = request.getfixturevalue(bundle)
-    grids = (0.05, 0.01, 0.005)
-    got = [certify_coverage(s, grid) for grid in grids]
-    monkeypatch.setattr(scheme, "gap", reference_gap)
-    assert got == [certify_coverage(s, grid) for grid in grids]
+    for grid in (0.05, 0.01, 0.005, 0.002):
+        k = certify_coverage(s, grid)
+        assert k.a == reference_certified_a(s, grid, k.lipschitz_bound)
+        assert k.grid_spacing == (None if m.rank == 1 else grid)
+
+
+def directions(rank):
+    """Axes, diagonals and integer directions, where entry gaps tie, and random ones."""
+    lattice = st.tuples(*[st.integers(-2, 2)] * rank).filter(any)
+    floats = st.tuples(*[st.floats(-1.0, 1.0)] * rank).filter(lambda v: norm(v) > 1e-6)
+    return st.one_of(lattice, floats)
+
+
+def reference_choice(s, u):
+    """The first entry with the strictly largest reference gap."""
+    best = None
+    for e in s.entries:
+        g = reference_gap(u, e)
+        if best is None or g > best[1]:
+            best = (e, g)
+    return best
+
+
+@pytest.mark.parametrize("bundle", ["z2_bundle", "heisenberg_bundle", "rebuilt_heisenberg"])
+def test_gap_and_choice_match_the_references_at_any_direction(bundle, request):
+    p, m, s = request.getfixturevalue(bundle)
+
+    @settings(max_examples=150, deadline=None)
+    @given(directions(m.rank))
+    def check(direction):
+        u = Character.from_vector(direction)
+        for e in s.entries:
+            assert gap(u, e) == reference_gap(u, e)
+        want = reference_choice(s, u)
+        if want[1] <= 0.0:
+            with pytest.raises(CertificationError, match="not covered"):
+                choose_entry(s, u)
+        else:
+            e, g = choose_entry(s, u)
+            assert e is want[0] and g == want[1]
+
+    check()
 
 
 def test_choose_entry_picks_covering_direction():
@@ -221,15 +282,42 @@ def test_certify_uncovered_direction_fails():
 
 
 def test_certify_rejects_bad_spacing():
-    with pytest.raises(ValidationError, match="positive"):
-        certify_coverage(z2_scheme(), 0.0)
-    with pytest.raises(ValidationError, match="positive"):
-        certify_coverage(z2_scheme(), -1.0)
+    for bad in (0.0, -1.0, math.nan, math.inf, -math.inf, True):
+        with pytest.raises(ValidationError, match="positive finite"):
+            certify_coverage(z2_scheme(), bad)
+
+
+class NoPoints:
+    @staticmethod
+    def from_vector(v):
+        raise AssertionError("a grid point was made")
+
+
+@pytest.mark.parametrize("grid", [1e-300, 5e-324, 1e-6])
+def test_certify_refuses_oversized_grids_before_making_a_point(heisenberg_bundle, monkeypatch, grid):
+    p, m, s = heisenberg_bundle
+    monkeypatch.setattr(scheme, "Character", NoPoints)
+    with pytest.raises(ValidationError, match="2,000,000 sphere points"):
+        certify_coverage(s, grid)
+
+
+def test_grid_point_count_cap():
+    # 2n (steps+1)^(n-1) points; rank 2 takes steps = ceil(1/delta)
+    assert _grid_steps(2, 1 / 499_990) == 499_990
+    assert 4 * (_grid_steps(2, 1 / 499_990) + 1) <= MAX_GRID_POINTS
+    with pytest.raises(ValidationError):
+        _grid_steps(2, 1 / 500_010)
+    assert 6 * (_grid_steps(3, 0.005) + 1) ** 2 <= MAX_GRID_POINTS
+    with pytest.raises(ValidationError):
+        _grid_steps(3, 0.001)
+    with pytest.raises(ValidationError):
+        _grid_steps(40, 0.5)
 
 
 def test_sphere_grid_is_a_net():
     for n, delta in ((2, 0.2), (3, 0.5)):
-        grid = _sphere_grid(n, delta)
+        grid = list(_sphere_grid(n, delta))
+        assert len(grid) == 2 * n * (_grid_steps(n, delta) + 1) ** (n - 1)
         assert all(abs(norm(g) - 1.0) <= 1e-12 for g in grid)
         rng = random.Random(7)
         for _ in range(60):
