@@ -55,6 +55,7 @@ GRID_HELP = (
     "sphere grid spacing: a positive finite number (exit 64 otherwise) whose grid"
     f" has at most {MAX_GRID_POINTS:,} points (exit 2 otherwise); default %(default)s"
 )
+Q_HELP = "corridor radius: a finite number (exit 64 otherwise)"
 
 
 class UsageError(Exception):
@@ -141,6 +142,11 @@ def _grid(args) -> float:
     if not (math.isfinite(args.grid) and args.grid > 0):
         raise UsageError("grid spacing must be a positive finite number")
     return args.grid
+
+
+def _require_finite_q(args) -> None:
+    if not math.isfinite(args.q):
+        raise UsageError("q must be a finite number")
 
 
 def _check_radius(q, k) -> None:
@@ -371,6 +377,7 @@ def cmd_certify(args) -> int:
 
 def cmd_push(args) -> int:
     grid = _grid(args)
+    _require_finite_q(args)
     p, m, s = _load_bundle(args.bundle)
     k = certify_coverage(_require_scheme(s, args.bundle), grid)
     _check_radius(args.q, k)
@@ -419,6 +426,7 @@ def cmd_area_oracle(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    _require_finite_q(args)
     p, m, s = _load_bundle(args.bundle)
     certs = sample_corridor_certificates(p, m, args.q, args.target_len, args.count, args.seed)
     words = [c.reduced_word() for c in certs]
@@ -437,6 +445,7 @@ def cmd_sample(args) -> int:
 def cmd_bench(args) -> int:
     started = time.perf_counter()
     grid = _grid(args)
+    _require_finite_q(args)
     p, m, s = _load_bundle(args.bundle)
     k = certify_coverage(_require_scheme(s, args.bundle), grid)
     _check_radius(args.q, k)
@@ -568,7 +577,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = add("push", cmd_push, "push a diagram into the corridor of radius q")
     sp.add_argument("diagram", help="diagram JSON file")
-    sp.add_argument("--q", type=float, required=True, help="corridor radius")
+    sp.add_argument("--q", type=float, required=True, help=Q_HELP)
     sp.add_argument("--grid", type=float, default=0.05, help=GRID_HELP)
     sp.add_argument("--render", metavar="DIR", help="write DOT and SVG before/after")
 
@@ -585,13 +594,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--certificate", action="store_true", help="also emit a filling certificate")
 
     sp = add("sample", cmd_sample, "sample null-homotopic corridor loops")
-    sp.add_argument("--q", type=float, required=True)
+    sp.add_argument("--q", type=float, required=True, help=Q_HELP)
     sp.add_argument("--count", type=int, required=True)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--target-len", type=int, default=12)
 
     sp = add("bench", cmd_bench, "sample, fill, push, and report bound checks")
-    sp.add_argument("--q", type=float, required=True)
+    sp.add_argument("--q", type=float, required=True, help=Q_HELP)
     sp.add_argument("--count", type=int, default=20)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--target-len", type=int, default=12)

@@ -12,14 +12,17 @@ Vertex labels in Z^n are breadth-first propagated from the base label and
 must be consistent along every edge.  ``Diagram.build`` is the single full
 validator: every Diagram comes out of it, including those of
 ``vkpush.store``, which replaces vertex stars in place and checks only what
-a replacement creates.
+a replacement creates.  A replacement is compiled, not built into a
+Diagram, through the same checks: ``DiagramBuilder.resolve``, which
+``DiagramBuilder.build`` runs before the validator, and the validator's
+``check_relator_faces`` and ``walk_labels``.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from vkpush.abelianization import AbelianizationMap, Vector, norm, vec_add
 from vkpush.presentation import (
@@ -167,35 +170,11 @@ class Diagram:
         if origin[boundary_face_dart] != base:
             raise ValidationError("the boundary face dart must start at the base vertex")
 
-        variant_set = presentation.variant_set
-        for i, face in enumerate(faces):
-            if i == bindex:
-                continue
-            w = tuple(letter[d] for d in face)
-            if w not in variant_set:
-                raise ValidationError(
-                    f"interior face {word_to_text(w, presentation)!r} is not a relator variant"
-                )
-
-        # one walk checks the edge equation of every out-dart of every vertex
-        # it reaches, so labelling every vertex also proves connectivity
-        labels: dict[int, Vector] = {base: base_label}
-        queue = deque([base])
-        while queue:
-            v = queue.popleft()
-            lv = labels[v]
-            for d in rot_lists[v]:
-                w = origin[twin[d]]
-                lw = vec_add(lv, amap.column(letter[d]))
-                if w in labels:
-                    if labels[w] != lw:
-                        raise ValidationError(f"inconsistent labels at vertex {w}")
-                else:
-                    labels[w] = lw
-                    queue.append(w)
-        if len(labels) != len(rotations):
-            raise ValidationError("diagram is not connected")
-
+        check_relator_faces(
+            presentation,
+            (tuple(letter[d] for d in face) for i, face in enumerate(faces) if i != bindex),
+        )
+        labels = walk_labels(amap, origin, letter, twin, rot_lists, base, base_label)
         walk = tuple(twin[d] for d in reversed(faces[bindex]))
         return cls(
             presentation=presentation,
@@ -335,6 +314,48 @@ class Diagram:
         )
 
 
+def check_relator_faces(p: Presentation, words: Iterable[Word]) -> None:
+    """Raise unless every interior face word is a cyclic variant of a relator."""
+    variant_set = p.variant_set
+    for w in words:
+        if w not in variant_set:
+            raise ValidationError(f"interior face {word_to_text(w, p)!r} is not a relator variant")
+
+
+def walk_labels(
+    amap: AbelianizationMap,
+    origin: Mapping[int, int],
+    letter: Mapping[int, int],
+    twin: Mapping[int, int],
+    rotations: Mapping[int, Sequence[int]],
+    base: int,
+    base_label: Vector,
+) -> dict[int, Vector]:
+    """Vertex labels propagated breadth first from ``base_label`` at ``base``.
+
+    One walk checks the edge equation of every out-dart of every vertex it
+    reaches, so labelling every vertex also proves connectivity.
+    """
+    column = amap.column
+    labels: dict[int, Vector] = {base: base_label}
+    queue = deque([base])
+    while queue:
+        v = queue.popleft()
+        lv = labels[v]
+        for d in rotations[v]:
+            w = origin[twin[d]]
+            lw = vec_add(lv, column(letter[d]))
+            if w in labels:
+                if labels[w] != lw:
+                    raise ValidationError(f"inconsistent labels at vertex {w}")
+            else:
+                labels[w] = lw
+                queue.append(w)
+    if len(labels) != len(rotations):
+        raise ValidationError("diagram is not connected")
+    return labels
+
+
 def norm_key(v: int, label: Vector) -> tuple:
     """Sort key of max_norm_vertex: largest norm, then smallest label, then id."""
     return (-sum(c * c for c in label), label, v)
@@ -344,9 +365,9 @@ class DiagramBuilder:
     """Scratchpad for assembling diagrams from cells plus a boundary walk.
 
     Darts come in twin pairs.  ``alias`` declares two darts to be the same
-    oriented edge (union-find, twin-synchronized).  ``build`` resolves all
-    classes, derives rotations from the face system, and funnels everything
-    through ``Diagram.build``.
+    oriented edge (union-find, twin-synchronized).  ``resolve`` resolves all
+    classes and derives rotations from the face system; ``build`` funnels
+    what it resolved through ``Diagram.build``.
     """
 
     def __init__(self, p: Presentation, m: AbelianizationMap):
@@ -433,79 +454,79 @@ class DiagramBuilder:
 
     # -- assembly -------------------------------------------------------------
 
-    def build(
+    def resolve(
         self,
         walk: Sequence[int],
-        base_label: Sequence[int],
         *,
         vertex_hints: Mapping[int, int] | None = None,
         allow_bubbles: bool = False,
-    ) -> Diagram:
-        resolved_cells = [[self.rep(d) for d in cell] for cell in self.cells]
-        resolved_walk = [self.rep(d) for d in walk]
-        twin_rep = lambda d: self.rep(self.twin[self.rep(d)])
+    ) -> tuple[dict, list[list[int]]]:
+        """Resolve every class and derive the rotations, checking the complex.
 
-        orbit = [twin_rep(w) for w in reversed(resolved_walk)]
-        faces: list[list[int]] = resolved_cells + ([orbit] if orbit else [])
+        The faces are the cells and a boundary face, the walk read backwards
+        through the twins.  Checked here: one use per class across the
+        faces, each twin on a face, and that the walk reaches every face;
+        with ``allow_bubbles`` the faces it misses are dropped instead.
+        Vertices are the cycles of sigma(e) = twin(face predecessor of e),
+        numbered by smallest class; a vertex takes the one id its classes
+        carry in ``vertex_hints`` (keyed by original dart ids), or a fresh
+        one.  Returns the keyword arrays of ``Diagram.build`` but its base
+        label, and the cells kept, over class roots.  Relator words and
+        labels are left to the caller.
+        """
+        rep, letter = self.rep, self.letter
+        cells = [[rep(d) for d in cell] for cell in self.cells]
+        resolved_walk = [rep(d) for d in walk]
+        # the twin root of every class, computed once per pair
+        twin_of: dict[int, int] = {}
+        for face in (resolved_walk, *cells):
+            for r in face:
+                if r not in twin_of:
+                    t = rep(self.twin[r])
+                    twin_of[r] = t
+                    twin_of[t] = r
 
-        usage = Counter(d for face in faces for d in face)
-        for d, count in usage.items():
-            if count > 1:
-                raise ValidationError(f"dart {d} is used {count} times across faces")
+        orbit = [twin_of[w] for w in reversed(resolved_walk)]
+        faces: list[list[int]] = cells + ([orbit] if orbit else [])
 
-        # reachability from the boundary via twin and face succession
-        succ: dict[int, int] = {}
-        for face in faces:
-            for i, d in enumerate(face):
-                succ[d] = face[(i + 1) % len(face)]
-        for d in succ:
-            if twin_rep(d) not in succ:
-                raise ValidationError(f"dart {d} has a twin outside every face")
-
-        alive: set[int] = set()
-        queue = deque(orbit)
-        while queue:
-            d = queue.popleft()
-            if d in alive:
-                continue
-            alive.add(d)
-            queue.append(succ[d])
-            queue.append(twin_rep(d))
-        dropped = [face for face in faces if face and face[0] not in alive]
-        if dropped:
+        # the face of each class; then the faces the boundary face reaches
+        # across twins
+        face_of: dict[int, int] = {}
+        for i, face in enumerate(faces):
+            face_of.update(dict.fromkeys(face, i))
+        if len(face_of) < sum(map(len, faces)):
+            d, count = next(
+                (d, c) for d, c in Counter(d for face in faces for d in face).items() if c > 1
+            )
+            raise ValidationError(f"dart {d} is used {count} times across faces")
+        # twin_of holds the face classes and their twins
+        if len(face_of) < len(twin_of):
+            d = next(d for d in face_of if twin_of[d] not in face_of)
+            raise ValidationError(f"dart {d} has a twin outside every face")
+        reached = {len(cells)} if orbit else set()
+        stack = list(reached)
+        while stack:
+            for d in faces[stack.pop()]:
+                f = face_of[twin_of[d]]
+                if f not in reached:
+                    reached.add(f)
+                    stack.append(f)
+        if len(reached) < len(faces):
             if not allow_bubbles:
                 raise ValidationError("construction left a detached sphere component")
-            faces = [face for face in faces if face and face[0] in alive]
+            cells = [face for i, face in enumerate(cells) if i in reached]
 
-        if not alive:
-            base = 0
-            return Diagram.build(
-                self.p,
-                self.m,
-                origin={},
-                letter={},
-                twin={},
-                rotations={base: ()},
-                base=base,
-                base_label=tuple(base_label),
-                boundary_face_dart=None,
-            )
+        if not orbit:
+            arrays = dict(origin={}, letter={}, twin={}, rotations={0: ()}, base=0, boundary_face_dart=None)
+            return arrays, []
 
         # sigma(e) = twin(face predecessor of e); cycles are the vertices
         sigma: dict[int, int] = {}
-        for face in faces:
-            for i, d in enumerate(face):
-                sigma[d] = twin_rep(face[i - 1])
-
-        # hints speak about original dart ids; fold them onto class reps
-        hints: dict[int, set[int]] = {}
-        for dart, vid in (vertex_hints or {}).items():
-            if dart in self._parent:
-                hints.setdefault(self.rep(dart), set()).add(vid)
-
+        for face in cells + [orbit]:
+            sigma.update(zip(face, [twin_of[d] for d in face[-1:] + face[:-1]]))
         cycle_of: dict[int, int] = {}
         cycles: list[list[int]] = []
-        for d0 in sorted(alive):
+        for d0 in sorted(sigma):
             if d0 in cycle_of:
                 continue
             cyc = [d0]
@@ -517,12 +538,19 @@ class DiagramBuilder:
                 d = sigma[d]
             cycles.append(cyc)
 
-        hint_max = max((max(s) for s in hints.values()), default=-1)
-        fresh = max(hint_max + 1, 0)
+        # hints speak about original dart ids; fold them onto the vertices,
+        # and number fresh vertices above every hint
+        hints: dict[int, set[int]] = {}
+        fresh = 0
+        for dart, vid in (vertex_hints or {}).items():
+            if dart in self._parent:
+                fresh = max(fresh, vid + 1)
+                if (c := cycle_of.get(rep(dart))) is not None:
+                    hints.setdefault(c, set()).add(vid)
         vertex_id: list[int] = []
         used: set[int] = set()
-        for cyc in cycles:
-            wanted = set().union(*(hints.get(d, set()) for d in cyc))
+        for i in range(len(cycles)):
+            wanted = hints.get(i, set())
             # a class carrying several hints is a fold product: a new vertex,
             # not any one of its constituents, so it never usurps their ids;
             # a hint an earlier class took is not reused either
@@ -534,27 +562,21 @@ class DiagramBuilder:
             used.add(vid)
             vertex_id.append(vid)
 
-        rotations = {
-            vertex_id[i]: tuple(cyc)
-            for i, cyc in enumerate(cycles)
-        }
-        origin = {d: vertex_id[cycle_of[d]] for d in alive}
-        letter = {d: self.letter[d] for d in alive}
-        twin = {d: twin_rep(d) for d in alive}
-
-        bfd = orbit[0]
-        base = origin[bfd]
-        return Diagram.build(
-            self.p,
-            self.m,
+        origin = {d: vertex_id[c] for d, c in cycle_of.items()}
+        arrays = dict(
             origin=origin,
-            letter=letter,
-            twin=twin,
-            rotations=rotations,
-            base=base,
-            base_label=tuple(base_label),
-            boundary_face_dart=bfd,
+            letter={d: letter[d] for d in cycle_of},
+            twin={d: twin_of[d] for d in cycle_of},
+            rotations={vertex_id[i]: tuple(cyc) for i, cyc in enumerate(cycles)},
+            base=origin[orbit[0]],
+            boundary_face_dart=orbit[0],
         )
+        return arrays, cells
+
+    def build(self, walk: Sequence[int], base_label: Sequence[int], **options) -> Diagram:
+        """The resolved complex, through the full validator; options go to resolve."""
+        arrays, _ = self.resolve(walk, **options)
+        return Diagram.build(self.p, self.m, base_label=tuple(base_label), **arrays)
 
 
 # -- vertex stars ------------------------------------------------------------

@@ -239,12 +239,16 @@ def _push_max(
         + [norms[lbl] for lbl, d in delta.items() if d > 0],
         default=0.0,
     )
-    if new_max > c - k.a / 2 + FLOAT_TOL:
-        problems.append(f"a new vertex has norm {new_max:.6f} > c - a/2 = {c - k.a / 2:.6f}")
-    if cut.area - store.area > k.A * star.degree + FLOAT_TOL:
-        problems.append(
-            f"area grew by {cut.area - store.area} > A*degree = {k.A * star.degree:.1f}"
-        )
+    step = PushStep(
+        pushed_vertex_label=label_g,
+        c=c,
+        entry_used=entry_idx,
+        degree=star.degree,
+        area_before=store.area,
+        area_after=cut.area,
+        new_vertex_max_norm=new_max,
+    )
+    problems.extend(filter(None, _step_bounds(step, k)))
     tau = c - k.a / 2 + FLOAT_TOL
     high_lost = sum(1 for lbl in lost if norms[lbl] >= tau)
     high_new = sum(1 for lbl in cut.labels.values() if norms[lbl] >= tau)
@@ -257,17 +261,25 @@ def _push_max(
         raise PushError(
             "push step invariant violation (broken scheme?): " + "; ".join(problems) + _WHERE.format(*where)
         )
-    step = PushStep(
-        pushed_vertex_label=label_g,
-        c=c,
-        entry_used=entry_idx,
-        degree=star.degree,
-        area_before=store.area,
-        area_after=cut.area,
-        new_vertex_max_norm=new_max,
-    )
     store.apply(cut)
     return step, cut
+
+
+def _step_bounds(st: PushStep, k: SchemeConstants) -> tuple[str | None, str | None]:
+    """The paper's two per-step bounds: a message for each the step breaks, else None.
+
+    Every new vertex has norm at most c - a/2, and the area grows by at most
+    A per unit of the pushed vertex's degree.
+    """
+    shallow = grown = None
+    if st.new_vertex_max_norm > st.c - k.a / 2 + FLOAT_TOL:
+        shallow = (
+            f"a new vertex has norm {st.new_vertex_max_norm:.6f}"
+            f" > c - a/2 = {st.c - k.a / 2:.6f}"
+        )
+    if st.area_after - st.area_before > k.A * st.degree + FLOAT_TOL:
+        grown = f"area grew by {st.area_after - st.area_before} > A*degree = {k.A * st.degree:.1f}"
+    return shallow, grown
 
 
 def _carry_budgets(budgets: dict[int, int], cut: Surgery) -> None:
@@ -389,21 +401,12 @@ def _audit(trace: PushTrace, k: SchemeConstants, q: float) -> tuple[dict, list[s
     sweep_cap = _sweep_cap(max(norm(lbl) for lbl in init.labels.values()), q, k)
     area_bound = _area_bound(k, trace.sweeps, init.area)
     problems: list[str] = []
-    steps = list(enumerate(trace.steps))
-    shallow = [i for i, st in steps if st.new_vertex_max_norm > st.c - k.a / 2 + FLOAT_TOL]
-    if shallow:
-        st = trace.steps[shallow[0]]
-        problems.append(
-            f"step {shallow[0]}: a new vertex has norm {st.new_vertex_max_norm:.6f}"
-            f" > c - a/2 = {st.c - k.a / 2:.6f}"
-        )
-    grown = [i for i, st in steps if st.area_after - st.area_before > k.A * st.degree + FLOAT_TOL]
-    if grown:
-        st = trace.steps[grown[0]]
-        problems.append(
-            f"step {grown[0]}: area grew by {st.area_after - st.area_before}"
-            f" > A*degree = {k.A * st.degree:.1f}"
-        )
+    broken = [_step_bounds(st, k) for st in trace.steps]
+    # the first step that breaks each bound: the norm drop, then the area growth
+    first = [next((i for i, pair in enumerate(broken) if pair[j]), None) for j in (0, 1)]
+    for j, i in enumerate(first):
+        if i is not None:
+            problems.append(f"step {i}: {broken[i][j]}")
     doubled = [v for v, b in trace.budgets.items() if fin.degree(v) > 2 * b]
     if doubled:
         v = doubled[0]
@@ -420,8 +423,8 @@ def _audit(trace: PushTrace, k: SchemeConstants, q: float) -> tuple[dict, list[s
     if fin.boundary_word != init.boundary_word:
         problems.append("the boundary word changed across the run")
     checks = {
-        "step_norm_drop": not shallow,
-        "step_area_growth": not grown,
+        "step_norm_drop": first[0] is None,
+        "step_area_growth": first[1] is None,
         "degree_doubling": not doubled,
         "sweeps_within_cap": trace.sweeps <= sweep_cap,
         "sweep_cap": sweep_cap,

@@ -10,10 +10,11 @@ provide over the whole character sphere and derives the corridor constants.
 Every valuation the gap needs is a character value of a vertex label: of a
 filling, of a relator's path from the origin, or of a direction image.  A
 scheme holds one ValuationTable, built once: the distinct labels of all of
-these, with each label set stored as index tuples into that list.  gap,
-choose_entry and certify_coverage all read it, so at one direction each
-distinct label's value is one dot product, and certification takes each
-relator's path minimum once for all entries.
+these, with each label set stored as index tuples into that list.
+choose_entry and certify_coverage read it through one scan,
+ValuationTable.best_entry, so at one direction each distinct label's value
+is one dot product and each relator's path minimum is taken once for all
+entries.  gap reads a table of its one entry.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import itertools
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from vkpush.abelianization import (
@@ -65,11 +67,6 @@ class SchemeEntry:
     templates: dict[tuple[Word, ...], Template] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    # the valuation table holding this entry and the entry's row in it; set
-    # when a table is built over the entry
-    table_row: tuple[ValuationTable, int] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
 
 @dataclass
@@ -77,13 +74,11 @@ class PushingScheme:
     presentation: Presentation
     amap: AbelianizationMap
     entries: tuple[SchemeEntry, ...]
-    table: ValuationTable | None = field(default=None, init=False, repr=False, compare=False)
 
-    def valuation_table(self) -> ValuationTable:
-        """The scheme's table, built on first use; its entries then point into it."""
-        if self.table is None:
-            self.table = _build_table(self.presentation, self.amap, self.entries)
-        return self.table
+    @cached_property
+    def table(self) -> ValuationTable:
+        """The scheme's valuation table, built on first use."""
+        return _build_table(self.presentation, self.amap, self.entries)
 
     def verify(self) -> None:
         """Raise CertificationError unless every entry checks out."""
@@ -275,6 +270,24 @@ class ValuationTable:
                 break
         return worst
 
+    def best_entry(self, direction: Sequence[float], stop: float = math.inf) -> tuple[int, float]:
+        """The first entry of strictly largest gap at the direction, and that gap.
+
+        An entry stops at the first relator that brings its running minimum
+        to the best gap so far, since it can no longer be the first strict
+        maximum; the scan stops once the best gap reaches stop.  Returns
+        (-1, -inf) when no entry advances along the direction.
+        """
+        values, lows = self.evaluate(direction)
+        best_k, best = -1, -math.inf
+        for k in range(len(self.advance)):
+            g = self.entry_gap(k, values, lows, best)
+            if g > best:
+                best_k, best = k, g
+                if best >= stop:
+                    break
+        return best_k, best
+
 
 def _build_table(
     p: Presentation, m: AbelianizationMap, entries: Sequence[SchemeEntry]
@@ -290,10 +303,7 @@ def _build_table(
         tuple(indices(e.fillings[i].labels.values()) for i in range(len(p.relators)))
         for e in entries
     )
-    table = ValuationTable(tuple(index), paths, advance, fills)
-    for k, e in enumerate(entries):
-        e.table_row = (table, k)
-    return table
+    return ValuationTable(tuple(index), paths, advance, fills)
 
 
 def gap(u: Character, e: SchemeEntry) -> float:
@@ -303,27 +313,20 @@ def gap(u: Character, e: SchemeEntry) -> float:
     rotation is the stored filling re-based at the matching hat-block start.
     Mirrors keep vertex labels and rotations shift the whole prefix set, so
     the minimum collapses to one valuation difference per relator.
-    Returns -inf when the direction does not advance along u.  Reads the
-    table of the entry's scheme, or a table of the entry alone if it has
-    none yet.
+    Returns -inf when the direction does not advance along u.  Reads a
+    table of the entry alone.
     """
-    if e.table_row is None:
-        _build_table(e.presentation, e.amap, (e,))
-    table, k = e.table_row
+    table = _build_table(e.presentation, e.amap, (e,))
     values, lows = table.evaluate(u.direction)
-    return table.entry_gap(k, values, lows)
+    return table.entry_gap(0, values, lows)
 
 
 def choose_entry(s: PushingScheme, u: Character) -> tuple[SchemeEntry, float]:
-    s.valuation_table()
-    best: tuple[SchemeEntry, float] | None = None
-    for e in s.entries:
-        g = gap(u, e)
-        if best is None or g > best[1]:
-            best = (e, g)
-    if best is None or best[1] <= 0.0:
+    """The first entry of strictly largest gap at u; raises unless that gap is positive."""
+    k, g = s.table.best_entry(u.direction)
+    if g <= 0.0:
         raise CertificationError(f"character {u.direction} not covered by scheme")
-    return best
+    return s.entries[k], g
 
 
 # Grids with more points are refused before any point is made; at about 35
@@ -375,13 +378,13 @@ def certify_coverage(s: PushingScheme, grid_spacing: float) -> SchemeConstants:
     slack.  The spacing must be a positive finite number whose grid has at
     most MAX_GRID_POINTS points.
 
-    Each direction is evaluated once on the scheme's ValuationTable, and two
-    early exits skip work that cannot change the result.  An entry stops at
-    the first relator that brings its running minimum to the best gap
-    already found at this direction: it can no longer be the first strict
-    maximum, which is also how choose_entry breaks ties.  A direction stops
-    once its best gap reaches the minimum over the directions before it,
-    since it can no longer lower that minimum.  Every value that reaches a
+    Each direction is scanned once by ValuationTable.best_entry, the scan
+    choose_entry makes, and two early exits skip work that cannot change
+    the result.  An entry stops at the first relator that brings its running
+    minimum to the best gap already found at this direction: it can no
+    longer be the first strict maximum.  A direction stops once its best gap
+    reaches the minimum over the directions before it, since it can no
+    longer lower that minimum.  Every value that reaches a
     min or a max is the same dot product of the same label with the same
     Character.from_vector direction as in gap, so the certified constants
     are the same floats as a minimum over gap maxima.
@@ -397,7 +400,7 @@ def certify_coverage(s: PushingScheme, grid_spacing: float) -> SchemeConstants:
     if not p.relators:
         raise CertificationError("presentation has no relators to certify against")
     n = m.rank
-    table = s.valuation_table()
+    table = s.table
     labels = table.labels
 
     b = 0.0
@@ -422,18 +425,9 @@ def certify_coverage(s: PushingScheme, grid_spacing: float) -> SchemeConstants:
     else:
         points = _sphere_grid(n, grid_spacing)
         spacing = grid_spacing
-    entries = range(len(s.entries))
     a = math.inf
     for x in points:
-        values, lows = table.evaluate(Character.from_vector(x).direction)
-        best = -math.inf
-        for k in entries:
-            g = table.entry_gap(k, values, lows, best)
-            if g > best:
-                best = g
-                if best >= a:
-                    break
-        a = min(a, best)
+        a = min(a, table.best_entry(Character.from_vector(x).direction, a)[1])
     if spacing is not None:
         a -= lip_bound * spacing
     if not (math.isfinite(a) and a > 0.0):

@@ -24,7 +24,15 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from vkpush.abelianization import Vector, vec_add
-from vkpush.diagram import Corner, Diagram, DiagramBuilder, StarView, norm_key
+from vkpush.diagram import (
+    Corner,
+    Diagram,
+    DiagramBuilder,
+    StarView,
+    check_relator_faces,
+    norm_key,
+    walk_labels,
+)
 from vkpush.presentation import ValidationError, Word, word_to_text
 
 
@@ -86,92 +94,41 @@ class Template:
     def compile(cls, bld: DiagramBuilder, walk: Sequence[int]) -> Template:
         """Resolve a builder and its outer walk, checking what no host changes.
 
-        Checked once here: each cell's relator word, one use per class
-        across the cells, that every class off the seam has its twin on a
-        cell, that the link reaches every interior vertex, and the label
-        offsets along every edge and every turn of a cell, the seam's
-        included, so a glue need only check the labels at the walk.
+        Checked once here, by the code every diagram goes through: each
+        cell's relator word (``check_relator_faces``); one use per class,
+        each twin on a face and a walk that reaches every cell
+        (``DiagramBuilder.resolve``); and the label offsets along every
+        edge, from the zero label where the walk starts (``walk_labels``),
+        so a glue need only check the labels at the walk.
         """
-        p, rep = bld.p, bld.rep
-        roots = {rep(x) for cell in bld.cells for x in cell}
-        roots.update(rep(x) for x in walk)
-        roots.update([rep(bld.twin[x]) for x in roots])
-        order = sorted(roots)
+        check_relator_faces(bld.p, (tuple(bld.letter[x] for x in cell) for cell in bld.cells))
+        arrays, cells = bld.resolve(walk)
+        origin, rotations = arrays["origin"], arrays["rotations"]
+        labels = walk_labels(
+            bld.m, origin, arrays["letter"], arrays["twin"], rotations, arrays["base"], bld.m.zero
+        )
+        order = sorted(origin)
         rank = {r: i for i, r in enumerate(order)}
-        letter = tuple(bld.letter[r] for r in order)
-        twin = tuple(rank[rep(bld.twin[r])] for r in order)
-        variant_set = p.variant_set
-        cells = []
-        for cell in bld.cells:
-            w = tuple(bld.letter[x] for x in cell)
-            if w not in variant_set:
-                raise ValidationError(
-                    f"interior face {word_to_text(w, p)!r} is not a relator variant"
-                )
-            cells.append(tuple(rank[rep(x)] for x in cell))
-        for r, count in Counter(r for cell in cells for r in cell).items():
-            if count > 1:
-                raise ValidationError(f"replacement dart {r} is used {count} times across faces")
+        letter = tuple([arrays["letter"][r] for r in order])
+        twin = tuple([rank[arrays["twin"][r]] for r in order])
         pred = [-1] * len(order)
         for cell in cells:
-            for j, r in enumerate(cell):
-                pred[r] = cell[j - 1]
-        ranks = tuple(rank[rep(x)] for x in walk)
+            ids = [rank[r] for r in cell]
+            for j, r in enumerate(ids):
+                pred[r] = ids[j - 1]
+        ranks = tuple(rank[bld.rep(x)] for x in walk)
         seam = frozenset(ranks) | {twin[r] for r in ranks}
-        for r in range(len(order)):
-            if r not in seam and pred[r] < 0:
-                raise ValidationError(f"replacement dart {twin[r]} has a twin outside every face")
-
-        # the label offset of each dart's origin on the walk, from where it starts
-        column = bld.m.column
-        rim: dict[int, Vector] = {}
-        offset = bld.m.zero
-        for r in ranks:
-            rim.setdefault(r, offset)
-            offset = vec_add(offset, column(letter[r]))
-            rim.setdefault(twin[r], offset)
-        # off the seam a vertex turns by sigma(e) = twin(pred(e)); a cycle
-        # that reaches the seam lies on the walk, the others are interior
+        # the rotations that hold no seam class are the interior vertices
         vertex = [-1] * len(order)
         interior: list[tuple[int, ...]] = []
-        for r0 in range(len(order)):
-            if r0 in rim or vertex[r0] >= 0:
-                continue
-            cyc = [r0]
-            r = twin[pred[r0]]
-            while r != r0 and r not in rim:
-                if vertex[r] >= 0 or r in cyc:
-                    raise ValidationError("rotation system does not define a permutation of faces")
-                cyc.append(r)
-                r = twin[pred[r]]
-            if r == r0:
-                for x in cyc:
-                    vertex[x] = len(interior)
-                interior.append(tuple(cyc))
-            else:
-                for x in cyc:
-                    rim[x] = rim[r]
-
-        offsets: list[Vector | None] = [None] * len(interior)
-
-        def offset_at(r: int) -> Vector:
-            return rim[r] if vertex[r] < 0 else offsets[vertex[r]]
-
-        queue = [r for r in rim if r not in seam]
-        while queue:
-            r = queue.pop()
-            h = vertex[twin[r]]
-            if h >= 0 and offsets[h] is None:
-                offsets[h] = vec_add(offset_at(r), column(letter[r]))
-                queue.extend(interior[h])
-        if None in offsets:
-            raise ValidationError(
-                f"replacement vertex {offsets.index(None)} cannot be reached from the link"
-            )
-        heads = [vec_add(offset_at(r), column(letter[r])) for r in range(len(order))]
-        for r in range(len(order)):
-            if offset_at(twin[r]) != heads[r] or (pred[r] >= 0 and heads[pred[r]] != offset_at(r)):
-                raise ValidationError(f"replacement dart {r} violates label consistency")
+        offsets: list[Vector] = []
+        for v, rot in rotations.items():
+            cyc = tuple(map(rank.__getitem__, rot))
+            if seam.isdisjoint(cyc):
+                for r in cyc:
+                    vertex[r] = len(interior)
+                interior.append(cyc)
+                offsets.append(labels[v])
         return cls(
             letter=letter,
             twin=twin,
@@ -183,7 +140,7 @@ class Template:
             interior=tuple(interior),
             vertex=tuple(vertex),
             offsets=tuple(offsets),
-            walk_offsets=tuple(rim[r] for r in ranks),
+            walk_offsets=tuple(labels[origin[order[r]]] for r in ranks),
         )
 
 

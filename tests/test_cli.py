@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -16,6 +17,9 @@ FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 Z2 = str(FIXTURES / "z2.json")
 HEIS = str(FIXTURES / "heisenberg.json")
+# subprocesses import vkpush from this checkout's src/, installed or not
+SRC = str(FIXTURES.parent / "src")
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
 
 
 def run(capsys, *argv):
@@ -56,19 +60,41 @@ def test_certify_rejects_nonpositive_grid(capsys):
     assert err["error"]["type"] == "UsageError"
 
 
-@pytest.mark.parametrize("command", ["certify", "push", "bench"])
+def _range_case(flag, value, code, kind, command):
+    prefix = "" if flag == "--grid" else "q="
+    return pytest.param(flag, value, code, kind, command, id=f"{prefix}{value}-{code}-{kind}-{command}")
+
+
 @pytest.mark.parametrize(
-    "grid, code, kind",
-    [("nan", 64, "UsageError"), ("inf", 64, "UsageError"), ("1e-300", 2, "ValidationError")],
+    "flag, value, code, kind, command",
+    [
+        _range_case("--grid", value, code, kind, command)
+        for value, code, kind in [
+            ("nan", 64, "UsageError"),
+            ("inf", 64, "UsageError"),
+            ("1e-300", 2, "ValidationError"),
+        ]
+        for command in ("certify", "push", "bench")
+    ]
+    + [
+        _range_case("--q", value, 64, "UsageError", command)
+        for value in ("nan", "inf", "-inf")
+        for command in ("push", "sample", "bench")
+    ],
 )
-def test_grid_outside_its_range_is_a_json_error(capsys, tmp_path, command, grid, code, kind):
-    # 1e-300 asks for about 10^300 sphere points; the count is refused before any is made
+def test_grid_outside_its_range_is_a_json_error(capsys, tmp_path, flag, value, code, kind, command):
+    # a grid spacing or a corridor radius out of range; 1e-300 asks for about
+    # 10^300 sphere points, and the count is refused before any is made
+    args = {"--q": "20", "--grid": "0.05", flag: value}
     argv = {
         "certify": ["certify", HEIS],
-        "push": ["push", HEIS, str(tmp_path / "unused.json"), "--q", "20"],
-        "bench": ["bench", HEIS, "--q", "20", "--count", "1"],
+        "push": ["push", HEIS, str(tmp_path / "unused.json"), f"--q={args['--q']}"],
+        "sample": ["sample", HEIS, f"--q={args['--q']}", "--count", "1"],
+        "bench": ["bench", HEIS, f"--q={args['--q']}", "--count", "1"],
     }[command]
-    got = main(argv + ["--grid", grid])
+    if command != "sample":
+        argv.append(f"--grid={args['--grid']}")
+    got = main(argv)
     captured = capsys.readouterr()
     assert got == code
     assert captured.out == ""
@@ -206,6 +232,7 @@ def test_area_oracle_non_null_word_ends_in_bounded_time():
             + extra,
             capture_output=True,
             text=True,
+            env=ENV,
             timeout=20,
         )
         assert proc.returncode == 0
@@ -384,6 +411,7 @@ def test_bench_fast_radius_law_overflows_in_bounded_time():
         [sys.executable, "-m", "vkpush", "bench", Z2, "--q", "5", "--count", "0", "--ar", "n,n**3"],
         capture_output=True,
         text=True,
+        env=ENV,
         timeout=20,
     )
     assert proc.returncode == 0
@@ -429,6 +457,7 @@ def test_import_leaves_numpy_out():
         [sys.executable, "-c", "import sys, vkpush.cli; print('numpy' in sys.modules)"],
         capture_output=True,
         text=True,
+        env=ENV,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "False"
@@ -439,6 +468,7 @@ def test_module_entry_point():
         [sys.executable, "-m", "vkpush", "certify", Z2],
         capture_output=True,
         text=True,
+        env=ENV,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["q_min"] == 4.0

@@ -19,6 +19,7 @@ from vkpush.presentation import ValidationError
 from vkpush.pusher import (
     ARPair,
     PushError,
+    _audit,
     _compile_growth,
     audit,
     predicted_area_bound,
@@ -145,6 +146,22 @@ def test_step_without_enough_descent_fails_the_step_audit(z2):
     with pytest.raises(PushError, match=r"a new vertex has norm 6\.000000 > c - a/2 = 5\.000000") as info:
         push_to_corridor(d, s, dataclasses.replace(k, a=4.0), 5.0)
     assert info.value.trace.steps == []
+
+
+def test_a_step_that_outgrows_a_times_degree_fails_both_audits(z2):
+    # each tower step grows the area by its degree; with A = 0.5 the first
+    # step breaks the per-step bound, in the step audit and in the run audit
+    p, m, s, k = z2
+    up = next(e for e in s.entries if e.t == 1)
+    d = tower_diagram(up, R, 6, (0,))
+    _, trace = push_to_corridor(d, s, k, 5.0)
+    tight = dataclasses.replace(k, A=0.5)
+    with pytest.raises(PushError, match=r"area grew by 2 > A\*degree = 1\.0 \(step 0,") as info:
+        push_to_corridor(d, s, tight, 5.0)
+    assert info.value.trace.steps == []
+    checks, problems = _audit(trace, tight, 5.0)
+    assert checks["step_area_growth"] is False and checks["step_norm_drop"] is True
+    assert problems[0] == "step 0: area grew by 2 > A*degree = 1.0"
 
 
 def reference_label_problems(store, star, cut, label_g):
@@ -375,17 +392,21 @@ def test_warm_run_builds_no_replacement(z2, monkeypatch):
         assert calls == {}
 
 
-def test_entry_choice_runs_gap_once_per_label_and_entry(z2, heis, monkeypatch):
-    # a run asks for an entry once per distinct pushed label, and choose_entry
-    # runs gap once per entry
+def test_entry_choice_runs_once_per_pushed_label(z2, heis, monkeypatch):
+    # a run asks for an entry once per distinct pushed label, and that one
+    # scan of the scheme's table calls gap for no entry
     calls = Counter()
-    gap = scheme.gap
+    choose = pusher.choose_entry
 
-    def count_gap(u, e):
-        calls[id(e)] += 1
-        return gap(u, e)
+    def count_choice(s, u):
+        calls["choose_entry"] += 1
+        return choose(s, u)
 
-    monkeypatch.setattr(scheme, "gap", count_gap)
+    def no_gap(u, e):
+        calls["gap"] += 1
+
+    monkeypatch.setattr(pusher, "choose_entry", count_choice)
+    monkeypatch.setattr(scheme, "gap", no_gap)
     p, m, s, k = z2
     labels = 0
     for e in s.entries:
@@ -393,8 +414,7 @@ def test_entry_choice_runs_gap_once_per_label_and_entry(z2, heis, monkeypatch):
             _, trace = push_to_corridor(tower_diagram(e, R, depth, m.zero), s, k, k.q_min + 1.0)
             labels += len({st.pushed_vertex_label for st in trace.steps})
     assert labels == 48
-    assert calls == {id(e): 48 for e in s.entries}
-    assert sum(calls.values()) == 96
+    assert calls == {"choose_entry": 48}
     p, m, s, k = heis
     q = k.q_min + 1.0
     calls.clear()
@@ -404,9 +424,9 @@ def test_entry_choice_runs_gap_once_per_label_and_entry(z2, heis, monkeypatch):
         labels += len({st.pushed_vertex_label for st in trace.steps})
         steps += len(trace.steps)
     # ROADMAP workload W1: 854 steps, which asked for 3,416 gaps before
+    # entry choice ran once per label
     assert (steps, labels) == (854, 67)
-    assert calls == {id(e): 67 for e in s.entries}
-    assert sum(calls.values()) == 268
+    assert calls == {"choose_entry": 67}
 
 
 def test_audit_area_bound_survives_float_overflow(z2):

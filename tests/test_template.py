@@ -329,7 +329,7 @@ def test_compile_rejects_interior_labels_that_disagree():
     rim = [bld.new_edge(x)[0] for x in (1, -1, 1, -1)]
     for i in range(4):
         bld.add_cell([spokes[i], rim[i], bld.twin[spokes[(i + 1) % 4]]])
-    with pytest.raises(ValidationError, match="violates label consistency"):
+    with pytest.raises(ValidationError, match="inconsistent labels"):
         Template.compile(bld, rim)
 
 
