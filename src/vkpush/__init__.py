@@ -9,7 +9,7 @@ from vkpush.oracle import (
     search_filling,
 )
 from vkpush.presentation import Presentation, ValidationError, parse_word, word_to_text
-from vkpush.pusher import PushError, PushStep, PushTrace, push_step, push_to_corridor
+from vkpush.pusher import PushError, PushStep, PushTrace, push_to_corridor
 from vkpush.scheme import (
     CertificationError,
     PushingScheme,
@@ -34,7 +34,6 @@ __all__ = [
     "certificate_to_diagram",
     "certify_coverage",
     "parse_word",
-    "push_step",
     "push_to_corridor",
     "search_filling",
     "word_to_text",

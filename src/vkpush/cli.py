@@ -40,7 +40,7 @@ from vkpush.presentation import (
     parse_word,
     word_to_text,
 )
-from vkpush.pusher import ARPair, PushError, audit, predicted_area_bound, push_to_corridor
+from vkpush.pusher import ARPair, PushError, predicted_area_bound, push_to_corridor
 from vkpush.scheme import MAX_GRID_POINTS, CertificationError, PushingScheme, certify_coverage
 
 EXIT_OK = 0
@@ -55,7 +55,7 @@ GRID_HELP = (
     "sphere grid spacing: a positive finite number (exit 64 otherwise) whose grid"
     f" has at most {MAX_GRID_POINTS:,} points (exit 2 otherwise); default %(default)s"
 )
-Q_HELP = "corridor radius: a finite number (exit 64 otherwise)"
+Q_HELP = "corridor radius: finite, > q_min (push, bench), >= the largest letter step (sample); else exit 64"
 
 
 class UsageError(Exception):
@@ -149,11 +149,17 @@ def _require_finite_q(args) -> None:
         raise UsageError("q must be a finite number")
 
 
-def _check_radius(q, k) -> None:
-    if not q > k.q_min:
+def _push_inputs(args):
+    """The bundle, scheme and constants push and bench run on; flags checked first."""
+    grid = _grid(args)
+    _require_finite_q(args)
+    p, m, s = _load_bundle(args.bundle)
+    k = certify_coverage(_require_scheme(s, args.bundle), grid)
+    if not args.q > k.q_min:
         raise UsageError(
             f"q must exceed q_min = max(b^2/a, a); this scheme certifies q_min = {k.q_min:g}"
         )
+    return p, m, s, k
 
 
 # -- report pieces ---------------------------------------------------------
@@ -180,10 +186,6 @@ def _step_dict(st):
         "area_after": st.area_after,
         "new_vertex_max_norm": st.new_vertex_max_norm,
     }
-
-
-def _checks_pass(checks) -> bool:
-    return all(v for key, v in checks.items() if isinstance(v, bool))
 
 
 def _json_number(val):
@@ -376,11 +378,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_push(args) -> int:
-    grid = _grid(args)
-    _require_finite_q(args)
-    p, m, s = _load_bundle(args.bundle)
-    k = certify_coverage(_require_scheme(s, args.bundle), grid)
-    _check_radius(args.q, k)
+    p, m, s, k = _push_inputs(args)
     d = _load_diagram(args.diagram, p, m)
     final, trace = push_to_corridor(d, s, k, args.q)
     report = {
@@ -391,7 +389,7 @@ def cmd_push(args) -> int:
         "boundary": word_to_text(final.boundary_word, p),
         "sweeps": trace.sweeps,
         "steps": [_step_dict(st) for st in trace.steps],
-        "bound_checks": audit(trace, k, args.q),
+        "bound_checks": trace.checks,
     }
     if args.render:
         report["render"] = {
@@ -428,6 +426,8 @@ def cmd_area_oracle(args) -> int:
 def cmd_sample(args) -> int:
     _require_finite_q(args)
     p, m, s = _load_bundle(args.bundle)
+    if args.q < m.lipschitz:
+        raise UsageError(f"q must be at least the largest letter step, {m.lipschitz:g}")
     certs = sample_corridor_certificates(p, m, args.q, args.target_len, args.count, args.seed)
     words = [c.reduced_word() for c in certs]
     _emit(
@@ -444,11 +444,7 @@ def cmd_sample(args) -> int:
 
 def cmd_bench(args) -> int:
     started = time.perf_counter()
-    grid = _grid(args)
-    _require_finite_q(args)
-    p, m, s = _load_bundle(args.bundle)
-    k = certify_coverage(_require_scheme(s, args.bundle), grid)
-    _check_radius(args.q, k)
+    p, m, s, k = _push_inputs(args)
     certs = sample_corridor_certificates(
         p, m, args.q, args.target_len, args.count, args.seed
     )
@@ -468,7 +464,6 @@ def cmd_bench(args) -> int:
             if exc.trace is None:
                 raise
             final, trace, error = exc.trace.final, exc.trace, str(exc)
-        checks = audit(trace, k, args.q)
         entry = {
             "word": word_to_text(word, p),
             "length": len(word),
@@ -476,8 +471,8 @@ def cmd_bench(args) -> int:
             "final_area": final.area,
             "steps": len(trace.steps),
             "sweeps": trace.sweeps,
-            "bound_checks": checks,
-            "passed": error is None and _checks_pass(checks),
+            "bound_checks": trace.checks,
+            "passed": error is None,
         }
         if error is not None:
             entry["error"] = error

@@ -394,7 +394,6 @@ def certificate_to_diagram(
     m: AbelianizationMap,
     cert: FillingCertificate,
     base_label: Vector,
-    expected: Word | None = None,
 ) -> Diagram:
     """Realize a certificate as a based diagram with freely reduced boundary.
 
@@ -402,8 +401,6 @@ def certificate_to_diagram(
     until its word is reduced.  Cancelling petals that pinch off as spheres
     are discarded.
     """
-    if expected is not None and free_reduce(expected) != cert.reduced_word():
-        raise ValidationError("certificate product does not reduce to the expected word")
     return _lollipops(p, m, cert, base_label, lambda bld, u, r: _cell(bld, r))
 
 
@@ -601,7 +598,11 @@ def _tower(bld: DiagramBuilder, e: SchemeEntry, word: Word, depth: int) -> tuple
     return cell, walk
 
 
-def _tower_choice(s: PushingScheme, v: Word, attach: Vector, q: float, slack: float):
+# how far above q the core of a wasteful filling's tower reaches, at least
+_TOWER_SLACK = 2.0
+
+
+def _tower_choice(s: PushingScheme, v: Word, attach: Vector, q: float):
     """Entry and depth making a tower over v at attach poke above norm q."""
     candidates = [e for e in s.entries if v in e.presentation.variant_set and hat_word(e, v) == v]
     if not candidates:
@@ -610,18 +611,12 @@ def _tower_choice(s: PushingScheme, v: Word, attach: Vector, q: float, slack: fl
     step = norm(best.amap.column(best.t))
     if step == 0.0:
         return None
-    # core norm >= depth*step - |attach| > q + slack
-    depth = max(1, math.ceil((q + slack + norm(attach)) / step) + 1)
+    # core norm >= depth*step - |attach| > q + _TOWER_SLACK
+    depth = max(1, math.ceil((q + _TOWER_SLACK + norm(attach)) / step) + 1)
     return best, depth
 
 
-def wasteful_diagram(
-    s: PushingScheme,
-    cert: FillingCertificate,
-    q: float,
-    slack: float = 2.0,
-    base_label: Vector | None = None,
-) -> Diagram:
+def wasteful_diagram(s: PushingScheme, cert: FillingCertificate, q: float) -> Diagram:
     """Certificate diagram whose petals are replaced by towers breaching norm q.
 
     Petals whose variant no entry fixes stay single cells.  The boundary is
@@ -629,13 +624,12 @@ def wasteful_diagram(
     interior carries vertices far outside the corridor for pushes to work on.
     """
     p, m = s.presentation, s.amap
-    label0 = m.zero if base_label is None else base_label
 
     def petal(bld: DiagramBuilder, u: Word, r: Word) -> list[int]:
-        choice = _tower_choice(s, r, project(m, u, label0), q, slack)
+        choice = _tower_choice(s, r, project(m, u, m.zero), q)
         if choice is None:
             return _cell(bld, r)
         entry, depth = choice
         return _tower(bld, entry, r, depth)[1]
 
-    return _lollipops(p, m, cert, label0, petal)
+    return _lollipops(p, m, cert, m.zero, petal)

@@ -14,7 +14,7 @@ these, with each label set stored as index tuples into that list.
 choose_entry and certify_coverage read it through one scan,
 ValuationTable.best_entry, so at one direction each distinct label's value
 is one dot product and each relator's path minimum is taken once for all
-entries.  gap reads a table of its one entry.
+entries.
 """
 
 from __future__ import annotations
@@ -256,10 +256,14 @@ class ValuationTable:
     def entry_gap(
         self, k: int, values: list[float], lows: list[float], floor: float = -math.inf
     ) -> float:
-        """Entry k's gap from evaluate's output.
+        """Entry k's gap from evaluate's output; -inf when t does not advance.
 
-        Stops at the first relator that brings the running minimum to floor
-        or below, so a result <= floor only says the gap does not exceed it.
+        The worst valuation surplus of the entry's fillings over bare relator
+        paths, over relators, inverses and rotations: mirrors keep labels and
+        rotations shift the whole prefix set, so that is one difference per
+        relator.  Stops at the first relator that brings the running minimum
+        to floor or below, so a result <= floor only says the gap does not
+        exceed it.
         """
         if values[self.advance[k]] <= 0.0:
             return -math.inf
@@ -304,21 +308,6 @@ def _build_table(
         for e in entries
     )
     return ValuationTable(tuple(index), paths, advance, fills)
-
-
-def gap(u: Character, e: SchemeEntry) -> float:
-    """Worst valuation surplus of the entry's fillings over bare relator paths.
-
-    Minimized over relators, inverses, and all rotations; the instance for a
-    rotation is the stored filling re-based at the matching hat-block start.
-    Mirrors keep vertex labels and rotations shift the whole prefix set, so
-    the minimum collapses to one valuation difference per relator.
-    Returns -inf when the direction does not advance along u.  Reads a
-    table of the entry alone.
-    """
-    table = _build_table(e.presentation, e.amap, (e,))
-    values, lows = table.evaluate(u.direction)
-    return table.entry_gap(0, values, lows)
 
 
 def choose_entry(s: PushingScheme, u: Character) -> tuple[SchemeEntry, float]:
@@ -386,8 +375,9 @@ def certify_coverage(s: PushingScheme, grid_spacing: float) -> SchemeConstants:
     reaches the minimum over the directions before it, since it can no
     longer lower that minimum.  Every value that reaches a
     min or a max is the same dot product of the same label with the same
-    Character.from_vector direction as in gap, so the certified constants
-    are the same floats as a minimum over gap maxima.
+    Character.from_vector direction as in entry_gap without early exits, so
+    the certified constants are the same floats as a minimum over the
+    directions of the largest entry gap.
     """
     if (
         isinstance(grid_spacing, bool)

@@ -32,6 +32,12 @@ def heisenberg_bundle():
     return _load_bundle("heisenberg")
 
 
+def table_gap(u, e) -> float:
+    """Entry e's valuation gap at the character u, read off a table of e alone."""
+    table = PushingScheme(e.presentation, e.amap, (e,)).table
+    return table.entry_gap(0, *table.evaluate(u.direction))
+
+
 @pytest.fixture
 def unglued_replacements(monkeypatch):
     """Every star replacement offers its outer walk rotated by one, so none glues.

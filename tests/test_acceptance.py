@@ -19,8 +19,10 @@ from vkpush.oracle import (
     tower_diagram,
     wasteful_diagram,
 )
-from vkpush.pusher import ARPair, predicted_area_bound, push_step, push_to_corridor
+from vkpush.presentation import free_reduce
+from vkpush.pusher import ARPair, _push_max, predicted_area_bound, push_to_corridor
 from vkpush.scheme import certify_coverage
+from vkpush.store import DartStore
 
 TOL = 1e-9
 R = (1, 2, -1, -2)
@@ -100,6 +102,8 @@ def test_acceptance_2_step_invariants(
         q = k.q_min + 1.0
         for cert in sample_corridor_certificates(p, m, q, 12, count, seed):
             cur = wasteful_diagram(s, cert, q)
+            # one store pushes the whole run; its diagram is validated after every step
+            store, choices = DartStore(cur), {}
             while cur.metrics()["norm"] > q:
                 cur_ids = set(cur.vertices)
                 g = cur.max_norm_vertex()
@@ -107,7 +111,8 @@ def test_acceptance_2_step_invariants(
                 degree = cur.degree(g)
                 tau = c - k.a / 2 + TOL
                 high_before = sum(1 for lbl in cur.labels.values() if norm(lbl) >= tau)
-                nxt, _ = push_step(cur, s, k, q)
+                _push_max(store, s, k, choices)
+                nxt = store.diagram()
                 steps += 1
                 fresh_norms = [
                     norm(nxt.labels[v]) for v in nxt.vertices if v not in cur_ids
@@ -213,7 +218,8 @@ def test_acceptance_5_oracle_equivalence(capsys, z2_bundle, z2_constants):
     resolved = 0
     push_ok = True
     for w, cert, found in corpus:
-        d = certificate_to_diagram(p, m, cert, m.zero, expected=w)
+        assert cert.reduced_word() == free_reduce(w)
+        d = certificate_to_diagram(p, m, cert, m.zero)
         fin, _ = push_to_corridor(d, s, k, q)
         if found is not None:
             resolved += 1

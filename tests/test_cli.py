@@ -80,7 +80,9 @@ def _range_case(flag, value, code, kind, command):
         _range_case("--q", value, 64, "UsageError", command)
         for value in ("nan", "inf", "-inf")
         for command in ("push", "sample", "bench")
-    ],
+    ]
+    # below the largest letter step no corridor loop exists
+    + [_range_case("--q", "0.5", 64, "UsageError", "sample")],
 )
 def test_grid_outside_its_range_is_a_json_error(capsys, tmp_path, flag, value, code, kind, command):
     # a grid spacing or a corridor radius out of range; 1e-300 asks for about
@@ -390,6 +392,21 @@ def test_bench_records_an_uncovered_step_as_failed_and_exits_four(capsys, monkey
             assert r["steps"] == 0 and r["final_area"] == r["initial_area"]
 
 
+def test_bench_audits_each_run_once(capsys, monkeypatch):
+    # each word's bound checks come off its trace, audited once by its run
+    audit = pusher._audit
+    calls = []
+
+    def count(*args):
+        calls.append(args)
+        return audit(*args)
+
+    monkeypatch.setattr(pusher, "_audit", count)
+    code, out, err = run(capsys, "bench", Z2, "--q", "5", "--count", "3", "--seed", "3")
+    assert code == 0 and out["audit_summary"]["words"] == 3
+    assert len(calls) == 3
+
+
 def test_bench_rejects_malformed_ar(capsys):
     for ar in (
         "n**2",
@@ -449,6 +466,12 @@ def test_out_of_memory_is_a_json_error(capsys, monkeypatch):
 def test_unknown_subcommand_is_usage(capsys):
     code, out, err = run(capsys, "frobnicate", Z2)
     assert code == 64
+
+
+def test_every_exported_name_resolves():
+    import vkpush
+
+    assert [name for name in vkpush.__all__ if not hasattr(vkpush, name)] == []
 
 
 def test_import_leaves_numpy_out():

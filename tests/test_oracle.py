@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from conftest import table_gap
 
 from vkpush.abelianization import AbelianizationMap, norm, prefix_labels, project
 from vkpush.diagram import DiagramBuilder, canonical_signature
@@ -19,7 +20,7 @@ from vkpush.oracle import (
     wasteful_diagram,
 )
 from vkpush.presentation import Presentation, ValidationError, free_reduce, invert
-from vkpush.scheme import CertificationError, PushingScheme, SchemeEntry, certify_coverage, gap
+from vkpush.scheme import CertificationError, PushingScheme, SchemeEntry, certify_coverage
 
 ZP = Presentation.from_texts(("a", "b"), ("a b a^-1 b^-1",))
 ZM = AbelianizationMap(rank=1, columns=((1,), (0,)))
@@ -214,16 +215,11 @@ def test_certificate_to_diagram_cancelling_petals_leave_nothing():
     assert d.boundary_word == ()
 
 
-def test_certificate_to_diagram_expected_mismatch():
-    cert = FillingCertificate((((), COMMUTATOR),))
-    with pytest.raises(ValidationError, match="does not reduce to the expected word"):
-        certificate_to_diagram(ZP, ZM, cert, (0,), expected=rect(2, 2))
-
-
 def test_certificate_to_diagram_area_bound_on_searched():
     for w in (rect(2, 2), rect(1, 2)):
         cert = search_filling(ZP, w, 5, max_len=12)
-        d = certificate_to_diagram(ZP, ZM, cert, (0,), expected=w)
+        assert cert.reduced_word() == free_reduce(w)
+        d = certificate_to_diagram(ZP, ZM, cert, (0,))
         assert d.boundary_word == w
         assert d.area <= len(cert.factors)
 
@@ -307,7 +303,7 @@ def test_annular_collar_word_mismatch():
 def test_wasteful_diagram_z2():
     s = z2_scheme()
     cert = FillingCertificate((((), COMMUTATOR), ((1,), (2, -1, -2, 1))))
-    d = wasteful_diagram(s, cert, q=5.0, slack=2.0)
+    d = wasteful_diagram(s, cert, q=5.0)
     assert d.boundary_word == cert.reduced_word()
     assert d.metrics()["norm"] > 7.0
     assert all(norm(d.labels[v]) <= 1.0 for v in d.boundary_vertices)
@@ -346,7 +342,7 @@ def test_heisenberg_gap_lipschitz_property(heis_scheme):
         u1, u2 = Character.from_vector(v1), Character.from_vector(v2)
         step = norm(tuple(a - b for a, b in zip(u1.direction, u2.direction)))
         for e in heis_scheme.entries:
-            g1, g2 = gap(u1, e), gap(u2, e)
+            g1, g2 = table_gap(u1, e), table_gap(u2, e)
             if math.isinf(g1) or math.isinf(g2):
                 continue
             assert abs(g1 - g2) <= k.lipschitz_bound * step + 1e-9
@@ -364,7 +360,7 @@ def test_heisenberg_sphere_coverage_property(heis_scheme):
         if norm(v) < 1e-6:
             continue
         u = Character.from_vector(v)
-        assert max(gap(u, e) for e in heis_scheme.entries) >= k.a - 1e-9
+        assert max(table_gap(u, e) for e in heis_scheme.entries) >= k.a - 1e-9
 
 
 def test_heisenberg_tower_central_words(heis_scheme):
@@ -386,6 +382,6 @@ def test_heisenberg_wasteful_from_sampled(heis_scheme):
         HP, HM, q=4.0, target_len=14, count=5, rng_seed=9, variant_pool=pool
     )
     for cert in certs:
-        d = wasteful_diagram(heis_scheme, cert, q=4.0, slack=1.5)
+        d = wasteful_diagram(heis_scheme, cert, q=4.0)
         assert d.boundary_word == cert.reduced_word()
         assert d.metrics()["norm"] > 5.5

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 from conftest import _load_bundle
 
-from vkpush import pusher, scheme
+from vkpush import pusher
 from vkpush.abelianization import Character, norm
 from vkpush.diagram import Diagram, DiagramBuilder
 from vkpush.oracle import (
@@ -21,9 +21,7 @@ from vkpush.pusher import (
     PushError,
     _audit,
     _compile_growth,
-    audit,
     predicted_area_bound,
-    push_step,
     push_to_corridor,
 )
 from vkpush.scheme import CertificationError, PushingScheme, certify_coverage, choose_entry
@@ -48,7 +46,9 @@ def test_single_step_reduces_top_level(z2):
     p, m, s, k = z2
     d = tower_diagram(s.entries[0], R, 5, (0,))
     assert d.metrics()["norm"] == 6.0
-    nd, step = push_step(d, s, k, 5.0)
+    store = DartStore(d)
+    step, _ = pusher._push_max(store, s, k, {})
+    nd = store.diagram()
     assert step.pushed_vertex_label == (6,)
     assert step.c == 6.0
     assert step.degree == 2
@@ -60,33 +60,31 @@ def test_single_step_reduces_top_level(z2):
     assert nd.boundary_word == d.boundary_word
 
 
-def test_step_rejects_diagram_already_inside(z2):
-    p, m, s, k = z2
-    d = tower_diagram(s.entries[0], R, 1, (0,))
-    with pytest.raises(PushError, match="already lies within"):
-        push_step(d, s, k, 5.0)
-
-
 def test_step_rejects_radius_at_or_below_minimum(z2):
     p, m, s, k = z2
     d = tower_diagram(s.entries[0], R, 5, (0,))
-    with pytest.raises(PushError, match="must exceed q_min"):
-        push_step(d, s, k, k.q_min)
+    with pytest.raises(PushError, match="must exceed q_min") as info:
+        push_to_corridor(d, s, k, k.q_min)
+    assert info.value.trace is None
 
 
 def test_step_rejects_boundary_outside_corridor(z2):
     p, m, s, k = z2
     d = tower_diagram(s.entries[0], R, 2, (8,))
-    with pytest.raises(PushError, match="boundary exceeds corridor"):
-        push_step(d, s, k, 5.0)
+    with pytest.raises(PushError, match="boundary exceeds corridor") as info:
+        push_to_corridor(d, s, k, 5.0)
+    assert info.value.trace is None
 
 
 def test_missing_entry_error_propagates(z2):
     p, m, s, k = z2
     one_sided = PushingScheme(p, m, (s.entries[0],))
     d = tower_diagram(s.entries[0], R, 5, (0,))
-    with pytest.raises(CertificationError, match="not covered"):
-        push_step(d, one_sided, k, 5.0)
+    # the tower's top label 6 asks for the entry that was left out
+    with pytest.raises(PushError, match="no scheme entry for the pushed vertex: .*not covered") as info:
+        push_to_corridor(d, one_sided, k, 5.0)
+    assert isinstance(info.value.__cause__, CertificationError)
+    assert info.value.trace.steps == []
 
 
 def test_run_returns_same_diagram_when_inside(z2):
@@ -96,6 +94,10 @@ def test_run_returns_same_diagram_when_inside(z2):
     assert final is d
     assert trace.steps == []
     assert trace.sweeps == 0
+    # the run's one audit still runs, and passes with no sweep to spend
+    assert trace.checks == _audit(trace, k, 5.0)[0]
+    assert trace.checks["sweep_cap"] == 0
+    assert all(v for key, v in trace.checks.items() if key != "sweep_cap")
 
 
 def test_full_descent_on_tower(z2):
@@ -131,10 +133,10 @@ def test_run_audit_failure_raises_with_trace(z2):
     trace = info.value.trace
     assert len(trace.steps) == 3
     assert "final area 21 exceeds (1+4AB)^sweeps * initial = 13.0" in str(info.value)
-    checks = audit(trace, broken, 5.0)
-    assert checks["area_within_bound"] is False
-    assert all(v for key, v in checks.items() if key != "area_within_bound")
-    assert audit(trace, k, 5.0)["area_within_bound"] is True
+    assert trace.checks == _audit(trace, broken, 5.0)[0]
+    assert trace.checks["area_within_bound"] is False
+    assert all(v for key, v in trace.checks.items() if key != "area_within_bound")
+    assert _audit(trace, k, 5.0)[0]["area_within_bound"] is True
 
 
 def test_step_without_enough_descent_fails_the_step_audit(z2):
@@ -158,10 +160,48 @@ def test_a_step_that_outgrows_a_times_degree_fails_both_audits(z2):
     tight = dataclasses.replace(k, A=0.5)
     with pytest.raises(PushError, match=r"area grew by 2 > A\*degree = 1\.0 \(step 0,") as info:
         push_to_corridor(d, s, tight, 5.0)
-    assert info.value.trace.steps == []
+    # the trace a failed step raises carries the run's audit of it
+    failed = info.value.trace
+    assert failed.steps == []
+    assert failed.checks == _audit(failed, tight, 5.0)[0]
+    assert all(v for key, v in failed.checks.items() if key != "sweep_cap")
     checks, problems = _audit(trace, tight, 5.0)
     assert checks["step_area_growth"] is False and checks["step_norm_drop"] is True
     assert problems[0] == "step 0: area grew by 2 > A*degree = 1.0"
+
+
+def test_every_exit_of_a_run_audits_it_once(z2, monkeypatch):
+    # the trace a run returns or raises is the one trace it audits; a failed
+    # precondition raises before any run, with no trace to audit
+    p, m, s, k = z2
+    up = next(e for e in s.entries if e.t == 1)
+    d = tower_diagram(up, R, 6, (0,))
+    audited = []
+    audit = pusher._audit
+
+    def count(trace, k_, q):
+        audited.append(trace)
+        return audit(trace, k_, q)
+
+    monkeypatch.setattr(pusher, "_audit", count)
+    runs = [
+        (tower_diagram(up, R, 2, (0,)), s, k),  # already inside
+        (d, s, k),
+        (d, s, dataclasses.replace(k, a=4.0)),  # the first step fails its audit
+        (d, PushingScheme(p, m, (up,)), k),  # the first step finds no entry
+        (d, s, dataclasses.replace(k, B=0)),  # the run fails its audit
+    ]
+    for diagram, scheme, constants in runs:
+        audited.clear()
+        try:
+            _, trace = push_to_corridor(diagram, scheme, constants, 5.0)
+        except PushError as exc:
+            trace = exc.trace
+        assert len(audited) == 1 and audited[0] is trace
+    audited.clear()
+    with pytest.raises(PushError, match="must exceed q_min"):
+        push_to_corridor(d, s, k, k.q_min)
+    assert audited == []
 
 
 def reference_label_problems(store, star, cut, label_g):
@@ -223,8 +263,7 @@ def test_deep_tower_runs_to_the_corridor(z2):
     q = k.q_min + 1.0
     final, trace = push_to_corridor(tower_diagram(up, R, 17, (0,)), s, k, q)
     assert (len(trace.steps), trace.sweeps, final.area) == (6623, 13, 2**15 + 5)
-    checks = audit(trace, k, q)
-    assert all(v for key, v in checks.items() if key != "sweep_cap")
+    assert all(v for key, v in trace.checks.items() if key != "sweep_cap")
 
 
 def test_replacement_that_does_not_glue_raises_with_trace(z2, unglued_replacements):
@@ -393,8 +432,7 @@ def test_warm_run_builds_no_replacement(z2, monkeypatch):
 
 
 def test_entry_choice_runs_once_per_pushed_label(z2, heis, monkeypatch):
-    # a run asks for an entry once per distinct pushed label, and that one
-    # scan of the scheme's table calls gap for no entry
+    # a run asks for an entry once per distinct pushed label
     calls = Counter()
     choose = pusher.choose_entry
 
@@ -402,11 +440,7 @@ def test_entry_choice_runs_once_per_pushed_label(z2, heis, monkeypatch):
         calls["choose_entry"] += 1
         return choose(s, u)
 
-    def no_gap(u, e):
-        calls["gap"] += 1
-
     monkeypatch.setattr(pusher, "choose_entry", count_choice)
-    monkeypatch.setattr(scheme, "gap", no_gap)
     p, m, s, k = z2
     labels = 0
     for e in s.entries:
@@ -434,7 +468,7 @@ def test_audit_area_bound_survives_float_overflow(z2):
     up = next(e for e in s.entries if e.t == 1)
     _, trace = push_to_corridor(tower_diagram(up, R, 6, (0,)), s, k, 5.0)
     # 81^170 passes the float range (1.8e308 at 162 sweeps)
-    checks = audit(dataclasses.replace(trace, sweeps=170), k, 5.0)
+    checks, _ = _audit(dataclasses.replace(trace, sweeps=170), k, 5.0)
     assert checks["area_within_bound"] is True
     assert checks["sweeps_within_cap"] is False
 

@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from conftest import mirror, rebase_on_boundary
+from conftest import mirror, rebase_on_boundary, table_gap
 from hypothesis import given, settings, strategies as st
 
 from vkpush import scheme
@@ -18,7 +18,6 @@ from vkpush.scheme import (
     SchemeEntry,
     certify_coverage,
     choose_entry,
-    gap,
     hat_word,
     verify_entry,
     _grid_steps,
@@ -118,10 +117,10 @@ def test_gap_values_on_fixture():
     up = Character.from_vector((1.0,))
     down = Character.from_vector((-1.0,))
     ea, ei = entry_a(), entry_a_inv()
-    assert gap(up, ea) == 1.0
-    assert gap(down, ea) == -math.inf
-    assert gap(down, ei) == 1.0
-    assert gap(up, ei) == -math.inf
+    assert table_gap(up, ea) == 1.0
+    assert table_gap(down, ea) == -math.inf
+    assert table_gap(down, ei) == 1.0
+    assert table_gap(up, ei) == -math.inf
 
 
 def test_gap_matches_rotated_rebased_instances():
@@ -145,7 +144,7 @@ def test_gap_matches_rotated_rebased_instances():
                     val = min(u.value(lbl) for lbl in inst.labels.values())
                     low = min(u.value(lbl) for lbl in prefix_labels(ZM, rotated, ZM.zero))
                     observed = min(observed, val - low)
-        assert math.isclose(observed, gap(u, e), abs_tol=1e-12)
+        assert math.isclose(observed, table_gap(u, e), abs_tol=1e-12)
 
 
 def reference_gap(u, e):
@@ -184,7 +183,7 @@ def test_gap_equals_reference_gap_exactly(bundle, request):
     for direction in grid + randoms:
         u = Character.from_vector(direction)
         for e in s.entries:
-            assert gap(u, e) == reference_gap(u, e)
+            assert table_gap(u, e) == reference_gap(u, e)
 
 
 def reference_certified_a(s, grid, lipschitz_bound):
@@ -231,7 +230,7 @@ def test_gap_and_choice_match_the_references_at_any_direction(bundle, request):
     def check(direction):
         u = Character.from_vector(direction)
         for e in s.entries:
-            assert gap(u, e) == reference_gap(u, e)
+            assert table_gap(u, e) == reference_gap(u, e)
         want = reference_choice(s, u)
         if want[1] <= 0.0:
             with pytest.raises(CertificationError, match="not covered"):

@@ -23,7 +23,7 @@ from vkpush.diagram import (
 )
 from vkpush.oracle import sample_corridor_certificates, tower_diagram, wasteful_diagram
 from vkpush.presentation import ValidationError
-from vkpush.pusher import PushStep, _push_max, _pushed_star, push_step, push_to_corridor
+from vkpush.pusher import PushStep, _push_max, _pushed_star, push_to_corridor
 from vkpush.scheme import certify_coverage, choose_entry
 from vkpush.store import DartStore
 
@@ -124,10 +124,6 @@ def push_both_ways(d, s, k, q):
     steps = []
     while ref.metrics()["norm"] > q:
         nxt, want = reference_step(ref, s, k)
-        # the public wrapper, from the reference's own diagram
-        wrapped, got = push_step(ref, s, k, q)
-        assert got == want
-        assert_same(wrapped, nxt)
         # the store a run keeps
         got, _ = _push_max(store, s, k, choices)
         assert got == want
