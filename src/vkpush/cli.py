@@ -149,6 +149,17 @@ def _require_finite_q(args) -> None:
         raise UsageError("q must be a finite number")
 
 
+# the least value of each integer flag; argparse checks only that it parses
+_FLAG_FLOORS = {"count": 0, "target_len": 1, "max_area": 0, "max_len": 0, "max_words": 1}
+
+
+def _check_flag_floors(args) -> None:
+    for name, floor in _FLAG_FLOORS.items():
+        value = getattr(args, name, None)
+        if value is not None and value < floor:
+            raise UsageError(f"--{name.replace('_', '-')} must be at least {floor}")
+
+
 def _push_inputs(args):
     """The bundle, scheme and constants push and bench run on; flags checked first."""
     grid = _grid(args)
@@ -401,8 +412,6 @@ def cmd_push(args) -> int:
 
 
 def cmd_area_oracle(args) -> int:
-    if args.max_words < 1:
-        raise UsageError("--max-words must be positive")
     p, m, s = _load_bundle(args.bundle)
     w = parse_word(args.word, p)
     out = {"word": word_to_text(w, p), "max_area": args.max_area}
@@ -625,6 +634,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _check_flag_floors(args)
         return args.func(args)
     except InputError as exc:
         _emit_error("InputError", str(exc))

@@ -12,10 +12,11 @@ Vertex labels in Z^n are breadth-first propagated from the base label and
 must be consistent along every edge.  ``Diagram.build`` is the single full
 validator: every Diagram comes out of it, including those of
 ``vkpush.store``, which replaces vertex stars in place and checks only what
-a replacement creates.  A replacement is compiled, not built into a
-Diagram, through the same checks: ``DiagramBuilder.resolve``, which
-``DiagramBuilder.build`` runs before the validator, and the validator's
-``check_relator_faces`` and ``walk_labels``.
+a replacement creates.  It lists every rotation from its smallest dart,
+whichever dart the input starts it at.  A replacement is compiled, not
+built into a Diagram, through the same checks: ``DiagramBuilder.resolve``,
+which ``DiagramBuilder.build`` runs before the validator, and the
+validator's ``check_relator_faces`` and ``walk_labels``.
 """
 
 from __future__ import annotations
@@ -133,8 +134,13 @@ class Diagram:
         if boundary_face_dart is None or boundary_face_dart not in darts:
             raise ValidationError("boundary_face_dart must name an existing dart")
 
-        # phi(d) = sigma^-1(twin(d)): the face continuation with interior on the left
+        # rotations listed from their smallest darts; phi(d) = sigma^-1(twin(d)):
+        # the face continuation with interior on the left
         rot_lists = {v: tuple(rot) for v, rot in rotations.items()}
+        for v, rot in rot_lists.items():
+            if rot and rot[0] != min(rot):
+                i = rot.index(min(rot))
+                rot_lists[v] = rot[i:] + rot[:i]
         pos = {d: i for v, rot in rot_lists.items() for i, d in enumerate(rot)}
 
         def phi(d: int) -> int:
@@ -387,16 +393,6 @@ class DiagramBuilder:
         self.twin[d] = twin
         self._parent[d] = d
 
-    def adopt(self, d: Diagram) -> None:
-        """Copy a diagram's darts under their own ids."""
-        clash = set(d.origin) & set(self.letter)
-        if clash:
-            raise ValidationError(f"cannot adopt: dart ids {sorted(clash)[:4]} already in use")
-        for dart in d.origin:
-            self.add_dart(dart, d.letter[dart], d.twin[dart])
-        if d.origin:
-            self._next = max(self._next, max(d.origin) + 1)
-
     def import_diagram(self, d: Diagram) -> list[int]:
         """Copy a diagram's darts under fresh ids and its interior faces as cells.
 
@@ -600,48 +596,6 @@ class StarView:
     link_darts: tuple[int, ...]
     link_word: Word
     degree: int
-
-
-# -- boundary rewriting ------------------------------------------------------
-
-
-def expand_boundary(d: Diagram, target: Word) -> Diagram:
-    """Attach spur trees so the boundary word becomes exactly ``target``.
-
-    The target must freely reduce to the current boundary word.
-    """
-    match: dict[int, int] = {}
-    stack: list[int] = []
-    for i, x in enumerate(target):
-        if stack and target[stack[-1]] == -x:
-            j = stack.pop()
-            match[j] = i
-            match[i] = j
-        else:
-            stack.append(i)
-    residual = tuple(target[i] for i in sorted(set(range(len(target))) - set(match)))
-    if residual != d.boundary_word:
-        raise ValidationError(
-            f"target {word_to_text(target, d.presentation)!r} does not reduce to the boundary word"
-        )
-    bld = DiagramBuilder(d.presentation, d.amap)
-    bld.adopt(d)
-    for i, face in enumerate(d.faces):
-        if i != d.boundary_face_index:
-            bld.add_cell(face)
-    old_walk = iter(d.boundary_walk)
-    opened: dict[int, int] = {}
-    walk: list[int] = []
-    for i, x in enumerate(target):
-        if i not in match:
-            walk.append(next(old_walk))
-        elif match[i] > i:
-            dart = bld.new_edge(x)[0]
-            opened[i] = dart
-            walk.append(dart)
-        else:
-            walk.append(bld.twin[opened[match[i]]])
-    return bld.build(walk, d.base_label, vertex_hints=dict(d.origin))
 
 
 # -- isomorphism signatures ---------------------------------------------

@@ -34,7 +34,7 @@ from vkpush.abelianization import (
     project,
     vec_add,
 )
-from vkpush.diagram import Diagram, DiagramBuilder, expand_boundary
+from vkpush.diagram import Diagram, DiagramBuilder
 from vkpush.presentation import (
     Presentation,
     ValidationError,
@@ -394,14 +394,16 @@ def certificate_to_diagram(
     m: AbelianizationMap,
     cert: FillingCertificate,
     base_label: Vector,
+    boundary: Word | None = None,
 ) -> Diagram:
-    """Realize a certificate as a based diagram with freely reduced boundary.
+    """Realize a certificate as a based diagram with boundary word ``boundary``.
 
     Builds the wedge of lollipops the factors describe, then folds the walk
     until its word is reduced.  Cancelling petals that pinch off as spheres
-    are discarded.
+    are discarded.  ``boundary`` (default: the reduced product) must freely
+    reduce to the product; each pair it cancels becomes a spur edge.
     """
-    return _lollipops(p, m, cert, base_label, lambda bld, u, r: _cell(bld, r))
+    return _lollipops(p, m, cert, base_label, lambda bld, u, r: _cell(bld, r), boundary)
 
 
 def _cell(bld: DiagramBuilder, r: Word) -> list[int]:
@@ -410,12 +412,33 @@ def _cell(bld: DiagramBuilder, r: Word) -> list[int]:
     return petal
 
 
+def _spurs(bld: DiagramBuilder, walk: list[int], boundary: Word) -> list[int]:
+    """The reduced walk with a spur edge woven in for each pair boundary cancels."""
+    closes: dict[int, int] = {}  # closing position -> opening position
+    stack: list[int] = []
+    for i, x in enumerate(boundary):
+        if stack and boundary[stack[-1]] == -x:
+            closes[i] = stack.pop()
+        else:
+            stack.append(i)
+    if [boundary[i] for i in stack] != [bld.letter[d] for d in walk]:
+        raise ValidationError(f"boundary {word_to_text(boundary, bld.p)!r} does not reduce to the product")
+    out = dict(zip(stack, walk))
+    for i, x in enumerate(boundary):
+        if i in closes:
+            out[i] = bld.twin[out[closes[i]]]
+        elif i not in out:
+            out[i] = bld.new_edge(x)[0]
+    return [out[i] for i in range(len(boundary))]
+
+
 def _lollipops(
     p: Presentation,
     m: AbelianizationMap,
     cert: FillingCertificate,
     base_label: Vector,
     petal: Callable[[DiagramBuilder, Word, Word], list[int]],
+    boundary: Word | None = None,
 ) -> Diagram:
     """certificate_to_diagram with the petal of each factor (u, r) built by petal(bld, u, r)."""
     bld = DiagramBuilder(p, m)
@@ -426,7 +449,10 @@ def _lollipops(
         walk.extend(stem)
         walk.extend(petal(bld, u, r))
         walk.extend(bld.twin[s] for s in reversed(stem))
-    return bld.build(_fold_walk(bld, walk), base_label, allow_bubbles=True)
+    walk = _fold_walk(bld, walk)
+    if boundary is not None:
+        walk = _spurs(bld, walk, boundary)
+    return bld.build(walk, base_label, allow_bubbles=True)
 
 
 def sample_corridor_certificates(
@@ -436,24 +462,20 @@ def sample_corridor_certificates(
     target_len: int,
     count: int,
     rng_seed: int,
-    variant_pool: tuple[Word, ...] | None = None,
 ) -> list[FillingCertificate]:
     """Seeded certificates whose reduced products stay in the norm-q corridor.
 
-    Every prefix of each reduced product has label norm at most q.  The pool
-    restricts which relator variants the petals draw from; conjugators stay
-    short so the attachment labels remain deep inside the corridor.
+    Every prefix of each reduced product has label norm at most q.  Petals
+    draw from every relator variant; conjugators stay short so the
+    attachment labels remain deep inside the corridor.
     """
     if q < m.lipschitz:
         raise ValidationError("corridor radius is below the largest letter step")
     if count < 0:
         raise ValidationError("count must be nonnegative")
-    pool = sorted(p.variant_set) if variant_pool is None else list(variant_pool)
-    for v in pool:
-        if v not in p.variant_set:
-            raise ValidationError(f"pool word {word_to_text(v, p)!r} is not a relator variant")
+    pool = sorted(p.variant_set)
     if not pool:
-        raise ValidationError("variant pool is empty")
+        raise ValidationError("the presentation has no relators to sample")
     letters = sorted(p.letters())
     rng = random.Random(rng_seed)
     results: list[FillingCertificate] = []
@@ -499,7 +521,8 @@ def build_scheme_entry(
     Fillings are searched box-first: a filling confined to the bounding box
     of its own boundary labels cannot dip below the corridor, so it keeps the
     direction gap positive.  Only when no boxed filling exists within the
-    bounds does the unconstrained search get a say.
+    bounds does the unconstrained search get a say.  Each filling is built
+    once, with the hat word itself as boundary, spurs included.
 
     A conjugation table that is not witnessed by the relators is rejected
     outright; missing fillings within the search bounds raise
@@ -522,8 +545,7 @@ def build_scheme_entry(
         if cert is None:
             unfilled.append(i)
             continue
-        flat = certificate_to_diagram(p, m, cert, col)
-        fillings[i] = expand_boundary(flat, target)
+        fillings[i] = certificate_to_diagram(p, m, cert, col, target)
     if unfilled:
         raise FillingSearchError(
             f"no filling found within bounds for relators {unfilled}", unfilled

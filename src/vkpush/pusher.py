@@ -431,7 +431,8 @@ def _compile_growth(expr: str) -> Callable[[float], float]:
     Permits numbers, n, + - * / ** with unary minus, and calls to log, log2,
     sqrt, exp.  Anything else is rejected up front.  Division by zero, a
     math domain error, a non-real power or a float overflow while evaluating
-    raises ValidationError.
+    raises ValidationError.  An integer power of more than _EXACT_BITS bits
+    is taken in floats, where it overflows, instead of being built.
     """
     try:
         tree = ast.parse(expr, mode="eval")
@@ -456,6 +457,9 @@ def _compile_growth(expr: str) -> Callable[[float], float]:
             if isinstance(node.op, ast.Div):
                 return a / b
             if isinstance(node.op, ast.Pow):
+                if isinstance(a, int) and isinstance(b, int) and abs(a) > 1:
+                    if b * math.log2(abs(a)) > _EXACT_BITS:
+                        a = float(a)
                 val = a**b
                 if isinstance(val, complex):
                     raise ValueError(f"{a!r} ** {b!r} is not real")

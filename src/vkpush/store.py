@@ -163,8 +163,8 @@ class DartStore:
     one in the rank order of their builder roots; a glued edge class keeps
     the id of the root ``DiagramBuilder.alias`` would pick; new and folded
     vertices are numbered from the largest vertex id plus one, in the order
-    of each new rotation's smallest dart; and after the first surgery every
-    rotation starts at its smallest dart.
+    of each new rotation's smallest dart; and every rotation starts at its
+    smallest dart, as ``Diagram.build`` lists it.
     """
 
     def __init__(self, d: Diagram):
@@ -182,7 +182,6 @@ class DartStore:
         self.boundary_walk = d.boundary_walk
         self.boundary_vertices = d.boundary_vertices
         self.area = d.area
-        self._normalized = False
         # a max-heap of vertices by norm_key, and ascending lists holding
         # every live dart and vertex id; dead entries leave lazily
         self._heap = [norm_key(v, lbl) for v, lbl in self.labels.items()]
@@ -494,15 +493,6 @@ class DartStore:
         """Commit a surgery computed by glue on the current state."""
         origin, letter, twin, pos = self.origin, self.letter, self.twin, self.pos
         rotations, labels = self.rotations, self.labels
-        if not self._normalized:
-            # a rebuild lists every rotation from its smallest dart
-            self._normalized = True
-            for w, rot in rotations.items():
-                i = rot.index(min(rot))
-                if i:
-                    rot = rotations[w] = rot[i:] + rot[:i]
-                    for j, x in enumerate(rot):
-                        pos[x] = j
         for x in s.dropped_darts:
             del origin[x], letter[x], twin[x], pos[x]
         for x, (lt, tw) in s.darts.items():

@@ -7,7 +7,7 @@ import pytest
 
 from vkpush import pusher
 from vkpush.abelianization import AbelianizationMap
-from vkpush.diagram import Diagram
+from vkpush.diagram import Diagram, DiagramBuilder
 from vkpush.presentation import Presentation, ValidationError, Word, invert
 from vkpush.scheme import PushingScheme, SchemeEntry, hat_word
 
@@ -116,6 +116,13 @@ def rebase_on_boundary(d: Diagram, position: int, base_label: Sequence[int] | No
         base_label=label,
         boundary_face_dart=new_bfd,
     )
+
+
+def adopt(bld: DiagramBuilder, d: Diagram) -> None:
+    """Copy a diagram's darts into a fresh builder under their own ids."""
+    for x in d.origin:
+        bld.add_dart(x, d.letter[x], d.twin[x])
+    bld._next = max(d.origin, default=0) + 1
 
 
 def corner_instance(e: SchemeEntry, word: Word) -> Diagram:

@@ -104,6 +104,26 @@ def test_grid_outside_its_range_is_a_json_error(capsys, tmp_path, flag, value, c
     assert json.loads(captured.err)["error"]["type"] == kind
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", Z2, "--q", "5", "--count", "-1"],
+        ["bench", Z2, "--q", "5", "--count", "-1"],
+        ["area-oracle", Z2, "--word", "a", "--max-area", "-1"],
+        ["bench", Z2, "--q", "5", "--count", "1", "--oracle-check", "--max-area", "-1"],
+        ["sample", Z2, "--q", "5", "--count", "1", "--target-len", "0"],
+        ["bench", Z2, "--q", "5", "--count", "1", "--target-len", "-3"],
+        ["area-oracle", Z2, "--word", "a", "--max-area", "2", "--max-len", "-1"],
+    ],
+    ids=lambda argv: " ".join(argv[:1] + argv[2:]),
+)
+def test_integer_flag_below_its_floor_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 64 and out is None
+    assert err["error"]["type"] == "UsageError"
+    assert err["error"]["message"].startswith("--")
+
+
 def test_certify_uncovered_scheme_exits_three(capsys, tmp_path):
     obj = json.loads((FIXTURES / "z2.json").read_text())
     obj["scheme"]["entries"] = [e for e in obj["scheme"]["entries"] if e["t"] == "a"]
@@ -419,6 +439,24 @@ def test_bench_rejects_malformed_ar(capsys):
         code, out, err = run(capsys, "bench", Z2, "--q", "5", "--count", "0", "--ar", ar)
         assert code == 64, ar
         assert err["error"]["type"] == "UsageError"
+
+
+@pytest.mark.parametrize(
+    "count, ar", [("1", "10**10**7,n"), ("0", "n**n**n,n")], ids=["10**10**7", "n**n**n"]
+)
+def test_bench_towering_integer_power_is_a_usage_error_in_bounded_time(count, ar):
+    # built in full, 10**10**7 took over 30 s and n**n**n at n = 10 would
+    # never end; an integer power past _EXACT_BITS bits overflows as a float
+    proc = subprocess.run(
+        [sys.executable, "-m", "vkpush", "bench", Z2, "--q", "5", "--count", count, "--ar", ar],
+        capture_output=True,
+        text=True,
+        env=ENV,
+        timeout=20,
+    )
+    assert proc.returncode == 64
+    error = json.loads(proc.stderr)["error"]
+    assert error["type"] == "UsageError" and "undefined" in error["message"]
 
 
 def test_bench_fast_radius_law_overflows_in_bounded_time():

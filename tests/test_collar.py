@@ -11,7 +11,7 @@ every push step.
 """
 
 import pytest
-from conftest import _load_bundle, corner_instance
+from conftest import _load_bundle, adopt, corner_instance
 
 from vkpush.abelianization import Character, norm, vec_add, vec_sub
 from vkpush.diagram import DiagramBuilder
@@ -29,7 +29,7 @@ def reference_collar(inner, e, outer_word):
         raise ValidationError("collar outer word does not hat onto the inner boundary")
     p, m = e.presentation, e.amap
     bld = DiagramBuilder(p, m)
-    bld.adopt(inner)
+    adopt(bld, inner)
     for idx, face in enumerate(inner.faces):
         if idx != inner.boundary_face_index:
             bld.add_cell(list(face))

@@ -10,9 +10,8 @@ from vkpush.diagram import (
     Diagram,
     DiagramBuilder,
     canonical_signature,
-    expand_boundary,
 )
-from vkpush.oracle import tower_diagram
+from vkpush.oracle import FillingCertificate, certificate_to_diagram, tower_diagram
 from vkpush.presentation import Presentation, ValidationError, invert
 from vkpush.store import DartStore, Template
 
@@ -435,30 +434,34 @@ def test_splice_rejects_a_vertex_the_link_does_not_reach(grid):
 
 
 # -- boundary expansion ----------------------------------------------------
+#
+# A certificate's diagram built with a boundary word that freely reduces to
+# its product: the cancelled pairs become spur edges.
+
+SQUARE = FillingCertificate((((), (1, 2, -1, -2)),))
 
 
-def test_expand_boundary_inserts_spur(square):
+def test_expand_boundary_inserts_spur(square, zp, zm):
     target = (1, 2, -2, 2, -1, -2)
-    out = expand_boundary(square, target)
+    out = certificate_to_diagram(zp, zm, SQUARE, (0, 0), target)
     assert out.boundary_word == target
     assert out.area == 1
     assert len(out.vertices) == 5
     assert out.base == square.base
 
 
-def test_expand_boundary_identity(square):
-    out = expand_boundary(square, square.boundary_word)
+def test_expand_boundary_identity(square, zp, zm):
+    out = certificate_to_diagram(zp, zm, SQUARE, (0, 0), square.boundary_word)
     assert canonical_signature(out) == canonical_signature(square)
 
 
-def test_expand_boundary_rejects_mismatch(square):
+def test_expand_boundary_rejects_mismatch(zp, zm):
     with pytest.raises(ValidationError, match="does not reduce"):
-        expand_boundary(square, (1, 2, -2, -1))
+        certificate_to_diagram(zp, zm, SQUARE, (0, 0), (1, 2, -2, -1))
 
 
 def test_expand_boundary_on_trivial(zp, zm):
-    d = DiagramBuilder(zp, zm).build((), (0, 0))
-    out = expand_boundary(d, (1, -1, 2, -2))
+    out = certificate_to_diagram(zp, zm, FillingCertificate(()), (0, 0), (1, -1, 2, -2))
     assert out.boundary_word == (1, -1, 2, -2)
     assert out.area == 0
     assert len(out.vertices) == 3
@@ -474,7 +477,7 @@ def test_expand_boundary_random_insertions(inserts):
     for pos, x in inserts:
         pos %= len(target) + 1
         target[pos:pos] = [x, -x]
-    out = expand_boundary(d, tuple(target))
+    out = certificate_to_diagram(p, m, SQUARE, (0, 0), tuple(target))
     assert out.boundary_word == tuple(target)
     assert out.area == d.area
 

@@ -1,10 +1,11 @@
 import math
+import random
 
 import pytest
-from conftest import table_gap
+from conftest import _load_bundle, table_gap
 
 from vkpush.abelianization import AbelianizationMap, norm, prefix_labels, project
-from vkpush.diagram import DiagramBuilder, canonical_signature
+from vkpush.diagram import Diagram, DiagramBuilder, canonical_signature
 from vkpush.oracle import (
     MAX_RANK,
     FillingCertificate,
@@ -260,6 +261,30 @@ def test_build_scheme_entry_matches_handmade():
     assert canonical_signature(built.fillings[0]) == canonical_signature(hand.fillings[0])
 
 
+@pytest.mark.parametrize(
+    "name, bounds", [("z2", {"max_area": 2}), ("heisenberg", {"max_area": 4, "max_len": 12})]
+)
+def test_build_scheme_entry_builds_each_filling_once(monkeypatch, name, bounds):
+    # the fixture builds: each hat word's filling, spurs included, is one
+    # Diagram.build
+    p, m, s = _load_bundle(name)
+    calls = []
+    diagram_build = Diagram.build.__func__
+
+    def count(cls, *args, **kwargs):
+        calls.append(cls)
+        return diagram_build(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Diagram, "build", classmethod(count))
+    for e in s.entries:
+        calls.clear()
+        built = build_scheme_entry(p, m, e.t, {x: tuple(w) for x, w in e.conj.items()}, **bounds)
+        assert len(calls) == len(p.relators)
+        assert [f.boundary_word for f in built.fillings.values()] == [
+            f.boundary_word for f in e.fillings.values()
+        ]
+
+
 def test_build_scheme_entry_unfilled():
     with pytest.raises(FillingSearchError) as err:
         build_scheme_entry(ZP, ZM, 1, {2: (2,), -2: (-2,)}, max_area=0)
@@ -374,13 +399,21 @@ def test_heisenberg_tower_central_words(heis_scheme):
 
 
 def test_heisenberg_wasteful_from_sampled(heis_scheme):
-    # central variants only: rotations of [x,z] and [y,z] and their inverses
-    pool = tuple(
-        sorted(v for v in HP.variant_set if set(map(abs, v)) in ({1, 3}, {2, 3}))
-    )
-    certs = sample_corridor_certificates(
-        HP, HM, q=4.0, target_len=14, count=5, rng_seed=9, variant_pool=pool
-    )
+    # five seeded certificates over central variants only: rotations of
+    # [x,z] and [y,z] and their inverses, on conjugators of at most 2 letters
+    pool = sorted(v for v in HP.variant_set if set(map(abs, v)) in ({1, 3}, {2, 3}))
+    letters = sorted(HP.letters())
+    rng = random.Random(9)
+    certs = []
+    while len(certs) < 5:
+        cert = FillingCertificate(
+            tuple(
+                (free_reduce(tuple(rng.choice(letters) for _ in range(rng.randint(0, 2)))), rng.choice(pool))
+                for _ in range(rng.randint(1, 4))
+            )
+        )
+        if cert.reduced_word():
+            certs.append(cert)
     for cert in certs:
         d = wasteful_diagram(heis_scheme, cert, q=4.0)
         assert d.boundary_word == cert.reduced_word()

@@ -1,11 +1,12 @@
 import dataclasses
+import json
 import math
 from collections import Counter
 
 import pytest
-from conftest import _load_bundle
+from conftest import FIXTURES, _load_bundle
 
-from vkpush import pusher
+from vkpush import cli, pusher
 from vkpush.abelianization import Character, norm
 from vkpush.diagram import Diagram, DiagramBuilder
 from vkpush.oracle import (
@@ -320,6 +321,25 @@ def test_uncovered_character_mid_run_raises_with_trace(z2, monkeypatch):
     assert len(trace.steps) == 1
     assert trace.final.area == trace.steps[-1].area_after
     assert trace.final.boundary_word == d.boundary_word
+
+
+@pytest.mark.parametrize("t", [1, -1])
+def test_rotated_rotation_lists_push_to_the_same_report(z2, tmp_path, capsys, t):
+    # a diagram file may list a rotation from any of its darts; loading lists
+    # each from its smallest, so the push report is the sorted file's
+    p, m, s, k = z2
+    entry = next(e for e in s.entries if e.t == t)
+    obj = tower_diagram(entry, R, 7, m.zero).to_json_dict()
+    rotated = {**obj, "rotations": {v: rot[1:] + rot[:1] for v, rot in obj["rotations"].items()}}
+    assert rotated["rotations"] != obj["rotations"]
+    reports = []
+    for name, diagram in (("sorted", obj), ("rotated", rotated)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(diagram))
+        assert cli.main(["push", str(FIXTURES / "z2.json"), str(path), "--q", "5"]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["steps"]
 
 
 def test_warm_run_validates_one_diagram(z2, monkeypatch):

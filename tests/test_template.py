@@ -300,8 +300,9 @@ def test_templates_match_reference_from_unsorted_rotations(z2):
     obj = tower_diagram(entry, R, 7, m.zero).to_json_dict()
     for v, rot in obj["rotations"].items():
         obj["rotations"][v] = rot[1:] + rot[:1]
+    assert any(rot[0] != min(rot) for rot in obj["rotations"].values())
     d = Diagram.from_json_dict(json.loads(json.dumps(obj)), p, m)
-    assert any(rot[0] != min(rot) for rot in d.rotations.values())
+    assert all(rot[0] == min(rot) for rot in d.rotations.values())
     assert push_against_reference(d, s, k, q, Counter()) == 6
 
 
