@@ -604,16 +604,18 @@ class StarView:
 def canonical_signature(d: Diagram) -> tuple:
     """A traversal signature equal exactly for isomorphic based maps.
 
-    Darts are renumbered by a breadth-first sweep anchored at the boundary
-    face dart, so the signature is independent of concrete dart and vertex
-    ids.  It reads only arrays a ``store.DartStore`` holds too.
+    Darts are renumbered by a breadth-first sweep from the base vertex,
+    anchored at the boundary face dart that starts there, so the signature
+    is independent of concrete dart and vertex ids.  It reads only arrays a
+    ``store.DartStore`` holds too: the base is the boundary face dart's
+    origin.
     """
     if not d.origin:
         return ("trivial", d.base_label)
     dart_index: dict[int, int] = {}
     visit: list[tuple[int, ...]] = []
-    queue = deque([(d.base, d.boundary_face_dart)])
-    seen = {d.base}
+    queue = deque([(d.origin[d.boundary_face_dart], d.boundary_face_dart)])
+    seen = {queue[0][0]}
     while queue:
         v, anchor = queue.popleft()
         rot = d.rotations[v]

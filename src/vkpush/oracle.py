@@ -492,7 +492,7 @@ def sample_corridor_certificates(
         if attempts > budget:
             raise SearchBudgetError(
                 f"sampling budget exhausted after {budget} attempts"
-                f" (corridor {q} too tight for length {target_len})"
+                f" (no loop of at most {target_len} letters inside corridor {q})"
             )
         factors: list[tuple[Word, Word]] = []
         wanted = rng.randint(1, 4)

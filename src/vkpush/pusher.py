@@ -173,14 +173,16 @@ def _push_max(
     The surgery is applied only once its checks pass: every vertex the step
     creates has norm at most c - a/2, the count of vertices at norm >= c - a/2
     strictly drops, the area grows by at most A per unit of degree, and the
-    boundary word is untouched.  The label multiset loses the pushed label;
-    when the link walk traverses an edge twice the splice may also absorb
-    link vertices whose whole neighbourhood lay in the closed star (their
-    edges fold into the ring), so extra losses are accepted exactly on link
-    labels.  ``choices`` holds the run's entry and entry index per pushed
-    label, so entry choice runs once per label.  A failed step names itself
-    by ``index``, the step's place in the run, and by its vertex, label and
-    entry.
+    boundary word is untouched: the step drops no boundary dart (``star``
+    refuses a boundary vertex), so only a host dart it keeps under a new id
+    could change a boundary letter, and each must keep its letter.  The
+    label multiset loses the pushed label; when the link walk traverses an
+    edge twice the splice may also absorb link vertices whose whole
+    neighbourhood lay in the closed star (their edges fold into the ring),
+    so extra losses are accepted exactly on link labels.  ``choices`` holds
+    the run's entry and entry index per pushed label, so entry choice runs
+    once per label.  A failed step names itself by ``index``, the step's
+    place in the run, and by its vertex, label and entry.
     """
     g = store.max_norm_vertex()
     label_g = store.labels[g]
@@ -237,8 +239,7 @@ def _push_max(
     high_new = sum(1 for lbl in cut.labels.values() if norms[lbl] >= tau)
     if not high_new < high_lost:
         problems.append("the count of vertices above the c - a/2 threshold did not decrease")
-    letters = [cut.darts[x][0] if x in cut.darts else store.letter[x] for x in cut.boundary_walk]
-    if tuple(letters) != store.boundary_word:
+    if any(cut.darts[n][0] != store.letter[x] for x, n in cut.renamed.items()):
         problems.append("the boundary word changed")
     if problems:
         raise PushError(

@@ -1,19 +1,20 @@
 """Vertex stars replaced in place, on a mutable copy of a diagram's arrays.
 
 A push run keeps one DartStore and replaces one star per step, so a step
-costs O(star) and not O(diagram).  A replacement comes as a ``Template``:
-compiled once from the DiagramBuilder that assembled it, with what does not
-depend on the host checked then (relator words, one use per dart, interior
-rotations reached from the link, label offsets along every edge).
-``DartStore.glue`` checks per step only what joining the link creates: the
-identifications, the rotations at the link vertices, the label at each link
-position and the Euler count.  The host darts around the link that the step
-keeps, its rim, are copied into the new rotations as slices of their host
-rotations and never re-checked: a rim edge held before the step, its far
-end keeps its label, and its near end is a link vertex, whose label glue
-checks.  ``DartStore.diagram`` hands the arrays back to ``Diagram.build``,
-the full validator.  The pusher imports this module where it uses it, so a
-start that never pushes does not load it.
+costs O(star) and not O(diagram).  Of the boundary the store keeps only the
+boundary face dart, so no step reads the boundary beyond its star.  A
+replacement comes as a ``Template``: compiled once from the DiagramBuilder
+that assembled it, with what does not depend on the host checked then
+(relator words, one use per dart, interior rotations reached from the link,
+label offsets along every edge).  ``DartStore.glue`` checks per step only
+what joining the link creates: the identifications, the rotations at the
+link vertices, the label at each link position and the Euler count.  The
+host darts around the link that the step keeps, its rim, are copied into the
+new rotations as slices of their host rotations and never re-checked: a rim
+edge held before the step, its far end keeps its label, and its near end is
+a link vertex, whose label glue checks.  ``DartStore.diagram`` hands the
+arrays back to ``Diagram.build``, the full validator.  The pusher imports
+this module where it uses it, so a start that never pushes does not load it.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from vkpush.diagram import (
     norm_key,
     walk_labels,
 )
-from vkpush.presentation import ValidationError, Word, word_to_text
+from vkpush.presentation import ValidationError, word_to_text
 
 
 @dataclass(frozen=True)
@@ -52,9 +53,10 @@ class Surgery:
     fresh: dict[int, tuple[int, ...]]
     # labels of the new vertex ids
     labels: dict[int, Vector]
-    boundary_walk: tuple[int, ...]
+    # host dart -> the new id of its class, for each host dart the step
+    # keeps under a new id: the outer twins of the link, O(link) of them
+    renamed: dict[int, int]
     boundary_face_dart: int
-    base: int
     area: int
 
 
@@ -148,8 +150,10 @@ class DartStore:
     """The arrays of a diagram in mutable form, for replacing stars in place.
 
     It holds what ``Diagram.build`` derived (origin, letter, twin, rotations,
-    labels, boundary walk) and the position of each dart in its rotation;
-    faces are read off the rotations on demand.  ``glue`` computes the
+    labels) and the position of each dart in its rotation; faces are read
+    off the rotations on demand.  Of the boundary it keeps one fact, the
+    boundary face dart, whose origin is the base vertex: a step reads no
+    part of the boundary beyond its star.  ``glue`` computes the
     surgery that replaces a star, and ``apply`` commits it.  Both cost
     O(star): the replacement, the corner faces and the rotations of the link
     vertices.  Glue does per-dart work only for the darts a step drops or
@@ -176,11 +180,8 @@ class DartStore:
         self.rotations = dict(d.rotations)
         self.pos = {x: i for rot in d.rotations.values() for i, x in enumerate(rot)}
         self.labels = dict(d.labels)
-        self.base = d.base
         self.base_label = d.base_label
         self.boundary_face_dart = d.boundary_face_dart
-        self.boundary_walk = d.boundary_walk
-        self.boundary_vertices = d.boundary_vertices
         self.area = d.area
         # a max-heap of vertices by norm_key, and ascending lists holding
         # every live dart and vertex id; dead entries leave lazily
@@ -190,10 +191,6 @@ class DartStore:
         self._vertex_ids = sorted(self.rotations)
 
     # -- queries ---------------------------------------------------------------
-
-    @property
-    def boundary_word(self) -> Word:
-        return tuple(self.letter[d] for d in self.boundary_walk)
 
     def max_norm_vertex(self) -> int:
         """Diagram.max_norm_vertex, from a heap with lazy deletion."""
@@ -213,7 +210,7 @@ class DartStore:
             letter=self.letter,
             twin=self.twin,
             rotations=self.rotations,
-            base=self.base,
+            base=self.origin.get(self.boundary_face_dart, next(iter(self.rotations))),
             base_label=self.base_label,
             boundary_face_dart=self.boundary_face_dart,
         )
@@ -234,25 +231,31 @@ class DartStore:
         """The closed star of an interior vertex with a regular neighbourhood.
 
         Errors if v lies on the boundary, carries a loop edge, or if some
-        corner face visits v more than once.
+        corner face visits v more than once.  A vertex lies on the boundary
+        exactly when one of its corner faces is the boundary face, so the
+        check reads only the corner faces; only refusing a boundary vertex
+        costs the boundary's length.  So no step drops a boundary dart: each
+        dart a step drops lies on a corner face of an interior vertex, or
+        is a host dart the step keeps under a new id (``Surgery.renamed``).
         """
         if v not in self.rotations:
             raise ValidationError(f"no vertex {v} in the diagram")
-        if v in self.boundary_vertices:
-            raise ValidationError(f"vertex {v} lies on the boundary")
         origin, twin, letter = self.origin, self.twin, self.letter
         spokes = self.rotations[v]
+        # the face orbit of each spoke: the corner it opens
+        faces = [self._face(out) for out in spokes]
+        if any(self.boundary_face_dart in face for face in faces):
+            raise ValidationError(f"vertex {v} lies on the boundary")
         for s in spokes:
             if origin[twin[s]] == v:
                 raise ValidationError(f"vertex {v} carries a loop edge; star is not regular")
         k = len(spokes)
         corners = []
         seen_faces: set[int] = set()
-        for i in range(k):
+        for i, face in enumerate(faces):
             out = spokes[i]
             # the face orbit entering along in_dart continues with out, so both
             # sit in the same face with in_dart as the face-predecessor of out
-            face = self._face(out)
             key = min(face)
             if key in seen_faces:
                 raise ValidationError(
@@ -471,11 +474,7 @@ class DartStore:
 
         darts = {start + c: (lt, start + tw) for c, lt, tw in t.inner}
         darts.update((r, (t_letter[r - start], seam_twin[r])) for r in uses)
-        bfd = glued.get(self.boundary_face_dart, self.boundary_face_dart)
-        if bfd in placed:
-            base = next(vid for vid, rot in rotations.items() if bfd in rot)
-        else:
-            base = origin[bfd]
+        renamed = {x: glued[x] for x in outer_hosts}
         return Surgery(
             dropped_darts=frozenset(off_center).union(star.darts),
             darts=darts,
@@ -483,9 +482,8 @@ class DartStore:
             dropped_vertices=(v, *sorted(dropped_at.keys() - rotations.keys())),
             fresh=fresh,
             labels=labels,
-            boundary_walk=tuple(glued.get(x, x) for x in self.boundary_walk),
-            boundary_face_dart=bfd,
-            base=base,
+            renamed=renamed,
+            boundary_face_dart=renamed.get(self.boundary_face_dart, self.boundary_face_dart),
             area=area,
         )
 
@@ -510,10 +508,7 @@ class DartStore:
             heapq.heappush(self._heap, norm_key(vid, lbl))
         self._dart_ids.extend(sorted(s.darts))
         self._vertex_ids.extend(sorted(s.fresh))
-        self.boundary_walk = s.boundary_walk
         self.boundary_face_dart = s.boundary_face_dart
-        self.base = s.base
-        self.boundary_vertices = frozenset(origin[x] for x in s.boundary_walk)
         self.area = s.area
 
 

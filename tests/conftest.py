@@ -8,6 +8,7 @@ import pytest
 from vkpush import pusher
 from vkpush.abelianization import AbelianizationMap
 from vkpush.diagram import Diagram, DiagramBuilder
+from vkpush.oracle import FillingCertificate, sample_corridor_certificates
 from vkpush.presentation import Presentation, ValidationError, Word, invert
 from vkpush.scheme import PushingScheme, SchemeEntry, hat_word
 
@@ -36,6 +37,18 @@ def table_gap(u, e) -> float:
     """Entry e's valuation gap at the character u, read off a table of e alone."""
     table = PushingScheme(e.presentation, e.amap, (e,)).table
     return table.entry_gap(0, *table.evaluate(u.direction))
+
+
+def concatenated_loops(
+    p: Presentation, m: AbelianizationMap, q: float, count: int, rng_seed: int = 7
+) -> FillingCertificate:
+    """One long corridor loop: the factors of ``count`` sampled loops, end to end.
+
+    Each sampled loop starts and ends at label zero with every prefix inside
+    the corridor, so their product stays inside it too.
+    """
+    certs = sample_corridor_certificates(p, m, q, 12, count, rng_seed)
+    return FillingCertificate(tuple(f for cert in certs for f in cert.factors))
 
 
 @pytest.fixture

@@ -320,6 +320,17 @@ def test_sample_budget_exhaustion(capsys):
     assert err["error"]["type"] == "SearchBudgetError"
 
 
+def test_sample_budget_message_blames_neither_limit(capsys):
+    # no nonempty loop has one letter, whatever the corridor: the message
+    # names both limits and blames neither
+    code, out, err = run(capsys, "sample", HEIS, "--q", "5", "--count", "4", "--target-len", "1")
+    assert (code, out) == (2, None)
+    assert err["error"]["type"] == "SearchBudgetError"
+    assert err["error"]["message"] == (
+        "sampling budget exhausted after 1600 attempts (no loop of at most 1 letters inside corridor 5.0)"
+    )
+
+
 # -- bench -------------------------------------------------------------------
 
 

@@ -368,8 +368,10 @@ def test_vertex_star_at_grid_center(grid):
 
 
 def test_vertex_star_rejects_boundary_vertex(grid):
-    with pytest.raises(ValidationError, match="boundary"):
-        DartStore(grid).star(grid.base)
+    store = DartStore(grid)
+    for v in grid.boundary_vertices:
+        with pytest.raises(ValidationError, match=f"vertex {v} lies on the boundary"):
+            store.star(v)
 
 
 def center_star(grid):

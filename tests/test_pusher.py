@@ -4,7 +4,7 @@ import math
 from collections import Counter
 
 import pytest
-from conftest import FIXTURES, _load_bundle
+from conftest import FIXTURES, _load_bundle, concatenated_loops
 
 from vkpush import cli, pusher
 from vkpush.abelianization import Character, norm
@@ -254,6 +254,60 @@ def test_step_audit_reports_label_losses_as_counters_do(z2, monkeypatch):
         assert bool(message) == bool(seen[-1])
     assert [len(problems) for problems in seen] == [0, 1, 1]
     assert seen[2] == [f"labels lost beyond the pushed vertex and its link: {{(7,): 1, {d.labels[far]}: 1}}"]
+
+
+def test_step_audit_refuses_a_renamed_boundary_dart_with_another_letter(z2, monkeypatch):
+    # the first step on the depth-1 tower keeps boundary dart 12 under a new
+    # id; a glue that gives its edge another letter changes the boundary word
+    p, m, s, k = z2
+    up = next(e for e in s.entries if e.t == 1)
+    d = tower_diagram(up, R, 1, (0,))
+    assert 12 in d.faces[d.boundary_face_index] and d.letter[12] == -2
+    glue = DartStore.glue
+
+    def relettered(store, star, t):
+        cut = glue(store, star, t)
+        n = cut.renamed[12]
+        tw = cut.darts[n][1]
+        return dataclasses.replace(cut, darts={**cut.darts, n: (1, tw), tw: (-1, n)})
+
+    pusher._push_max(DartStore(d), s, k, {})
+    monkeypatch.setattr(DartStore, "glue", relettered)
+    with pytest.raises(PushError, match="the boundary word changed"):
+        pusher._push_max(DartStore(d), s, k, {})
+
+
+def boundary_face_word(store):
+    """The boundary word read off the store's boundary face orbit, as Diagram.build reads it."""
+    face = store._face(store.boundary_face_dart)
+    return tuple(store.letter[store.twin[x]] for x in reversed(face))
+
+
+def test_every_step_keeps_the_boundary_face_word(z2, heis):
+    # the store keeps only the boundary face dart; after every step of the
+    # z2 towers, one long z2 loop and W1, its face orbit spells the initial
+    # boundary word
+    runs = []
+    p, m, s, k = z2
+    q = k.q_min + 1.0
+    runs += [(tower_diagram(e, R, depth, m.zero), s, k, q) for e in s.entries for depth in range(9, 13)]
+    runs.append((wasteful_diagram(s, concatenated_loops(p, m, q, 40), q), s, k, q))
+    p, m, s, k = heis
+    q = k.q_min + 1.0
+    runs += [(wasteful_diagram(s, cert, q), s, k, q) for cert in sample_corridor_certificates(p, m, q, 12, 20, 6)]
+    steps = []
+    for d, s, k, q in runs:
+        store, choices = DartStore(d), {}
+        assert boundary_face_word(store) == d.boundary_word
+        n = 0
+        while norm(store.labels[store.max_norm_vertex()]) > q:
+            pusher._push_max(store, s, k, choices, n)
+            n += 1
+            assert boundary_face_word(store) == d.boundary_word
+        steps.append(n)
+    # the long loop has 328 letters; W1 is ROADMAP workload W1
+    assert len(runs[8][0].boundary_walk) == 328
+    assert (steps[8], sum(steps[9:])) == (1367, 854)
 
 
 def test_deep_tower_runs_to_the_corridor(z2):

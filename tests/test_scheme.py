@@ -344,3 +344,27 @@ def test_scheme_json_shape_errors():
     good["entries"][0]["fillings"] = {"zero": good["entries"][0]["fillings"]["0"]}
     with pytest.raises(ValidationError, match="relator index"):
         PushingScheme.from_json_dict(good, ZP, ZM)
+
+
+# Bieri-Stallings: F2 x F2 -> Z, every generator to 1.  The kernel is finitely
+# generated but not finitely presented, so no direction has a scheme entry.
+F2F2 = Presentation.from_texts(
+    ("a", "b", "c", "d"), ("a c a^-1 c^-1", "a d a^-1 d^-1", "b c b^-1 c^-1", "b d b^-1 d^-1")
+)
+F2F2_MAP = AbelianizationMap(rank=1, columns=((1,),) * 4)
+
+
+@pytest.mark.parametrize("t", [1, -1, 2, -2, 3, -3, 4, -4])
+def test_bieri_stallings_map_has_no_scheme_entry(t):
+    p = F2F2
+    identity = {x: (x,) for x in p.letters() if abs(x) != abs(t)}
+    with pytest.raises(CertificationError, match="is not a relator variant") as info:
+        build_scheme_entry(p, F2F2_MAP, t, identity, max_area=2)
+    if t == 1:
+        assert str(info.value) == "conjugation relation 'a^-1 b a b^-1' is not a relator variant"
+    # no other table either: every relator has length 4, so a conjugation
+    # cell t^-1 x t conj(x)^-1 makes conj(x) one letter y, and none fits the
+    # generator that t does not commute with
+    assert {len(r) for r in p.relators} == {4}
+    partner = {1: 2, 2: 1, 3: 4, 4: 3}[abs(t)]
+    assert not any((-t, partner, t, -y) in p.variant_set for y in p.letters())

@@ -192,9 +192,8 @@ def reference_glue(store, star, bld, walk):
         dropped_vertices=(v, *sorted(touched - rotations.keys())),
         fresh=fresh,
         labels=labels,
-        boundary_walk=tuple(glued.get(x, x) for x in store.boundary_walk),
+        renamed={x: glued[x] for x in hosts - gone},
         boundary_face_dart=bfd,
-        base=new_origin[bfd] if bfd in new_origin else origin[bfd],
         area=area,
     )
 
