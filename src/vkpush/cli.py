@@ -25,7 +25,6 @@ from vkpush.abelianization import AbelianizationMap, check_compatible, norm
 from vkpush.diagram import Diagram
 from vkpush.oracle import (
     MAX_WORDS,
-    FillingSearchError,
     SearchBudgetError,
     brute_area,
     certificate_to_diagram,
@@ -652,7 +651,7 @@ def main(argv=None) -> int:
             extra["sweeps"] = exc.trace.sweeps
         _emit_error("PushError", str(exc), **extra)
         return EXIT_INVARIANT
-    except (ValidationError, SearchBudgetError, FillingSearchError) as exc:
+    except (ValidationError, SearchBudgetError) as exc:
         _emit_error(type(exc).__name__, str(exc))
         return EXIT_VALIDATION
     except MemoryError:

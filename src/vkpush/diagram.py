@@ -580,9 +580,11 @@ class DiagramBuilder:
 
 @dataclass(frozen=True)
 class Corner:
-    """One cell around the star center, between consecutive spokes."""
+    """One cell around the star center, between consecutive spokes.
 
-    out_dart: int
+    The i-th corner of a star leaves the center along ``StarView.darts[i]``.
+    """
+
     in_dart: int
     arc: tuple[int, ...]
     word: Word
@@ -595,7 +597,6 @@ class StarView:
     corners: tuple[Corner, ...]
     link_darts: tuple[int, ...]
     link_word: Word
-    degree: int
 
 
 # -- isomorphism signatures ---------------------------------------------

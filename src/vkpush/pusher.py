@@ -228,7 +228,7 @@ def _push_max(
         pushed_vertex_label=label_g,
         c=c,
         entry_used=entry_idx,
-        degree=star.degree,
+        degree=len(star.darts),
         area_before=store.area,
         area_after=cut.area,
         new_vertex_max_norm=new_max,

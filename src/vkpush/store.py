@@ -22,7 +22,7 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from vkpush.abelianization import Vector, vec_add
 from vkpush.diagram import (
@@ -56,7 +56,6 @@ class Surgery:
     # host dart -> the new id of its class, for each host dart the step
     # keeps under a new id: the outer twins of the link, O(link) of them
     renamed: dict[int, int]
-    boundary_face_dart: int
     area: int
 
 
@@ -168,7 +167,10 @@ class DartStore:
     the id of the root ``DiagramBuilder.alias`` would pick; new and folded
     vertices are numbered from the largest vertex id plus one, in the order
     of each new rotation's smallest dart; and every rotation starts at its
-    smallest dart, as ``Diagram.build`` lists it.
+    smallest dart, as ``Diagram.build`` lists it.  Two integers, which
+    ``apply`` keeps exact, hold the largest live dart and vertex ids; the
+    heap of vertices by norm that ``max_norm_vertex`` reads drops its dead
+    entries lazily.
     """
 
     def __init__(self, d: Diagram):
@@ -183,12 +185,12 @@ class DartStore:
         self.base_label = d.base_label
         self.boundary_face_dart = d.boundary_face_dart
         self.area = d.area
-        # a max-heap of vertices by norm_key, and ascending lists holding
-        # every live dart and vertex id; dead entries leave lazily
+        # a max-heap of vertices by norm_key, whose dead entries leave lazily,
+        # and the largest live dart and vertex ids, which apply keeps exact
         self._heap = [norm_key(v, lbl) for v, lbl in self.labels.items()]
         heapq.heapify(self._heap)
-        self._dart_ids = sorted(self.origin)
-        self._vertex_ids = sorted(self.rotations)
+        self._top_dart = max(self.origin, default=0)
+        self._top_vertex = max(self.rotations)
 
     # -- queries ---------------------------------------------------------------
 
@@ -264,7 +266,6 @@ class DartStore:
             seen_faces.add(key)
             corners.append(
                 Corner(
-                    out_dart=out,
                     in_dart=twin[spokes[(i + 1) % k]],
                     arc=face[1:-1],
                     word=tuple(letter[x] for x in face),
@@ -279,7 +280,6 @@ class DartStore:
             corners=tuple(corners),
             link_darts=tuple(link),
             link_word=tuple(letter[x] for x in link),
-            degree=k,
         )
 
     # -- surgery -----------------------------------------------------------------
@@ -328,7 +328,7 @@ class DartStore:
         gone.update(star.link_darts)
         hosts = {y for x in star.link_darts for y in (x, twin[x])}
         off_center = gone | hosts
-        start = _top(self._dart_ids, self.origin) + 1
+        start = self._top_dart + 1
 
         # the link joins the seam: a union-find over seam ranks and host darts,
         # a host dart x as -x, that picks its roots as DiagramBuilder.alias does
@@ -435,7 +435,7 @@ class DartStore:
 
         # vertex ids as DiagramBuilder.build gives them from host-origin hints,
         # by smallest dart across link and interior cycles
-        fresh_id = max(_top(self._vertex_ids, self.rotations) + 1, 0)
+        fresh_id = max(self._top_vertex + 1, 0)
         rotations: dict[int, tuple[int, ...]] = {}
         fresh: dict[int, tuple[int, ...]] = {}
         labels: dict[int, Vector] = {}
@@ -468,7 +468,7 @@ class DartStore:
 
         nv = len(self.rotations) - len(dropped_at) - 1 + len(rotations)
         ne = (len(self.origin) - len(off_center) - len(star.darts) + len(t.inner) + len(uses)) // 2
-        area = self.area + t.area - star.degree
+        area = self.area + t.area - len(star.darts)
         if nv - ne + area + 1 != 2:
             raise ValidationError(f"Euler count V-E+F = {nv}-{ne}+{area + 1} != 2; not a sphere map")
 
@@ -483,7 +483,6 @@ class DartStore:
             fresh=fresh,
             labels=labels,
             renamed=renamed,
-            boundary_face_dart=renamed.get(self.boundary_face_dart, self.boundary_face_dart),
             area=area,
         )
 
@@ -506,16 +505,14 @@ class DartStore:
         labels.update(s.labels)
         for vid, lbl in s.labels.items():
             heapq.heappush(self._heap, norm_key(vid, lbl))
-        self._dart_ids.extend(sorted(s.darts))
-        self._vertex_ids.extend(sorted(s.fresh))
-        self.boundary_face_dart = s.boundary_face_dart
+        # new ids all lie above every host id and all live on, so the
+        # largest of them is the largest live id; a step renumbers at least
+        # the link classes it glues, so s.darts is never empty
+        self._top_dart = max(s.darts)
+        if s.fresh:
+            self._top_vertex = max(s.fresh)
+        elif self._top_vertex not in rotations:
+            self._top_vertex = max(rotations)
+        bfd = self.boundary_face_dart
+        self.boundary_face_dart = s.renamed.get(bfd, bfd)
         self.area = s.area
-
-
-def _top(ids: list[int], live: Mapping[int, object]) -> int:
-    """The largest live id; ids ascends and holds every live id."""
-    if len(ids) > 2 * len(live) + 64:
-        ids[:] = sorted(live)
-    while ids[-1] not in live:
-        ids.pop()
-    return ids[-1]

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import pathlib
 from typing import Sequence
@@ -8,7 +9,7 @@ import pytest
 from vkpush import pusher
 from vkpush.abelianization import AbelianizationMap
 from vkpush.diagram import Diagram, DiagramBuilder
-from vkpush.oracle import FillingCertificate, sample_corridor_certificates
+from vkpush.oracle import FillingCertificate, build_scheme_entry, sample_corridor_certificates
 from vkpush.presentation import Presentation, ValidationError, Word, invert
 from vkpush.scheme import PushingScheme, SchemeEntry, hat_word
 
@@ -31,6 +32,24 @@ def z2_bundle():
 @pytest.fixture(scope="session")
 def heisenberg_bundle():
     return _load_bundle("heisenberg")
+
+
+@pytest.fixture(scope="session")
+def z3_bundle():
+    """A rank-3 bundle built here: Z^4 = <a, b, c, d | the six commutators> onto Z^3, d to 0.
+
+    The kernel is Z, generated by d.  Each entry t = ±a, ±b, ±c conjugates
+    every other letter to itself.
+    """
+    names = ("a", "b", "c", "d")
+    commutators = tuple(f"{x} {y} {x}^-1 {y}^-1" for x, y in itertools.combinations(names, 2))
+    p = Presentation.from_texts(names, commutators)
+    m = AbelianizationMap(rank=3, columns=((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)))
+    entries = tuple(
+        build_scheme_entry(p, m, t, {x: (x,) for x in p.letters() if abs(x) != abs(t)}, max_area=2)
+        for t in (1, -1, 2, -2, 3, -3)
+    )
+    return p, m, PushingScheme(p, m, entries)
 
 
 def table_gap(u, e) -> float:

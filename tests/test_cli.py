@@ -11,7 +11,9 @@ import pytest
 from vkpush import cli, pusher
 from vkpush.cli import main
 from vkpush.oracle import tower_diagram
+from vkpush.presentation import ValidationError
 from vkpush.scheme import CertificationError
+from vkpush.store import DartStore
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -219,6 +221,38 @@ def test_push_boundary_outside_corridor_is_invariant_error(capsys, z2_bundle, tm
     assert "boundary exceeds corridor" in err["error"]["message"]
 
 
+def test_push_failing_mid_run_reports_its_progress(capsys, monkeypatch, tower_file):
+    glue = DartStore.glue
+    calls = []
+
+    def fourth_fails(self, star, t):
+        calls.append(star.center)
+        if len(calls) == 4:
+            raise ValidationError("doctored glue")
+        return glue(self, star, t)
+
+    push = cli.push_to_corridor
+    raised = []
+
+    def recorded(*args):
+        try:
+            return push(*args)
+        except pusher.PushError as exc:
+            raised.append(exc)
+            raise
+
+    monkeypatch.setattr(DartStore, "glue", fourth_fails)
+    monkeypatch.setattr(cli, "push_to_corridor", recorded)
+    code, out, err = run(capsys, "push", Z2, tower_file, "--q", "4.5")
+    assert code == 4 and out is None
+    error = err["error"]
+    assert error["type"] == "PushError"
+    assert "star replacement failed: doctored glue" in error["message"]
+    (exc,) = raised
+    assert error["steps_completed"] == len(exc.trace.steps) == 3
+    assert error["sweeps"] == exc.trace.sweeps == 2
+
+
 # -- oracles -----------------------------------------------------------------
 
 
@@ -364,6 +398,32 @@ def test_bench_report_shape_and_hashes(capsys):
         if ob["brute_area"] != "unknown":
             assert ob["pushed_at_least_brute"] is True
     assert "seconds" in out["timing"]
+
+
+def test_bench_without_wasteful_fillings_pushes_nothing(capsys):
+    # the plain certificate fillings of z2 corridor loops already lie inside
+    code, out, err = run(capsys, "bench", Z2, "--q", "5", "--count", "3", "--seed", "3", "--no-wasteful")
+    assert code == 0 and err is None
+    assert out["wasteful"] is False
+    assert out["audit_summary"]["steps"] == 0
+    for r in out["results"]:
+        assert r["steps"] == 0 and r["final_area"] == r["initial_area"]
+
+
+@pytest.mark.parametrize(
+    "ar, at_n",
+    [
+        ("n,0", [10, 100, 1000]),
+        ("n,n", [1.478088294143459e39, "overflow", "overflow"]),
+        ("n*log(n),n", [3.4034240722237283e39, "overflow", "overflow"]),
+    ],
+)
+def test_bench_predicted_bounds_keep_integers_and_name_overflow(capsys, ar, at_n):
+    code, out, err = run(capsys, "bench", Z2, "--q", "5", "--count", "1", "--seed", "3", "--ar", ar)
+    assert code == 0 and err is None
+    got = out["predicted_area_bounds"]["at_n"]
+    assert [got[n] for n in ("10", "100", "1000")] == at_n
+    assert [type(v) for v in got.values()] == [type(v) for v in at_n]
 
 
 def test_bench_deterministic_modulo_timing(capsys):

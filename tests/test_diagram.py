@@ -1,3 +1,4 @@
+import heapq
 import json
 
 import pytest
@@ -10,6 +11,7 @@ from vkpush.diagram import (
     Diagram,
     DiagramBuilder,
     canonical_signature,
+    norm_key,
 )
 from vkpush.oracle import FillingCertificate, certificate_to_diagram, tower_diagram
 from vkpush.presentation import Presentation, ValidationError, invert
@@ -101,6 +103,20 @@ def test_grid_metrics(grid):
     assert out["radius"] == 1
     assert out["norm"] == pytest.approx(8 ** 0.5)
     assert grid.labels[grid.max_norm_vertex()] == (2, 2)
+
+
+def test_store_heap_compacts_its_dead_entries(grid):
+    # vertices a run has dropped stay in the heap until they reach the top
+    # or the heap outgrows twice the live vertices; the ones above every
+    # live label must be skipped, the ones below only a compaction removes
+    store = DartStore(grid)
+    live = len(store.labels)
+    dead = range(max(store.labels) + 1, max(store.labels) + 2 * live + 66)
+    for i, v in enumerate(dead):
+        heapq.heappush(store._heap, norm_key(v, (9, 9) if i % 2 else (0, 0)))
+    assert len(store._heap) > 2 * live + 64
+    assert store.max_norm_vertex() == grid.max_norm_vertex()
+    assert len(store._heap) == live
 
 
 def test_trivial_diagram(zp, zm):
@@ -354,7 +370,7 @@ def test_rebase_matches_rotation(j):
 def test_vertex_star_at_grid_center(grid):
     center = next(v for v in grid.vertices if v not in grid.boundary_vertices)
     star = DartStore(grid).star(center)
-    assert star.degree == 4
+    assert len(star.darts) == 4
     assert len(star.corners) == 4
     for corner in star.corners:
         assert corner.word in grid.presentation.variant_set

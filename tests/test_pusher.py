@@ -310,6 +310,19 @@ def test_every_step_keeps_the_boundary_face_word(z2, heis):
     assert (steps[8], sum(steps[9:])) == (1367, 854)
 
 
+def test_rank_3_loops_push_to_the_corridor(z3_bundle):
+    # three corridor directions, entry choice with three-way ties
+    p, m, s = z3_bundle
+    k = certify_coverage(s, 0.05)
+    q = k.q_min + 1.0
+    steps = 0
+    for cert in sample_corridor_certificates(p, m, q, 12, 20, 6):
+        _, trace = push_to_corridor(wasteful_diagram(s, cert, q), s, k, q)
+        assert all(v for v in trace.checks.values() if isinstance(v, bool))
+        steps += len(trace.steps)
+    assert steps == 2875
+
+
 def test_deep_tower_runs_to_the_corridor(z2):
     # the steps grow as 2^depth, while the tower has 38 vertices; the run
     # ends because every step passes its audit, however many steps it takes

@@ -195,10 +195,11 @@ def reference_certified_a(s, grid, lipschitz_bound):
     return a if s.amap.rank == 1 else a - lipschitz_bound * grid
 
 
-@pytest.mark.parametrize("bundle", ["z2_bundle", "heisenberg_bundle", "rebuilt_heisenberg"])
+@pytest.mark.parametrize("bundle", ["z2_bundle", "heisenberg_bundle", "rebuilt_heisenberg", "z3_bundle"])
 def test_certified_constants_equal_the_reference_gap_ones(bundle, request):
     p, m, s = request.getfixturevalue(bundle)
-    for grid in (0.05, 0.01, 0.005, 0.002):
+    # the rank-3 reference takes seconds at grid 0.05 and far longer below it
+    for grid in (0.05,) if m.rank == 3 else (0.05, 0.01, 0.005, 0.002):
         k = certify_coverage(s, grid)
         assert k.a == reference_certified_a(s, grid, k.lipschitz_bound)
         assert k.grid_spacing == (None if m.rank == 1 else grid)
@@ -221,7 +222,7 @@ def reference_choice(s, u):
     return best
 
 
-@pytest.mark.parametrize("bundle", ["z2_bundle", "heisenberg_bundle", "rebuilt_heisenberg"])
+@pytest.mark.parametrize("bundle", ["z2_bundle", "heisenberg_bundle", "rebuilt_heisenberg", "z3_bundle"])
 def test_gap_and_choice_match_the_references_at_any_direction(bundle, request):
     p, m, s = request.getfixturevalue(bundle)
 
@@ -298,6 +299,13 @@ def test_certify_refuses_oversized_grids_before_making_a_point(heisenberg_bundle
     monkeypatch.setattr(scheme, "Character", NoPoints)
     with pytest.raises(ValidationError, match="2,000,000 sphere points"):
         certify_coverage(s, grid)
+
+
+def test_rank_3_certifies_at_grid_0_05_and_refuses_0_002(z3_bundle):
+    p, m, s = z3_bundle
+    assert certify_coverage(s, 0.05).a == 0.35374347143964674
+    with pytest.raises(ValidationError, match="needs more than 2,000,000 sphere points in rank 3"):
+        certify_coverage(s, 0.002)
 
 
 def test_grid_point_count_cap():

@@ -47,14 +47,13 @@ def reference_star(d, v):
         rotated = face[shift:] + face[:shift]
         corners.append(
             Corner(
-                out_dart=out,
                 in_dart=d.twin[spokes[(i + 1) % len(spokes)]],
                 arc=rotated[1:-1],
                 word=tuple(d.letter[x] for x in rotated),
             )
         )
     link = tuple(x for corner in corners for x in corner.arc)
-    star = StarView(v, tuple(spokes), tuple(corners), link, tuple(d.letter[x] for x in link), len(spokes))
+    star = StarView(v, tuple(spokes), tuple(corners), link, tuple(d.letter[x] for x in link))
     return star, set(faces)
 
 
@@ -97,7 +96,7 @@ def reference_step(d, s, k):
         pushed_vertex_label=label_g,
         c=d.metrics()["norm"],
         entry_used=next(i for i, x in enumerate(s.entries) if x is entry),
-        degree=star.degree,
+        degree=len(star.darts),
         area_before=d.area,
         area_after=nd.area,
         new_vertex_max_norm=new_max,

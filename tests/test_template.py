@@ -23,7 +23,7 @@ from vkpush.oracle import sample_corridor_certificates, tower_diagram, wasteful_
 from vkpush.presentation import Presentation, ValidationError, word_to_text
 from vkpush.pusher import PushError, PushStep, _push_max, _pushed_star, push_to_corridor
 from vkpush.scheme import certify_coverage, choose_entry
-from vkpush.store import DartStore, Surgery, Template, _top
+from vkpush.store import DartStore, Surgery, Template
 
 R = (1, 2, -1, -2)
 
@@ -50,7 +50,7 @@ def reference_glue(store, star, bld, walk):
     classes = {rep(x) for cell in bld.cells for x in cell}
     classes.update(rep(x) for x in walk)
     classes.update([rep(bld.twin[x]) for x in classes])
-    start = _top(store._dart_ids, store.origin) + 1
+    start = max(store.origin) + 1
     number = {r: start + i for i, r in enumerate(sorted(classes))}
     # a host dart x joins the builder as -x, clear of the builder's ids
     hosts = {y for x in star.link_darts for y in (x, twin[x])}
@@ -126,7 +126,7 @@ def reference_glue(store, star, bld, walk):
     hints: dict[int, set[int]] = {}
     for x in hosts:
         hints.setdefault(glued[x], set()).add(origin[x])
-    fresh_id = max(_top(store._vertex_ids, store.rotations) + 1, 0)
+    fresh_id = max(max(store.rotations) + 1, 0)
     rotations: dict[int, tuple[int, ...]] = {}
     new_origin: dict[int, int] = {}
     fresh: dict[int, tuple[int, ...]] = {}
@@ -180,11 +180,10 @@ def reference_glue(store, star, bld, walk):
     dropped_darts = gone | hosts
     nv = len(store.rotations) - len(touched) - 1 + len(rotations)
     ne = (len(store.origin) - len(dropped_darts) + len(pred)) // 2
-    area = store.area + len(bld.cells) - star.degree
+    area = store.area + len(bld.cells) - len(star.darts)
     if nv - ne + area + 1 != 2:
         raise ValidationError(f"Euler count V-E+F = {nv}-{ne}+{area + 1} != 2; not a sphere map")
 
-    bfd = glued.get(store.boundary_face_dart, store.boundary_face_dart)
     return Surgery(
         dropped_darts=frozenset(dropped_darts),
         darts={r: (letter_of(r), tw[r]) for r in sorted(pred)},
@@ -193,7 +192,6 @@ def reference_glue(store, star, bld, walk):
         fresh=fresh,
         labels=labels,
         renamed={x: glued[x] for x in hosts - gone},
-        boundary_face_dart=bfd,
         area=area,
     )
 
@@ -238,7 +236,7 @@ def push_against_reference(d, s, k, q, seen: Counter) -> int:
             pushed_vertex_label=label,
             c=c,
             entry_used=s.entries.index(entry),
-            degree=star.degree,
+            degree=len(star.darts),
             area_before=area,
             area_after=ref.area,
             new_vertex_max_norm=max(
