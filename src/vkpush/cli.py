@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import heapq
 import json
 import math
 import sys
@@ -218,8 +219,10 @@ def _json_number(val):
 def _layout(d):
     """Straight-line layout: boundary pinned to a circle, interior harmonic.
 
-    Interior positions solve the graph Laplacian system, so each interior
-    vertex sits at the average of its neighbours (loops pull nothing).
+    Each interior vertex sits at the average of its neighbours (loops pull
+    nothing): Tutte's barycentric system, one sparse row per vertex, solved
+    exactly by elimination in minimum-degree order.  Positions are complex
+    numbers x + iy.
     """
     pos = {}
     ring = []
@@ -230,33 +233,42 @@ def _layout(d):
             ring.append(v)
     for i, v in enumerate(ring):
         ang = math.pi / 2 + 2.0 * math.pi * i / len(ring)
-        pos[v] = (math.cos(ang), math.sin(ang))
+        pos[v] = complex(math.cos(ang), math.sin(ang))
     if not pos:
-        pos[d.base] = (0.0, 0.0)
-    interior = [v for v in d.vertices if v not in pos]
-    if interior:
-        import numpy as np  # only rendering needs it, so other commands start faster
-
-        idx = {v: i for i, v in enumerate(interior)}
-        lap = np.zeros((len(interior), len(interior)))
-        rhs = np.zeros((len(interior), 2))
-        for v in interior:
-            i = idx[v]
-            for dart in d.rotations[v]:
-                w = d.head(dart)
-                if w == v:
-                    continue
-                lap[i, i] += 1.0
-                if w in idx:
-                    lap[i, idx[w]] -= 1.0
+        pos[d.base] = 0j
+    # one row per interior vertex: the diagonal and its interior neighbours
+    rows = {v: {v: 0.0} for v in d.vertices if v not in pos}
+    rhs = dict.fromkeys(rows, 0j)
+    for v, row in rows.items():
+        for dart in d.rotations[v]:
+            w = d.head(dart)
+            if w != v:
+                row[v] += 1.0
+                if w in rows:
+                    row[w] = row.get(w, 0.0) - 1.0
                 else:
-                    rhs[i, 0] += pos[w][0]
-                    rhs[i, 1] += pos[w][1]
-            if lap[i, i] == 0.0:
-                lap[i, i] = 1.0
-        sol = np.linalg.solve(lap, rhs)
-        for v, i in idx.items():
-            pos[v] = (float(sol[i, 0]), float(sol[i, 1]))
+                    rhs[v] += pos[w]
+    # lazy (unknowns left, vertex) entries: ties go to the smaller id, and an
+    # entry for an eliminated vertex or an outdated count is skipped
+    heap = [(len(row), v) for v, row in rows.items()]
+    heapq.heapify(heap)
+    eliminated = []
+    while heap:
+        n, v = heapq.heappop(heap)
+        if v not in rows or n != len(rows[v]):
+            continue
+        row = rows.pop(v)
+        pivot = row.pop(v)
+        eliminated.append((v, pivot, row))
+        for w in row:
+            other = rows[w]
+            f = other.pop(v) / pivot
+            for u, a in row.items():
+                other[u] = other.get(u, 0.0) - f * a
+            rhs[w] -= f * rhs[v]
+            heapq.heappush(heap, (len(other), w))
+    for v, pivot, row in reversed(eliminated):
+        pos[v] = (rhs[v] - sum(a * pos[u] for u, a in row.items())) / pivot
     return pos
 
 
@@ -290,8 +302,7 @@ def _diagram_svg(d, p):
     pad = 0.90
 
     def xy(v):
-        x, y = pos[v]
-        return half + pad * half * x, half - pad * half * y
+        return half + pad * half * pos[v].real, half - pad * half * pos[v].imag
 
     top = max((norm(lbl) for lbl in d.labels.values()), default=0.0) or 1.0
     boundary = {min(x, d.twin[x]) for x in d.boundary_walk}

@@ -34,12 +34,12 @@ def heisenberg_bundle():
     return _load_bundle("heisenberg")
 
 
-@pytest.fixture(scope="session")
-def z3_bundle():
+def build_z3_bundle() -> tuple[Presentation, AbelianizationMap, PushingScheme]:
     """A rank-3 bundle built here: Z^4 = <a, b, c, d | the six commutators> onto Z^3, d to 0.
 
     The kernel is Z, generated by d.  Each entry t = ±a, ±b, ±c conjugates
-    every other letter to itself.
+    every other letter to itself.  Every call builds fresh entries, whose
+    template caches are empty.
     """
     names = ("a", "b", "c", "d")
     commutators = tuple(f"{x} {y} {x}^-1 {y}^-1" for x, y in itertools.combinations(names, 2))
@@ -50,6 +50,11 @@ def z3_bundle():
         for t in (1, -1, 2, -2, 3, -3)
     )
     return p, m, PushingScheme(p, m, entries)
+
+
+@pytest.fixture(scope="session")
+def z3_bundle():
+    return build_z3_bundle()
 
 
 def table_gap(u, e) -> float:

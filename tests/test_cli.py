@@ -10,9 +10,9 @@ import pytest
 
 from vkpush import cli, pusher
 from vkpush.cli import main
-from vkpush.oracle import tower_diagram
+from vkpush.oracle import sample_corridor_certificates, tower_diagram, wasteful_diagram
 from vkpush.presentation import ValidationError
-from vkpush.scheme import CertificationError
+from vkpush.scheme import CertificationError, certify_coverage
 from vkpush.store import DartStore
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -559,6 +559,109 @@ def test_render_writes_dot_and_svg(capsys, tower_file, tmp_path):
     assert (tmp_path / "pic.svg").read_text().startswith("<svg")
 
 
+# one unit of layout is this many SVG pixels (half the canvas, less the pad)
+PX = 0.9 * 320.0
+
+
+def dense_layout(np, d, pos):
+    """The layout's Laplacian system over its pinned vertices, dense, solved by numpy."""
+    pinned = {d.origin[x] for x in d.boundary_walk} or {d.base}
+    interior = [v for v in d.vertices if v not in pinned]
+    idx = {v: i for i, v in enumerate(interior)}
+    lap = np.zeros((len(interior), len(interior)))
+    rhs = np.zeros(len(interior), dtype=complex)
+    for v, i in idx.items():
+        for dart in d.rotations[v]:
+            w = d.head(dart)
+            if w == v:
+                continue
+            lap[i, i] += 1.0
+            if w in idx:
+                lap[i, idx[w]] -= 1.0
+            else:
+                rhs[i] += pos[w]
+    sol = np.linalg.solve(lap, rhs)
+    return {v: complex(sol[i]) for v, i in idx.items()}
+
+
+def layout_error_px(np, d):
+    pos = cli._layout(d)
+    assert set(pos) == set(d.vertices)
+    ref = dense_layout(np, d, pos)
+    return max((abs(pos[v] - z) * PX for v, z in ref.items()), default=0.0)
+
+
+def test_layout_matches_a_dense_solve_on_towers(z2_bundle):
+    np = pytest.importorskip("numpy")
+    p, m, s = z2_bundle
+    k = certify_coverage(s, 0.05)
+    q = k.q_min + 1.0
+    worst = 0.0
+    for e in s.entries:
+        for depth in range(1, 13):
+            d = tower_diagram(e, (1, 2, -1, -2), depth, m.zero)
+            final, _ = pusher.push_to_corridor(d, s, k, q)
+            worst = max(worst, layout_error_px(np, d), layout_error_px(np, final))
+    assert worst < 0.05
+
+
+def test_layout_matches_a_dense_solve_on_w1_loops(heisenberg_bundle):
+    # ROADMAP workload W1: 20 wasteful loops sampled with seed 6
+    np = pytest.importorskip("numpy")
+    p, m, s = heisenberg_bundle
+    k = certify_coverage(s, 0.01)
+    q = k.q_min + 1.0
+    worst = 0.0
+    for cert in sample_corridor_certificates(p, m, q, 12, 20, 6):
+        d = wasteful_diagram(s, cert, q)
+        final, _ = pusher.push_to_corridor(d, s, k, q)
+        worst = max(worst, layout_error_px(np, d), layout_error_px(np, final))
+    assert worst < 0.05
+
+
+def render_in_child(diagram_path, outdir, timeout=None):
+    """Run ``render`` in a fresh interpreter: its exit code, whether numpy loaded, its peak RSS in kB.
+
+    The peak is the child's VmHWM, its own high-water mark since exec (-1
+    where there is no /proc).  Its getrusage ru_maxrss would not do: Linux
+    carries the forking parent's peak across exec, so it would read the
+    size of this test process.
+    """
+    script = (
+        "import pathlib, sys\n"
+        "from vkpush import cli\n"
+        "code = cli.main(['render', sys.argv[1], sys.argv[2], '--out', sys.argv[3]])\n"
+        "status = pathlib.Path('/proc/self/status')\n"
+        "hwm = status.read_text().split('VmHWM:')[1].split()[0] if status.exists() else -1\n"
+        "print(code, 'numpy' in sys.modules, hwm)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, Z2, diagram_path, str(outdir)],
+        capture_output=True,
+        text=True,
+        env=ENV,
+        timeout=timeout,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, numpy_loaded, rss_kb = proc.stdout.splitlines()[-1].split()
+    return int(code), numpy_loaded == "True", int(rss_kb)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+def test_render_of_a_depth_15_tower_is_bounded(z2_bundle, tmp_path):
+    # 8,200 vertices: a dense V x V solve of them took 8.1 s and 1.1 GB
+    p, m, s = z2_bundle
+    k = certify_coverage(s, 0.05)
+    up = next(e for e in s.entries if e.t == 1)
+    tower = tower_diagram(up, (1, 2, -1, -2), 15, m.zero)
+    final, _ = pusher.push_to_corridor(tower, s, k, k.q_min + 1.0)
+    path = tmp_path / "tower15.json"
+    path.write_text(json.dumps(final.to_json_dict()))
+    code, _, rss_kb = render_in_child(str(path), tmp_path / "out", timeout=60)
+    assert code == 0
+    assert rss_kb < 200 * 1024
+
+
 def test_out_of_memory_is_a_json_error(capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError
@@ -583,16 +686,11 @@ def test_every_exported_name_resolves():
     assert [name for name in vkpush.__all__ if not hasattr(vkpush, name)] == []
 
 
-def test_import_leaves_numpy_out():
-    # only rendering needs numpy, and it imports numpy itself
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, vkpush.cli; print('numpy' in sys.modules)"],
-        capture_output=True,
-        text=True,
-        env=ENV,
-    )
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == "False"
+def test_import_leaves_numpy_out(tower_file, tmp_path):
+    # not even rendering loads numpy
+    code, numpy_loaded, _ = render_in_child(tower_file, tmp_path)
+    assert code == 0
+    assert numpy_loaded is False
 
 
 def test_module_entry_point():

@@ -170,6 +170,15 @@ def test_local_splice_matches_reference_on_w1_loops(heis):
     assert [push_both_ways(d, s, k, q) for d in tall] == [25, 25, 75, 25, 102]
 
 
+def test_local_splice_matches_reference_on_a_rank_3_loop(z3_bundle):
+    # three corridor directions: loop 0 of the twenty seed-6 rank-3 loops
+    p, m, s = z3_bundle
+    k = certify_coverage(s, 0.05)
+    q = k.q_min + 1.0
+    cert = sample_corridor_certificates(p, m, q, 12, 20, 6)[0]
+    assert push_both_ways(wasteful_diagram(s, cert, q), s, k, q) == 45
+
+
 def test_local_splice_matches_reference_from_unsorted_rotations(z2):
     p, m, s, k, q = z2
     entry = next(e for e in s.entries if e.t == 1)

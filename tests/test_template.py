@@ -14,7 +14,7 @@ import json
 from collections import Counter
 
 import pytest
-from conftest import _load_bundle
+from conftest import _load_bundle, build_z3_bundle
 
 from vkpush import pusher
 from vkpush.abelianization import AbelianizationMap, Character, Vector, norm, vec_add
@@ -289,6 +289,20 @@ def test_templates_match_reference_on_z2_towers(z2, t):
     )
     assert steps == (395 if t == 1 else 200)
     assert seen["miss"] > 0 and seen["hit"] > 0
+
+
+def test_templates_match_reference_on_rank_3_loops():
+    # a bundle of its own, so the first steps miss the template cache; the
+    # rank-3 loops 0 and 2 of the twenty seed-6 loops at grid 0.05
+    p, m, s = build_z3_bundle()
+    k = certify_coverage(s, 0.05)
+    q = k.q_min + 1.0
+    certs = sample_corridor_certificates(p, m, q, 12, 20, 6)
+    seen = Counter()
+    steps = [push_against_reference(wasteful_diagram(s, certs[i], q), s, k, q, seen) for i in (0, 2)]
+    assert steps == [45, 85]
+    assert seen["miss"] == 44 and seen["hit"] == 86
+    assert seen["fold"] > 0 and seen["pinch"] > 0
 
 
 def test_templates_match_reference_from_unsorted_rotations(z2):
