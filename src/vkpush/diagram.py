@@ -63,22 +63,28 @@ class Diagram:
         presentation: Presentation,
         amap: AbelianizationMap,
         *,
-        origin: Mapping[int, int],
-        letter: Mapping[int, int],
-        twin: Mapping[int, int],
-        rotations: Mapping[int, Sequence[int]],
+        origin: dict[int, int],
+        letter: dict[int, int],
+        twin: dict[int, int],
+        rotations: dict[int, Sequence[int]],
         base: int,
         base_label: Sequence[int],
         boundary_face_dart: int | None,
     ) -> "Diagram":
+        """Validate a diagram's arrays and keep them: no copy is made.
+
+        The caller hands over fresh dicts; ``rotations`` is relisted in
+        place, each rotation as a tuple from its smallest dart.  Dart ids
+        are positive, so 0 stands for no dart.
+        """
         if len(amap.columns) != len(presentation.generators):
             raise ValidationError("abelianization map does not match the presentation")
         base_label = tuple(base_label)
         if len(base_label) != amap.rank or not all(isinstance(c, int) for c in base_label):
             raise ValidationError(f"base label {base_label!r} is not an integer vector of rank {amap.rank}")
 
-        darts = set(origin)
-        if set(letter) != darts or set(twin) != darts:
+        darts = origin.keys()
+        if letter.keys() != darts or twin.keys() != darts:
             raise ValidationError("origin, letter and twin must cover the same darts")
         for d in darts:
             if not isinstance(d, int) or d <= 0:
@@ -96,18 +102,30 @@ class Diagram:
 
         if base not in rotations:
             raise ValidationError(f"base vertex {base} is not a vertex of the diagram")
-        seen: dict[int, int] = {}
+        # each dart has one origin, so rotations that list only darts of their
+        # own vertex, none twice, are disjoint, and they list every dart
+        # exactly when prev, the dart before each dart around its vertex,
+        # has as many entries as there are darts; each rotation is relisted
+        # in place, as a tuple from its smallest dart
+        prev: dict[int, int] = {}
         for v, rot in rotations.items():
             for d in rot:
-                if d not in darts:
-                    raise ValidationError(f"rotation of vertex {v} lists unknown dart {d}")
-                if d in seen:
-                    raise ValidationError(f"dart {d} appears in two rotations")
-                seen[d] = v
-                if origin[d] != v:
+                if origin.get(d) != v:
+                    if d not in darts:
+                        raise ValidationError(f"rotation of vertex {v} lists unknown dart {d}")
                     raise ValidationError(f"dart {d} has origin {origin[d]} but sits in the rotation of {v}")
-        if len(seen) != len(darts):
-            missing = next(iter(darts - set(seen)))
+            size = len(prev)
+            prev.update(zip(rot, rot[-1:] + rot[:-1]))
+            if len(prev) - size < len(rot):
+                d = next(d for i, d in enumerate(rot) if d in rot[:i])
+                raise ValidationError(f"dart {d} appears in two rotations")
+            rot = tuple(rot)
+            if rot and rot[0] != min(rot):
+                i = rot.index(min(rot))
+                rot = rot[i:] + rot[:i]
+            rotations[v] = rot
+        if len(prev) != len(darts):
+            missing = next(d for d in darts if d not in prev)
             raise ValidationError(f"dart {missing} appears in no rotation")
 
         if not darts:
@@ -134,37 +152,23 @@ class Diagram:
         if boundary_face_dart is None or boundary_face_dart not in darts:
             raise ValidationError("boundary_face_dart must name an existing dart")
 
-        # rotations listed from their smallest darts; phi(d) = sigma^-1(twin(d)):
-        # the face continuation with interior on the left
-        rot_lists = {v: tuple(rot) for v, rot in rotations.items()}
-        for v, rot in rot_lists.items():
-            if rot and rot[0] != min(rot):
-                i = rot.index(min(rot))
-                rot_lists[v] = rot[i:] + rot[:i]
-        pos = {d: i for v, rot in rot_lists.items() for i, d in enumerate(rot)}
-
-        def phi(d: int) -> int:
-            t = twin[d]
-            rot = rot_lists[origin[t]]
-            return rot[(pos[t] - 1) % len(rot)]
-
-        face_of: dict[int, int] = {}
+        # phi(d) = sigma^-1(twin(d)), the face continuation with interior on
+        # the left, is prev[twin[d]]; the face walk pops that entry as it
+        # leaves d, so a dart whose twin has none left lies on a walked face
         faces: list[tuple[int, ...]] = []
         for d0 in sorted(darts):
-            if d0 in face_of:
+            d = prev.pop(twin[d0], 0)
+            if not d:
                 continue
             orbit = [d0]
-            face_of[d0] = len(faces)
-            d = phi(d0)
             while d != d0:
-                if d in face_of:
-                    raise ValidationError("rotation system does not define a permutation of faces")
-                face_of[d] = len(faces)
                 orbit.append(d)
-                d = phi(d)
+                d = prev.pop(twin[d], 0)
+                if not d:
+                    raise ValidationError("rotation system does not define a permutation of faces")
             faces.append(tuple(orbit))
 
-        bindex = face_of[boundary_face_dart]
+        bindex = next(i for i, face in enumerate(faces) if boundary_face_dart in face)
         orbit = faces[bindex]
         shift = orbit.index(boundary_face_dart)
         faces[bindex] = orbit[shift:] + orbit[:shift]
@@ -180,15 +184,15 @@ class Diagram:
             presentation,
             (tuple(letter[d] for d in face) for i, face in enumerate(faces) if i != bindex),
         )
-        labels = walk_labels(amap, origin, letter, twin, rot_lists, base, base_label)
+        labels = walk_labels(amap, origin, letter, twin, rotations, base, base_label)
         walk = tuple(twin[d] for d in reversed(faces[bindex]))
         return cls(
             presentation=presentation,
             amap=amap,
-            origin=dict(origin),
-            letter=dict(letter),
-            twin=dict(twin),
-            rotations=rot_lists,
+            origin=origin,
+            letter=letter,
+            twin=twin,
+            rotations=rotations,
             base=base,
             base_label=base_label,
             boundary_face_dart=boundary_face_dart,
@@ -608,10 +612,10 @@ def canonical_signature(d: Diagram) -> tuple:
     Darts are renumbered by a breadth-first sweep from the base vertex,
     anchored at the boundary face dart that starts there, so the signature
     is independent of concrete dart and vertex ids.  It reads only arrays a
-    ``store.DartStore`` holds too: the base is the boundary face dart's
-    origin.
+    ``store.DartStore`` holds too, by live dart: the base is the boundary
+    face dart's origin, and only a diagram without darts names none.
     """
-    if not d.origin:
+    if d.boundary_face_dart is None:
         return ("trivial", d.base_label)
     dart_index: dict[int, int] = {}
     visit: list[tuple[int, ...]] = []

@@ -13,7 +13,7 @@ host darts around the link that the step keeps, its rim, are copied into the
 new rotations as slices of their host rotations and never re-checked: a rim
 edge held before the step, its far end keeps its label, and its near end is
 a link vertex, whose label glue checks.  ``DartStore.diagram`` hands the
-arrays back to ``Diagram.build``, the full validator.  The pusher imports
+live darts back to ``Diagram.build``, the full validator.  The pusher imports
 this module where it uses it, so a start that never pushes does not load it.
 """
 
@@ -148,48 +148,59 @@ class Template:
 class DartStore:
     """The arrays of a diagram in mutable form, for replacing stars in place.
 
-    It holds what ``Diagram.build`` derived (origin, letter, twin, rotations,
-    labels) and the position of each dart in its rotation; faces are read
-    off the rotations on demand.  Of the boundary it keeps one fact, the
-    boundary face dart, whose origin is the base vertex: a step reads no
-    part of the boundary beyond its star.  ``glue`` computes the
-    surgery that replaces a star, and ``apply`` commits it.  Both cost
-    O(star): the replacement, the corner faces and the rotations of the link
-    vertices.  Glue does per-dart work only for the darts a step drops or
-    creates; the kept host darts at the link vertices come along as slices.
-    ``diagram`` hands the arrays back to the full validator.
+    It holds what ``Diagram.build`` derived (origin, letter, twin,
+    rotations, labels) and the position of each dart in its rotation; faces
+    are read off the rotations on demand.  The four dart fields are flat
+    lists indexed by dart id: a dropped dart leaves a dead slot that nothing
+    reads, and ``live_darts`` counts the darts the rotations list.  Of the
+    boundary it keeps one fact, the boundary face dart, whose origin is the
+    base vertex: a step reads no part of the boundary beyond its star.
+    ``glue`` computes the surgery that replaces a star, and ``apply``
+    commits it.  Both cost O(star): the replacement, the corner faces and
+    the rotations of the link vertices.  Glue does per-dart work only for
+    the darts a step drops or creates; the kept host darts at the link
+    vertices come along as slices.  ``diagram`` hands the live darts back to
+    the full validator.
 
     Ids come out as a rebuild of the whole diagram through a
     ``DiagramBuilder`` gives them (``tests/test_splice.py`` keeps that
     rebuild as the reference): host darts and vertices keep theirs; the
     replacement's edge classes are numbered from the largest dart id plus
-    one in the rank order of their builder roots; a glued edge class keeps
-    the id of the root ``DiagramBuilder.alias`` would pick; new and folded
-    vertices are numbered from the largest vertex id plus one, in the order
-    of each new rotation's smallest dart; and every rotation starts at its
-    smallest dart, as ``Diagram.build`` lists it.  Two integers, which
-    ``apply`` keeps exact, hold the largest live dart and vertex ids; the
-    heap of vertices by norm that ``max_norm_vertex`` reads drops its dead
+    one, the length of the dart lists, in the rank order of their builder
+    roots; a glued edge class keeps the id of the root
+    ``DiagramBuilder.alias`` would pick; new and folded vertices are
+    numbered from the largest vertex id plus one, in the order of each new
+    rotation's smallest dart; and every rotation starts at its smallest
+    dart, as ``Diagram.build`` lists it.  The largest dart id is always
+    live, as ``apply`` extends the lists to its largest new id, and an
+    integer that ``apply`` keeps exact holds the largest vertex id; the heap
+    of vertices by norm that ``max_norm_vertex`` reads drops its dead
     entries lazily.
     """
 
     def __init__(self, d: Diagram):
         self.presentation = d.presentation
         self.amap = d.amap
-        self.origin = dict(d.origin)
-        self.letter = dict(d.letter)
-        self.twin = dict(d.twin)
+        # the dart fields, as lists indexed by dart id; slot 0 and the slots
+        # of darts no rotation lists are dead, and nothing reads them
+        size = max(d.origin, default=0) + 1
+        self.origin, self.letter, self.twin, self.pos = ([0] * size for _ in range(4))
+        for v, rot in d.rotations.items():
+            for i, x in enumerate(rot):
+                self.origin[x] = v
+                self.letter[x] = d.letter[x]
+                self.twin[x] = d.twin[x]
+                self.pos[x] = i
+        self.live_darts = len(d.origin)
         self.rotations = dict(d.rotations)
-        self.pos = {x: i for rot in d.rotations.values() for i, x in enumerate(rot)}
         self.labels = dict(d.labels)
         self.base_label = d.base_label
         self.boundary_face_dart = d.boundary_face_dart
         self.area = d.area
         # a max-heap of vertices by norm_key, whose dead entries leave lazily,
-        # and the largest live dart and vertex ids, which apply keeps exact
+        # and the largest live vertex id, which apply keeps exact
         self._heap = [norm_key(v, lbl) for v, lbl in self.labels.items()]
         heapq.heapify(self._heap)
-        self._top_dart = max(self.origin, default=0)
         self._top_vertex = max(self.rotations)
 
     # -- queries ---------------------------------------------------------------
@@ -205,14 +216,16 @@ class DartStore:
         return heap[0][2]
 
     def diagram(self) -> Diagram:
+        """The live darts as fresh dicts, through the full validator."""
+        origin = {x: v for v, rot in self.rotations.items() for x in rot}
         return Diagram.build(
             self.presentation,
             self.amap,
-            origin=self.origin,
-            letter=self.letter,
-            twin=self.twin,
-            rotations=self.rotations,
-            base=self.origin.get(self.boundary_face_dart, next(iter(self.rotations))),
+            origin=origin,
+            letter={x: self.letter[x] for x in origin},
+            twin={x: self.twin[x] for x in origin},
+            rotations=dict(self.rotations),
+            base=origin.get(self.boundary_face_dart, next(iter(self.rotations))),
             base_label=self.base_label,
             boundary_face_dart=self.boundary_face_dart,
         )
@@ -328,7 +341,7 @@ class DartStore:
         gone.update(star.link_darts)
         hosts = {y for x in star.link_darts for y in (x, twin[x])}
         off_center = gone | hosts
-        start = self._top_dart + 1
+        start = len(origin)
 
         # the link joins the seam: a union-find over seam ranks and host darts,
         # a host dart x as -x, that picks its roots as DiagramBuilder.alias does
@@ -467,7 +480,7 @@ class DartStore:
                 raise ValidationError(f"link dart {x} violates label consistency")
 
         nv = len(self.rotations) - len(dropped_at) - 1 + len(rotations)
-        ne = (len(self.origin) - len(off_center) - len(star.darts) + len(t.inner) + len(uses)) // 2
+        ne = (self.live_darts - len(off_center) - len(star.darts) + len(t.inner) + len(uses)) // 2
         area = self.area + t.area - len(star.darts)
         if nv - ne + area + 1 != 2:
             raise ValidationError(f"Euler count V-E+F = {nv}-{ne}+{area + 1} != 2; not a sphere map")
@@ -490,8 +503,13 @@ class DartStore:
         """Commit a surgery computed by glue on the current state."""
         origin, letter, twin, pos = self.origin, self.letter, self.twin, self.pos
         rotations, labels = self.rotations, self.labels
-        for x in s.dropped_darts:
-            del origin[x], letter[x], twin[x], pos[x]
+        # the new ids lie above every slot, and a step renumbers at least the
+        # link classes it glues, so s.darts is never empty; dropped darts
+        # keep their slots, dead
+        grow = [0] * (max(s.darts) + 1 - len(origin))
+        for field in (origin, letter, twin, pos):
+            field += grow
+        self.live_darts += len(s.darts) - len(s.dropped_darts)
         for x, (lt, tw) in s.darts.items():
             letter[x] = lt
             twin[x] = tw
@@ -505,10 +523,7 @@ class DartStore:
         labels.update(s.labels)
         for vid, lbl in s.labels.items():
             heapq.heappush(self._heap, norm_key(vid, lbl))
-        # new ids all lie above every host id and all live on, so the
-        # largest of them is the largest live id; a step renumbers at least
-        # the link classes it glues, so s.darts is never empty
-        self._top_dart = max(s.darts)
+        # new vertex ids all lie above every host id and all live on
         if s.fresh:
             self._top_vertex = max(s.fresh)
         elif self._top_vertex not in rotations:

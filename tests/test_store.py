@@ -1,0 +1,342 @@
+"""The push store's flat dart lists, and the validator against its old form.
+
+``DartStore`` keeps origin, letter, twin and pos as lists indexed by dart
+id; a dropped dart leaves a dead slot.  The poisoned runs overwrite every
+dead slot with None after each step, so a read of one fails loudly, and must
+push exactly as an unpoisoned run does.
+
+``reference_build`` is ``Diagram.build`` as it was before it kept the dicts
+it is handed: it copies them, and holds a set of darts, a map from dart to
+rotation, each dart's rotation position and each dart's face.  The
+differential test mutates valid diagrams and asks both validators for the
+same verdict, the same fields and the same message.
+"""
+
+import re
+import tracemalloc
+
+import pytest
+from conftest import concatenated_loops
+from hypothesis import event, given, note, settings, strategies as st
+
+from vkpush.abelianization import norm
+from vkpush.diagram import Diagram, canonical_signature, check_relator_faces, walk_labels
+from vkpush.oracle import sample_corridor_certificates, tower_diagram, wasteful_diagram
+from vkpush.presentation import ValidationError
+from vkpush.pusher import _push_max, push_to_corridor
+from vkpush.scheme import certify_coverage
+from vkpush.store import DartStore
+
+R = (1, 2, -1, -2)
+
+
+@pytest.fixture(scope="module")
+def z2(z2_bundle):
+    p, m, s = z2_bundle
+    k = certify_coverage(s, 0.05)
+    return p, m, s, k, k.q_min + 1.0
+
+
+@pytest.fixture(scope="module")
+def heis(heisenberg_bundle):
+    p, m, s = heisenberg_bundle
+    k = certify_coverage(s, 0.01)
+    return p, m, s, k, k.q_min + 1.0
+
+
+def live_darts(store: DartStore) -> set[int]:
+    return {x for rot in store.rotations.values() for x in rot}
+
+
+def push_poisoned(d: Diagram, s, k, q) -> int:
+    """Push d with every dead slot set to None after each step; compare with a plain run."""
+    store, choices, steps = DartStore(d), {}, []
+    while norm(store.labels[store.max_norm_vertex()]) > q:
+        step, _ = _push_max(store, s, k, choices, len(steps))
+        steps.append(step)
+        live = live_darts(store)
+        assert store.live_darts == len(live)
+        for field in (store.origin, store.letter, store.twin, store.pos):
+            assert len(field) == max(live) + 1
+            for x in range(len(field)):
+                if x not in live:
+                    field[x] = None
+    final, trace = push_to_corridor(d, s, k, q)
+    assert trace.steps == steps
+    assert canonical_signature(store) == canonical_signature(final)
+    assert store.diagram().to_json_dict() == final.to_json_dict()
+    return len(steps)
+
+
+def test_dead_slots_are_never_read(z2, heis, z3_bundle):
+    p, m, s, k, q = heis
+    # ROADMAP workload W1: 20 wasteful loops sampled with seed 6
+    certs = sample_corridor_certificates(p, m, q, 12, 20, 6)
+    assert sum(push_poisoned(wasteful_diagram(s, c, q), s, k, q) for c in certs) == 854
+    p, m, s, k, q = z2
+    towers = [tower_diagram(e, R, 9, m.zero) for e in s.entries]
+    assert sorted(push_poisoned(d, s, k, q) for d in towers) == [12, 25]
+    p, m, s = z3_bundle
+    k = certify_coverage(s, 0.05)
+    q = k.q_min + 1.0
+    cert = sample_corridor_certificates(p, m, q, 12, 20, 6)[0]
+    assert push_poisoned(wasteful_diagram(s, cert, q), s, k, q) == 45
+
+
+def test_final_build_stays_under_300_bytes_a_dart(z2):
+    # tracemalloc peak of the final store.diagram() alone, Python 3.11.7:
+    # 371 B/dart (11.38 MB for 30,640 darts) when the validator copied the
+    # store's dicts and held a dart set, a seen map, rotation positions and
+    # a face index; 225 B/dart (6.91 MB) with flat store lists and a
+    # validator that keeps the fresh dicts it is handed and walks faces on
+    # one predecessor map
+    p, m, s, k, q = z2
+    store, choices = DartStore(wasteful_diagram(s, concatenated_loops(p, m, q, 40), q)), {}
+    while norm(store.labels[store.max_norm_vertex()]) > q:
+        _push_max(store, s, k, choices)
+    tracemalloc.start()
+    try:
+        final = store.diagram()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(final.origin) == 30640
+    assert peak / len(final.origin) < 300
+
+
+# -- the validator against its old form ----------------------------------------
+
+
+def reference_build(
+    presentation, amap, *, origin, letter, twin, rotations, base, base_label, boundary_face_dart
+):
+    """Diagram.build before it kept its input: the same checks, over copies and dart-sized maps."""
+    if len(amap.columns) != len(presentation.generators):
+        raise ValidationError("abelianization map does not match the presentation")
+    base_label = tuple(base_label)
+    if len(base_label) != amap.rank or not all(isinstance(c, int) for c in base_label):
+        raise ValidationError(f"base label {base_label!r} is not an integer vector of rank {amap.rank}")
+
+    darts = set(origin)
+    if set(letter) != darts or set(twin) != darts:
+        raise ValidationError("origin, letter and twin must cover the same darts")
+    for d in darts:
+        if not isinstance(d, int) or d <= 0:
+            raise ValidationError(f"dart id {d!r} must be a positive integer")
+    k = len(presentation.generators)
+    for d in darts:
+        t = twin[d]
+        if t not in darts or t == d or twin[t] != d:
+            raise ValidationError(f"twin map is not a fixed-point-free involution at dart {d}")
+        x = letter[d]
+        if not isinstance(x, int) or x == 0 or abs(x) > k:
+            raise ValidationError(f"dart {d} carries letter {x!r} outside the alphabet")
+        if letter[t] != -x:
+            raise ValidationError(f"darts {d} and {t} are twins but not inversely labelled")
+
+    if base not in rotations:
+        raise ValidationError(f"base vertex {base} is not a vertex of the diagram")
+    seen: dict[int, int] = {}
+    for v, rot in rotations.items():
+        for d in rot:
+            if d not in darts:
+                raise ValidationError(f"rotation of vertex {v} lists unknown dart {d}")
+            if d in seen:
+                raise ValidationError(f"dart {d} appears in two rotations")
+            seen[d] = v
+            if origin[d] != v:
+                raise ValidationError(f"dart {d} has origin {origin[d]} but sits in the rotation of {v}")
+    if len(seen) != len(darts):
+        missing = next(iter(darts - set(seen)))
+        raise ValidationError(f"dart {missing} appears in no rotation")
+
+    if not darts:
+        if boundary_face_dart is not None:
+            raise ValidationError("a diagram without darts cannot name a boundary face dart")
+        if set(rotations) != {base}:
+            raise ValidationError("a diagram without darts must consist of the base vertex alone")
+        return Diagram(
+            presentation=presentation, amap=amap, origin={}, letter={}, twin={}, rotations={base: ()},
+            base=base, base_label=base_label, boundary_face_dart=None, faces=((),),
+            boundary_face_index=0, labels={base: base_label}, walk=(),
+        )
+
+    if boundary_face_dart is None or boundary_face_dart not in darts:
+        raise ValidationError("boundary_face_dart must name an existing dart")
+
+    rot_lists = {v: tuple(rot) for v, rot in rotations.items()}
+    for v, rot in rot_lists.items():
+        if rot and rot[0] != min(rot):
+            i = rot.index(min(rot))
+            rot_lists[v] = rot[i:] + rot[:i]
+    pos = {d: i for v, rot in rot_lists.items() for i, d in enumerate(rot)}
+
+    def phi(d: int) -> int:
+        t = twin[d]
+        rot = rot_lists[origin[t]]
+        return rot[(pos[t] - 1) % len(rot)]
+
+    face_of: dict[int, int] = {}
+    faces: list[tuple[int, ...]] = []
+    for d0 in sorted(darts):
+        if d0 in face_of:
+            continue
+        orbit = [d0]
+        face_of[d0] = len(faces)
+        d = phi(d0)
+        while d != d0:
+            if d in face_of:
+                raise ValidationError("rotation system does not define a permutation of faces")
+            face_of[d] = len(faces)
+            orbit.append(d)
+            d = phi(d)
+        faces.append(tuple(orbit))
+
+    bindex = face_of[boundary_face_dart]
+    orbit = faces[bindex]
+    shift = orbit.index(boundary_face_dart)
+    faces[bindex] = orbit[shift:] + orbit[:shift]
+
+    nv, ne, nf = len(rotations), len(darts) // 2, len(faces)
+    if nv - ne + nf != 2:
+        raise ValidationError(f"Euler count V-E+F = {nv}-{ne}+{nf} != 2; not a sphere map")
+
+    if origin[boundary_face_dart] != base:
+        raise ValidationError("the boundary face dart must start at the base vertex")
+
+    check_relator_faces(
+        presentation,
+        (tuple(letter[d] for d in face) for i, face in enumerate(faces) if i != bindex),
+    )
+    labels = walk_labels(amap, origin, letter, twin, rot_lists, base, base_label)
+    walk = tuple(twin[d] for d in reversed(faces[bindex]))
+    return Diagram(
+        presentation=presentation, amap=amap, origin=dict(origin), letter=dict(letter), twin=dict(twin),
+        rotations=rot_lists, base=base, base_label=base_label, boundary_face_dart=boundary_face_dart,
+        faces=tuple(faces), boundary_face_index=bindex, labels=labels, walk=walk,
+    )
+
+
+@pytest.fixture(scope="module")
+def valid_diagrams(z2, heis):
+    """Fixture fillings, a z2 tower and a pushed W1 final."""
+    out = []
+    for p, m, s, k, q in (z2, heis):
+        out += [f for e in s.entries for f in e.fillings.values()]
+    p, m, s, k, q = z2
+    out.append(tower_diagram(s.entries[0], R, 4, m.zero))
+    p, m, s, k, q = heis
+    loops = [wasteful_diagram(s, c, q) for c in sample_corridor_certificates(p, m, q, 12, 20, 6)]
+    final, trace = push_to_corridor(max(loops, key=lambda d: d.metrics()["norm"]), s, k, q)
+    assert len(trace.steps) > 50
+    out.append(final)
+    return out
+
+
+def arrays(d: Diagram) -> dict:
+    """Fresh copies of Diagram.build's keyword arrays for d."""
+    return dict(
+        origin=dict(d.origin),
+        letter=dict(d.letter),
+        twin=dict(d.twin),
+        rotations={v: list(rot) for v, rot in d.rotations.items()},
+        base=d.base,
+        base_label=d.base_label,
+        boundary_face_dart=d.boundary_face_dart,
+    )
+
+
+def mutate(a: dict, data, rank: int) -> str:
+    """Break the arrays one way, drawn by hypothesis; returns the kind of mutation."""
+    origin, letter, twin, rotations = a["origin"], a["letter"], a["twin"], a["rotations"]
+    darts, vertices = sorted(origin), sorted(rotations)
+    dart = st.sampled_from(darts)
+    kind = data.draw(st.sampled_from([
+        "swap twins", "pair twins across", "drop", "duplicate", "move",
+        "letter", "origin", "boundary face dart", "base",
+    ]))
+    if kind == "swap twins":
+        x, y = data.draw(dart), data.draw(dart)
+        twin[x], twin[y] = twin[y], twin[x]
+    elif kind == "pair twins across":
+        # x-tx and y-ty become x-ty and y-tx: still an involution, and still
+        # inversely labelled, as y carries x's letter
+        x = data.draw(dart)
+        y = data.draw(st.sampled_from([y for y in darts if letter[y] == letter[x]]))
+        tx, ty = twin[x], twin[y]
+        twin[x], twin[ty], twin[y], twin[tx] = ty, x, tx, y
+    elif kind in ("drop", "duplicate", "move"):
+        x = data.draw(dart)
+        if kind != "duplicate":
+            rotations[origin[x]].remove(x)
+        if kind != "drop":
+            rot = rotations[data.draw(st.just(origin[x]) | st.sampled_from(vertices))]
+            rot.insert(data.draw(st.integers(0, len(rot))), x)
+    elif kind == "letter":
+        letter[data.draw(dart)] = data.draw(st.integers(-rank - 1, rank + 1))
+    elif kind == "origin":
+        origin[data.draw(dart)] = data.draw(st.sampled_from(vertices + [vertices[-1] + 1]))
+    elif kind == "boundary face dart":
+        a["boundary_face_dart"] = data.draw(st.sampled_from([None, 0, darts[-1] + 1] + darts))
+    else:
+        a["base"] = data.draw(st.sampled_from(vertices + [vertices[-1] + 1]))
+    return kind
+
+
+def twin_or_letter_fault(message: str, a: dict, rank: int) -> bool:
+    """Whether a message of the validator's twin and letter loop names a real fault of a."""
+    twin, letter = a["twin"], a["letter"]
+    if m := re.fullmatch(r"twin map is not a fixed-point-free involution at dart (\d+)", message):
+        d = int(m[1])
+        return twin[d] == d or twin.get(twin[d]) != d
+    if m := re.fullmatch(r"dart (\d+) carries letter (-?\d+) outside the alphabet", message):
+        d, x = int(m[1]), int(m[2])
+        return letter[d] == x and not 0 < abs(x) <= rank
+    if m := re.fullmatch(r"darts (\d+) and (\d+) are twins but not inversely labelled", message):
+        d, t = int(m[1]), int(m[2])
+        return twin[d] == t and letter[t] != -letter[d]
+    return False
+
+
+def fresh(a: dict) -> dict:
+    """The arrays with dicts of their own, as Diagram.build keeps what it is handed."""
+    return {**a, **{key: dict(a[key]) for key in ("origin", "letter", "twin", "rotations")}}
+
+
+def verdict(build, d: Diagram, a: dict):
+    try:
+        return build(d.presentation, d.amap, **a)
+    except ValidationError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_validator_matches_reference_on_mutations(valid_diagrams, data):
+    d = valid_diagrams[data.draw(st.integers(0, len(valid_diagrams) - 1))]
+    a = arrays(d)
+    rank = len(d.presentation.generators)
+    kind = mutate(a, data, rank)
+    note(kind)
+    got = verdict(Diagram.build, d, fresh(a))
+    want = verdict(reference_build, d, fresh(a))
+    event(f"{kind}: " + (re.sub(r"-?\d+", "#", want) if isinstance(want, str) else "accepted"))
+    if isinstance(want, str):
+        if got != want and kind == "duplicate" and want.endswith("appears in two rotations"):
+            # a dart listed again after its own rotation is now caught by
+            # its origin, no longer by a map of the darts seen so far
+            assert re.fullmatch(r"dart \d+ has origin \d+ but sits in the rotation of \d+", got), got
+        elif got != want:
+            # the twin and letter checks walk the dict, no longer a set of
+            # darts: where several darts fail them, another may come first
+            assert twin_or_letter_fault(want, a, rank) and twin_or_letter_fault(got, a, rank), (got, want)
+        return
+    assert isinstance(got, Diagram), got
+    assert vars(got) == vars(want)
+
+
+def test_validator_matches_reference_on_valid_diagrams(valid_diagrams):
+    for d in valid_diagrams:
+        got = Diagram.build(d.presentation, d.amap, **arrays(d))
+        want = reference_build(d.presentation, d.amap, **arrays(d))
+        assert vars(got) == vars(want)

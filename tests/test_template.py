@@ -50,7 +50,10 @@ def reference_glue(store, star, bld, walk):
     classes = {rep(x) for cell in bld.cells for x in cell}
     classes.update(rep(x) for x in walk)
     classes.update([rep(bld.twin[x]) for x in classes])
-    start = max(store.origin) + 1
+    # the store's dart fields are lists with dead slots: read the live darts
+    # off its rotations
+    live = [x for rot in store.rotations.values() for x in rot]
+    start = max(live) + 1
     number = {r: start + i for i, r in enumerate(sorted(classes))}
     # a host dart x joins the builder as -x, clear of the builder's ids
     hosts = {y for x in star.link_darts for y in (x, twin[x])}
@@ -179,7 +182,7 @@ def reference_glue(store, star, bld, walk):
 
     dropped_darts = gone | hosts
     nv = len(store.rotations) - len(touched) - 1 + len(rotations)
-    ne = (len(store.origin) - len(dropped_darts) + len(pred)) // 2
+    ne = (len(live) - len(dropped_darts) + len(pred)) // 2
     area = store.area + len(bld.cells) - len(star.darts)
     if nv - ne + area + 1 != 2:
         raise ValidationError(f"Euler count V-E+F = {nv}-{ne}+{area + 1} != 2; not a sphere map")
