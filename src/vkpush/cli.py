@@ -461,9 +461,27 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
+def _predicted_bounds(ar: str, k) -> dict:
+    """The report's predicted area bounds for an --ar pair, or UsageError."""
+    parts = ar.split(",")
+    if len(parts) != 2:
+        raise UsageError("--ar takes two comma separated growth expressions, e.g. '3*n**2,2*n'")
+    area_growth, radius_growth = parts[0].strip(), parts[1].strip()
+    try:
+        pair = ARPair.from_strings(area_growth, radius_growth)
+        at_n = {
+            str(nn): _json_number(predicted_area_bound(pair, k, nn)) for nn in BOUND_SAMPLE_POINTS
+        }
+    except ValidationError as exc:
+        raise UsageError(str(exc)) from exc
+    return {"area_growth": area_growth, "radius_growth": radius_growth, "at_n": at_n}
+
+
 def cmd_bench(args) -> int:
     started = time.perf_counter()
     p, m, s, k = _push_inputs(args)
+    # a malformed or undefined --ar ends the bench before any loop is sampled
+    predicted = _predicted_bounds(args.ar, k) if args.ar else None
     certs = sample_corridor_certificates(
         p, m, args.q, args.target_len, args.count, args.seed
     )
@@ -524,25 +542,8 @@ def cmd_bench(args) -> int:
         },
         "timing": {"seconds": round(time.perf_counter() - started, 3)},
     }
-    if args.ar:
-        parts = args.ar.split(",")
-        if len(parts) != 2:
-            raise UsageError(
-                "--ar takes two comma separated growth expressions, e.g. '3*n**2,2*n'"
-            )
-        try:
-            pair = ARPair.from_strings(parts[0].strip(), parts[1].strip())
-            at_n = {
-                str(nn): _json_number(predicted_area_bound(pair, k, nn))
-                for nn in BOUND_SAMPLE_POINTS
-            }
-        except ValidationError as exc:
-            raise UsageError(str(exc)) from exc
-        report["predicted_area_bounds"] = {
-            "area_growth": parts[0].strip(),
-            "radius_growth": parts[1].strip(),
-            "at_n": at_n,
-        }
+    if predicted is not None:
+        report["predicted_area_bounds"] = predicted
     _emit(report)
     if failed:
         _emit_error(

@@ -22,7 +22,6 @@ validator's ``check_relator_faces`` and ``walk_labels``.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from vkpush.abelianization import AbelianizationMap, Vector, norm, vec_add
@@ -577,30 +576,6 @@ class DiagramBuilder:
         """The resolved complex, through the full validator; options go to resolve."""
         arrays, _ = self.resolve(walk, **options)
         return Diagram.build(self.p, self.m, base_label=tuple(base_label), **arrays)
-
-
-# -- vertex stars ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Corner:
-    """One cell around the star center, between consecutive spokes.
-
-    The i-th corner of a star leaves the center along ``StarView.darts[i]``.
-    """
-
-    in_dart: int
-    arc: tuple[int, ...]
-    word: Word
-
-
-@dataclass(frozen=True)
-class StarView:
-    center: int
-    darts: tuple[int, ...]
-    corners: tuple[Corner, ...]
-    link_darts: tuple[int, ...]
-    link_word: Word
 
 
 # -- isomorphism signatures ---------------------------------------------

@@ -198,7 +198,7 @@ def _push_max(
     entry, entry_idx = choice
     where = (index, g, label_g, entry_idx)
     try:
-        cut = store.glue(star, _template(entry, tuple(corner.word for corner in star.corners)))
+        cut = store.glue(star, _template(entry, star.words))
     except ValidationError as exc:
         raise PushError(f"star replacement failed: {exc}" + _WHERE.format(*where)) from exc
 
@@ -431,9 +431,10 @@ def _compile_growth(expr: str) -> Callable[[float], float]:
 
     Permits numbers, n, + - * / ** with unary minus, and calls to log, log2,
     sqrt, exp.  Anything else is rejected up front.  Division by zero, a
-    math domain error, a non-real power or a float overflow while evaluating
-    raises ValidationError.  An integer power of more than _EXACT_BITS bits
-    is taken in floats, where it overflows, instead of being built.
+    math domain error, a non-real power, a float overflow while evaluating
+    or a NaN value (inf - inf, say) raises ValidationError.  An integer
+    power of more than _EXACT_BITS bits is taken in floats, where it
+    overflows, instead of being built.
     """
     try:
         tree = ast.parse(expr, mode="eval")
@@ -480,7 +481,10 @@ def _compile_growth(expr: str) -> Callable[[float], float]:
 
     def fn(n: float) -> float:
         try:
-            return ev(tree, n)
+            val = ev(tree, n)
+            if val != val:
+                raise ValueError("the value is NaN")
+            return val
         except ValidationError:
             raise
         except (ArithmeticError, ValueError) as exc:
@@ -515,7 +519,9 @@ def predicted_area_bound(ar: ARPair, k: SchemeConstants, n: int):
     Computed exactly over the integers whenever every ingredient is integral,
     so polynomial-versus-exponential comparisons at large n stay meaningful.
     A power of more than _EXACT_BITS bits is not built: the bound is then
-    infinite with the sign of f(n), or 0 when f(n) is 0.
+    infinite with the sign of f(n), or 0 when f(n) is 0.  An infinite f(n)
+    times a power that underflows to 0 has no value and raises
+    ValidationError.
     """
     gn = ar.g(n)
     fn = ar.f(n)
@@ -528,6 +534,11 @@ def predicted_area_bound(ar: ARPair, k: SchemeConstants, n: int):
             return 0 if fn == 0 else math.inf if fn > 0 else -math.inf
         return int(base) ** expo * int(fn)
     try:
-        return float(base) ** expo * fn
+        val = float(base) ** expo * fn
     except OverflowError:
         return math.inf
+    if val != val:
+        raise ValidationError(
+            f"the area bound is undefined at n = {n}: f(n) is {fn} and (1+4AB)^{expo} is 0"
+        )
+    return val

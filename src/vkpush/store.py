@@ -26,22 +26,35 @@ from typing import Sequence
 
 from vkpush.abelianization import Vector, vec_add
 from vkpush.diagram import (
-    Corner,
     Diagram,
     DiagramBuilder,
-    StarView,
     check_relator_faces,
     norm_key,
     walk_labels,
 )
-from vkpush.presentation import ValidationError, word_to_text
+from vkpush.presentation import ValidationError, Word, word_to_text
+
+
+@dataclass(frozen=True)
+class StarView:
+    """The closed star of a vertex, as DartStore.star reads it.
+
+    Spoke i, ``darts[i]``, opens the corner face whose relator word, read
+    from that spoke, is ``words[i]``.  The link is the corner faces less the
+    spokes and their twins, corner by corner.
+    """
+
+    center: int
+    darts: tuple[int, ...]
+    words: tuple[Word, ...]
+    link_darts: tuple[int, ...]
+    link_word: Word
 
 
 @dataclass(frozen=True)
 class Surgery:
     """One star replacement, as DartStore.glue computes it and apply commits it."""
 
-    dropped_darts: frozenset[int]
     # new dart -> (letter, twin)
     darts: dict[int, tuple[int, int]]
     # the rotation of every re-threaded vertex, new ones included
@@ -57,6 +70,8 @@ class Surgery:
     # keeps under a new id: the outer twins of the link, O(link) of them
     renamed: dict[int, int]
     area: int
+    # the darts the rotations list after the step
+    live_darts: int
 
 
 @dataclass(frozen=True)
@@ -264,33 +279,24 @@ class DartStore:
         for s in spokes:
             if origin[twin[s]] == v:
                 raise ValidationError(f"vertex {v} carries a loop edge; star is not regular")
-        k = len(spokes)
-        corners = []
+        # each corner face runs from its spoke along the link to the twin of
+        # the next spoke
+        link: list[int] = []
         seen_faces: set[int] = set()
-        for i, face in enumerate(faces):
-            out = spokes[i]
-            # the face orbit entering along in_dart continues with out, so both
-            # sit in the same face with in_dart as the face-predecessor of out
+        for out, face in zip(spokes, faces):
             key = min(face)
             if key in seen_faces:
                 raise ValidationError(
                     f"face of dart {out} has a repeated corner at vertex {v}"
                 )
             seen_faces.add(key)
-            corners.append(
-                Corner(
-                    in_dart=twin[spokes[(i + 1) % k]],
-                    arc=face[1:-1],
-                    word=tuple(letter[x] for x in face),
-                )
-            )
-        link = [x for corner in corners for x in corner.arc]
+            link += face[1:-1]
         if not link:
             raise ValidationError(f"the link of vertex {v} has no edges")
         return StarView(
             center=v,
             darts=tuple(spokes),
-            corners=tuple(corners),
+            words=tuple(tuple(letter[x] for x in face) for face in faces),
             link_darts=tuple(link),
             link_word=tuple(letter[x] for x in link),
         )
@@ -337,7 +343,7 @@ class DartStore:
         origin, twin, host_rotations, pos = self.origin, self.twin, self.rotations, self.pos
         v = star.center
         # the corner faces less the spokes, which all start at the center
-        gone = {corner.in_dart for corner in star.corners}
+        gone = {twin[x] for x in star.darts}
         gone.update(star.link_darts)
         hosts = {y for x in star.link_darts for y in (x, twin[x])}
         off_center = gone | hosts
@@ -480,7 +486,8 @@ class DartStore:
                 raise ValidationError(f"link dart {x} violates label consistency")
 
         nv = len(self.rotations) - len(dropped_at) - 1 + len(rotations)
-        ne = (self.live_darts - len(off_center) - len(star.darts) + len(t.inner) + len(uses)) // 2
+        live_darts = self.live_darts - len(off_center) - len(star.darts) + len(t.inner) + len(uses)
+        ne = live_darts // 2
         area = self.area + t.area - len(star.darts)
         if nv - ne + area + 1 != 2:
             raise ValidationError(f"Euler count V-E+F = {nv}-{ne}+{area + 1} != 2; not a sphere map")
@@ -489,7 +496,6 @@ class DartStore:
         darts.update((r, (t_letter[r - start], seam_twin[r])) for r in uses)
         renamed = {x: glued[x] for x in outer_hosts}
         return Surgery(
-            dropped_darts=frozenset(off_center).union(star.darts),
             darts=darts,
             rotations=rotations,
             dropped_vertices=(v, *sorted(dropped_at.keys() - rotations.keys())),
@@ -497,6 +503,7 @@ class DartStore:
             labels=labels,
             renamed=renamed,
             area=area,
+            live_darts=live_darts,
         )
 
     def apply(self, s: Surgery) -> None:
@@ -509,7 +516,7 @@ class DartStore:
         grow = [0] * (max(s.darts) + 1 - len(origin))
         for field in (origin, letter, twin, pos):
             field += grow
-        self.live_darts += len(s.darts) - len(s.dropped_darts)
+        self.live_darts = s.live_darts
         for x, (lt, tw) in s.darts.items():
             letter[x] = lt
             twin[x] = tw

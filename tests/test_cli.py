@@ -10,8 +10,10 @@ import pytest
 
 from vkpush import cli, pusher
 from vkpush.cli import main
+from vkpush.abelianization import AbelianizationMap
+from vkpush.diagram import DiagramBuilder
 from vkpush.oracle import sample_corridor_certificates, tower_diagram, wasteful_diagram
-from vkpush.presentation import ValidationError
+from vkpush.presentation import Presentation, ValidationError
 from vkpush.scheme import CertificationError, certify_coverage
 from vkpush.store import DartStore
 
@@ -506,10 +508,22 @@ def test_bench_rejects_malformed_ar(capsys):
         "n,log(n-10)",
         "n,(n-20)**0.5",
         "n,1e308*n",
+        # NaN at every n, and an infinite f(n) times a power that underflows
+        "1e308*n-1e308*n,n",
+        "1e308*n,-n**3",
     ):
         code, out, err = run(capsys, "bench", Z2, "--q", "5", "--count", "0", "--ar", ar)
         assert code == 64, ar
         assert err["error"]["type"] == "UsageError"
+
+
+def test_bench_rejects_a_malformed_ar_before_pushing(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "push_to_corridor", lambda *args: calls.append(args))
+    for ar in ("n**2", "1e308*n-1e308*n,n"):
+        code, out, err = run(capsys, "bench", Z2, "--q", "5", "--count", "3", "--ar", ar)
+        assert code == 64 and err["error"]["type"] == "UsageError", ar
+    assert calls == []
 
 
 @pytest.mark.parametrize(
@@ -557,6 +571,36 @@ def test_render_writes_dot_and_svg(capsys, tower_file, tmp_path):
     dot = (tmp_path / "pic.dot").read_text()
     assert dot.startswith("graph") and '[label="a"]' in dot
     assert (tmp_path / "pic.svg").read_text().startswith("<svg")
+
+
+def test_render_draws_a_loop_edge_and_the_trivial_diagram(capsys, tmp_path):
+    # <a, b | a, b a b^-1 a^-1> with a -> 0 and b -> 1: the one cell of `a`
+    # is a loop edge, and the trivial diagram has no dart to pin
+    bundle = {
+        "presentation": {"generators": ["a", "b"], "relators": ["a", "b a b^-1 a^-1"]},
+        "map": {"rank": 1, "columns": {"a": [0], "b": [1]}},
+    }
+    bundle_path = tmp_path / "loop_bundle.json"
+    bundle_path.write_text(json.dumps(bundle))
+    p = Presentation.from_json_dict(bundle["presentation"])
+    m = AbelianizationMap.from_json_dict(bundle["map"], p)
+    bld = DiagramBuilder(p, m)
+    cell = bld.path((1,))
+    bld.add_cell(cell)
+    loop = bld.build(cell, (0,))
+    trivial = DiagramBuilder(p, m).build((), (0,))
+    for name, d, edges in (("loop", loop, 1), ("trivial", trivial, 0)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(d.to_json_dict()))
+        code, out, err = run(capsys, "render", str(bundle_path), str(path), "--out", str(tmp_path))
+        assert code == 0 and out["vertices"] == 1 and out["edges"] == edges
+    (v,) = loop.vertices
+    loop_svg = (tmp_path / "loop.svg").read_text()
+    assert '<circle cx="334.0" cy="32.0" r="14" fill="none"' in loop_svg
+    assert f'  v{v} -- v{v} [label="a"];' in (tmp_path / "loop.dot").read_text()
+    trivial_svg = (tmp_path / "trivial.svg").read_text()
+    assert '<circle cx="320.0" cy="320.0" r="4.5"' in trivial_svg
+    assert "--" not in (tmp_path / "trivial.dot").read_text()
 
 
 # one unit of layout is this many SVG pixels (half the canvas, less the pad)

@@ -74,10 +74,10 @@ def reference_pushed_star(d, star, e):
     bld = DiagramBuilder(p, m)
     spoke_words = [hat_word(e, (d.letter[s],)) for s in star.darts]
     spoke_paths = [bld.path(w) for w in spoke_words]
-    k = len(star.corners)
+    k = len(star.words)
     walk = []
-    for i, corner in enumerate(star.corners):
-        bwalk = bld.import_diagram(corner_instance(e, corner.word))
+    for i, word in enumerate(star.words):
+        bwalk = bld.import_diagram(corner_instance(e, word))
         nxt = (i + 1) % k
         no, nc = len(spoke_words[i]), len(spoke_words[nxt])
         for dd, ss in zip(bwalk[:no], spoke_paths[i]):

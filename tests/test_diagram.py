@@ -364,17 +364,17 @@ def test_rebase_matches_rotation(j):
     assert rebase_on_boundary(g, j).boundary_word == w[k:] + w[:k]
 
 
-# -- vertex stars and splicing ---------------------------------------------
+# -- DartStore.star, DartStore.glue and Template.compile -------------------
 
 
-def test_vertex_star_at_grid_center(grid):
+def test_store_star_at_grid_center(grid):
     center = next(v for v in grid.vertices if v not in grid.boundary_vertices)
     star = DartStore(grid).star(center)
     assert len(star.darts) == 4
-    assert len(star.corners) == 4
-    for corner in star.corners:
-        assert corner.word in grid.presentation.variant_set
-        assert len(corner.arc) == 2
+    assert len(star.words) == 4
+    for word in star.words:
+        assert word in grid.presentation.variant_set
+        assert len(word) == 4
     assert len(star.link_darts) == 8
     # the link closes up around the center
     for i, dart in enumerate(star.link_darts):
@@ -383,7 +383,7 @@ def test_vertex_star_at_grid_center(grid):
     assert center not in {grid.origin[x] for x in star.link_darts}
 
 
-def test_vertex_star_rejects_boundary_vertex(grid):
+def test_store_star_rejects_boundary_vertex(grid):
     store = DartStore(grid)
     for v in grid.boundary_vertices:
         with pytest.raises(ValidationError, match=f"vertex {v} lies on the boundary"):
@@ -451,7 +451,7 @@ def test_splice_rejects_a_vertex_the_link_does_not_reach(grid):
         Template.compile(bld, walk)
 
 
-# -- boundary expansion ----------------------------------------------------
+# -- certificate_to_diagram(boundary=) ----------------------------------------
 #
 # A certificate's diagram built with a boundary word that freely reduces to
 # its product: the cancelled pairs become spur edges.

@@ -41,7 +41,7 @@ def first_step(z2):
     g = store.max_norm_vertex()
     entry, _ = choose_entry(s, Character.from_vector([-x for x in store.labels[g]]))
     star = store.star(g)
-    return store, star, pusher._template(entry, tuple(c.word for c in star.corners))
+    return store, star, pusher._template(entry, star.words)
 
 
 def test_glue_rejects_a_shifted_link_label(z2):

@@ -21,12 +21,13 @@ from vkpush.pusher import (
     ARPair,
     PushError,
     _audit,
+    _carry_budgets,
     _compile_growth,
     predicted_area_bound,
     push_to_corridor,
 )
 from vkpush.scheme import CertificationError, PushingScheme, certify_coverage, choose_entry
-from vkpush.store import DartStore
+from vkpush.store import DartStore, Surgery
 
 R = (1, 2, -1, -2)
 
@@ -169,6 +170,38 @@ def test_a_step_that_outgrows_a_times_degree_fails_both_audits(z2):
     checks, problems = _audit(trace, tight, 5.0)
     assert checks["step_area_growth"] is False and checks["step_norm_drop"] is True
     assert problems[0] == "step 0: area grew by 2 > A*degree = 1.0"
+
+
+def test_a_vertex_past_twice_its_budget_fails_degree_doubling(z2):
+    p, m, s, k = z2
+    up = next(e for e in s.entries if e.t == 1)
+    _, trace = push_to_corridor(tower_diagram(up, R, 6, (0,)), s, k, 5.0)
+    assert trace.checks["degree_doubling"] is True
+    v = min(trace.budgets)
+    degree = trace.final.degree(v)
+    low = (degree - 1) // 2
+    lowered = dataclasses.replace(trace, budgets={**trace.budgets, v: low})
+    checks, problems = _audit(lowered, k, 5.0)
+    assert checks["degree_doubling"] is False
+    assert problems == [f"surviving vertex {v} with degree baseline {low} now has degree {degree}"]
+
+
+def test_a_fold_of_budgeted_vertices_gets_the_sum_of_their_budgets():
+    # vertex 9 folds 1 and 2 together; 10 folds 5 with vertex 8, made during
+    # the run, so it has no baseline; 11 is interior to the replacement
+    budgets = {1: 3, 2: 4, 5: 2, 6: 1, 7: 6}
+    cut = Surgery(
+        darts={},
+        rotations={},
+        dropped_vertices=(7, 1, 2, 5, 8),
+        fresh={9: (1, 2), 10: (5, 8), 11: ()},
+        labels={},
+        renamed={},
+        area=0,
+        live_darts=0,
+    )
+    _carry_budgets(budgets, cut)
+    assert budgets == {6: 1, 9: 7}
 
 
 def test_every_exit_of_a_run_audits_it_once(z2, monkeypatch):

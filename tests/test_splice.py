@@ -15,18 +15,12 @@ import pytest
 from conftest import adopt
 
 from vkpush.abelianization import Character, norm
-from vkpush.diagram import (
-    Corner,
-    Diagram,
-    DiagramBuilder,
-    StarView,
-    canonical_signature,
-)
+from vkpush.diagram import Diagram, DiagramBuilder, canonical_signature
 from vkpush.oracle import sample_corridor_certificates, tower_diagram, wasteful_diagram
 from vkpush.presentation import ValidationError
 from vkpush.pusher import PushStep, _push_max, _pushed_star, push_to_corridor
 from vkpush.scheme import certify_coverage, choose_entry
-from vkpush.store import DartStore
+from vkpush.store import DartStore, StarView
 
 R = (1, 2, -1, -2)
 
@@ -37,7 +31,7 @@ def reference_star(d, v):
         raise ValidationError(f"vertex {v} lies on the boundary")
     spokes = d.rotations[v]
     face_of = {x: j for j, face in enumerate(d.faces) for x in face}
-    corners, faces = [], []
+    words, link, faces = [], [], []
     for i, out in enumerate(spokes):
         fi = face_of[out]
         assert fi not in faces
@@ -45,15 +39,11 @@ def reference_star(d, v):
         face = d.faces[fi]
         shift = face.index(out)
         rotated = face[shift:] + face[:shift]
-        corners.append(
-            Corner(
-                in_dart=d.twin[spokes[(i + 1) % len(spokes)]],
-                arc=rotated[1:-1],
-                word=tuple(d.letter[x] for x in rotated),
-            )
-        )
-    link = tuple(x for corner in corners for x in corner.arc)
-    star = StarView(v, tuple(spokes), tuple(corners), link, tuple(d.letter[x] for x in link))
+        assert rotated[-1] == d.twin[spokes[(i + 1) % len(spokes)]]
+        words.append(tuple(d.letter[x] for x in rotated))
+        link.extend(rotated[1:-1])
+    link = tuple(link)
+    star = StarView(v, tuple(spokes), tuple(words), link, tuple(d.letter[x] for x in link))
     return star, set(faces)
 
 
@@ -82,7 +72,7 @@ def reference_step(d, s, k):
     label_g = d.labels[g]
     star, _ = reference_star(d, g)
     entry, _ = choose_entry(s, Character.from_vector([-x for x in label_g]))
-    bld, walk = _pushed_star(entry, tuple(c.word for c in star.corners))
+    bld, walk = _pushed_star(entry, star.words)
     replacement = bld.build(walk, d.labels[d.head(star.darts[0])])
     nd = reference_splice(d, g, replacement)
     added = Counter(nd.labels.values()) - Counter(d.labels.values())

@@ -41,9 +41,8 @@ def reference_glue(store, star, bld, walk):
     origin, twin, letter = store.origin, store.twin, store.letter
     v = star.center
     gone = set(star.darts)
-    for corner in star.corners:
-        gone.add(corner.in_dart)
-        gone.update(corner.arc)
+    gone.update(twin[x] for x in star.darts)
+    gone.update(star.link_darts)
 
     # the builder's classes under fresh ids, numbered before the link joins
     rep = bld.rep
@@ -180,15 +179,14 @@ def reference_glue(store, star, bld, walk):
         if label_at(twin_of(e)) != vec_add(label_at(e), column(letter_of(e))):
             raise ValidationError(f"edge {e} violates label consistency")
 
-    dropped_darts = gone | hosts
+    live_darts = len(live) - len(gone | hosts) + len(pred)
     nv = len(store.rotations) - len(touched) - 1 + len(rotations)
-    ne = (len(live) - len(dropped_darts) + len(pred)) // 2
+    ne = live_darts // 2
     area = store.area + len(bld.cells) - len(star.darts)
     if nv - ne + area + 1 != 2:
         raise ValidationError(f"Euler count V-E+F = {nv}-{ne}+{area + 1} != 2; not a sphere map")
 
     return Surgery(
-        dropped_darts=frozenset(dropped_darts),
         darts={r: (letter_of(r), tw[r]) for r in sorted(pred)},
         rotations=rotations,
         dropped_vertices=(v, *sorted(touched - rotations.keys())),
@@ -196,6 +194,7 @@ def reference_glue(store, star, bld, walk):
         labels=labels,
         renamed={x: glued[x] for x in hosts - gone},
         area=area,
+        live_darts=live_darts,
     )
 
 
@@ -221,7 +220,7 @@ def push_against_reference(d, s, k, q, seen: Counter) -> int:
         star = ref.star(g)
         label = ref.labels[g]
         entry, _ = choose_entry(s, Character.from_vector([-x for x in label]))
-        words = tuple(corner.word for corner in star.corners)
+        words = star.words
         seen["hit" if words in entry.templates else "miss"] += 1
         fold, pinch = step_kind(ref, star)
         seen["fold"] += fold
@@ -328,7 +327,7 @@ def test_compile_rejects_a_cell_that_is_not_a_relator_variant(z2):
     entry = s.entries[0]
     store = DartStore(tower_diagram(entry, R, 6, m.zero))
     star = store.star(store.max_norm_vertex())
-    bld, walk = _pushed_star(entry, tuple(corner.word for corner in star.corners))
+    bld, walk = _pushed_star(entry, star.words)
     bld.add_cell(bld.path((1, 1)))
     with pytest.raises(ValidationError, match="'a a' is not a relator variant"):
         Template.compile(bld, walk)
