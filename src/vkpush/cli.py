@@ -92,7 +92,7 @@ def _read_json(path):
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise InputError(f"{path}: invalid JSON ({exc})") from exc
 
 

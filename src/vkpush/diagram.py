@@ -3,10 +3,11 @@
 A diagram stores darts (oriented half-edges), a twin involution, and a
 counterclockwise rotation order of out-darts at every vertex.  Faces are the
 orbits of phi(d) = sigma^-1(twin(d)) and are read with their interior on the
-left; one face is the boundary face, every other face must spell a cyclic
-variant of a relator.  The boundary walk of the diagram is the reversed twin
-sequence of the boundary face orbit, and starts at the base vertex, which by
-convention is the origin of ``boundary_face_dart``.
+left; the first face is the boundary face, read from ``boundary_face_dart``,
+and every other face must spell a cyclic variant of a relator.  The boundary
+walk of the diagram is the reversed twin sequence of the boundary face orbit,
+and starts at the base vertex, which by convention is the origin of
+``boundary_face_dart``.
 
 Vertex labels in Z^n are breadth-first propagated from the base label and
 must be consistent along every edge.  ``Diagram.build`` is the single full
@@ -22,6 +23,7 @@ validator's ``check_relator_faces`` and ``walk_labels``.
 from __future__ import annotations
 
 from collections import Counter, deque
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 from vkpush.abelianization import AbelianizationMap, Vector, norm, vec_add
@@ -50,7 +52,6 @@ class Diagram:
         self.base_label: Vector = kw["base_label"]
         self.boundary_face_dart: int | None = kw["boundary_face_dart"]
         self.faces: tuple[tuple[int, ...], ...] = kw["faces"]
-        self.boundary_face_index: int = kw["boundary_face_index"]
         self.labels: dict[int, Vector] = kw["labels"]
         self._walk: tuple[int, ...] = kw["walk"]
 
@@ -132,59 +133,39 @@ class Diagram:
                 raise ValidationError("a diagram without darts cannot name a boundary face dart")
             if set(rotations) != {base}:
                 raise ValidationError("a diagram without darts must consist of the base vertex alone")
-            return cls(
-                presentation=presentation,
-                amap=amap,
-                origin={},
-                letter={},
-                twin={},
-                rotations={base: ()},
-                base=base,
-                base_label=base_label,
-                boundary_face_dart=None,
-                faces=((),),
-                boundary_face_index=0,
-                labels={base: base_label},
-                walk=(),
-            )
-
-        if boundary_face_dart is None or boundary_face_dart not in darts:
+            faces: list[tuple[int, ...]] = [()]
+        elif boundary_face_dart is None or boundary_face_dart not in darts:
             raise ValidationError("boundary_face_dart must name an existing dart")
-
-        # phi(d) = sigma^-1(twin(d)), the face continuation with interior on
-        # the left, is prev[twin[d]]; the face walk pops that entry as it
-        # leaves d, so a dart whose twin has none left lies on a walked face
-        faces: list[tuple[int, ...]] = []
-        for d0 in sorted(darts):
-            d = prev.pop(twin[d0], 0)
-            if not d:
-                continue
-            orbit = [d0]
-            while d != d0:
-                orbit.append(d)
-                d = prev.pop(twin[d], 0)
+        else:
+            # phi(d) = sigma^-1(twin(d)), the face continuation with interior
+            # on the left, is prev[twin[d]]; the face walk pops that entry as
+            # it leaves d, so a dart whose twin has none left lies on a walked
+            # face.  The boundary face comes first, from its dart; every other
+            # face starts at its smallest dart.
+            faces = []
+            for d0 in chain((boundary_face_dart,), sorted(darts)):
+                d = prev.pop(twin[d0], 0)
                 if not d:
-                    raise ValidationError("rotation system does not define a permutation of faces")
-            faces.append(tuple(orbit))
-
-        bindex = next(i for i, face in enumerate(faces) if boundary_face_dart in face)
-        orbit = faces[bindex]
-        shift = orbit.index(boundary_face_dart)
-        faces[bindex] = orbit[shift:] + orbit[:shift]
+                    continue
+                orbit = [d0]
+                while d != d0:
+                    orbit.append(d)
+                    d = prev.pop(twin[d], 0)
+                    if not d:
+                        raise ValidationError("rotation system does not define a permutation of faces")
+                faces.append(tuple(orbit))
 
         nv, ne, nf = len(rotations), len(darts) // 2, len(faces)
         if nv - ne + nf != 2:
             raise ValidationError(f"Euler count V-E+F = {nv}-{ne}+{nf} != 2; not a sphere map")
 
-        if origin[boundary_face_dart] != base:
+        # a diagram without darts names no boundary face dart
+        if origin.get(boundary_face_dart, base) != base:
             raise ValidationError("the boundary face dart must start at the base vertex")
 
-        check_relator_faces(
-            presentation,
-            (tuple(letter[d] for d in face) for i, face in enumerate(faces) if i != bindex),
-        )
+        check_relator_faces(presentation, (tuple(letter[d] for d in face) for face in faces[1:]))
         labels = walk_labels(amap, origin, letter, twin, rotations, base, base_label)
-        walk = tuple(twin[d] for d in reversed(faces[bindex]))
+        walk = tuple(twin[d] for d in reversed(faces[0]))
         return cls(
             presentation=presentation,
             amap=amap,
@@ -196,7 +177,6 @@ class Diagram:
             base_label=base_label,
             boundary_face_dart=boundary_face_dart,
             faces=tuple(faces),
-            boundary_face_index=bindex,
             labels=labels,
             walk=walk,
         )
@@ -406,9 +386,7 @@ class DiagramBuilder:
         self._next += len(ids)
         for old, new in mapping.items():
             self.add_dart(new, d.letter[old], mapping[d.twin[old]])
-        for i, face in enumerate(d.faces):
-            if i != d.boundary_face_index:
-                self.cells.append([mapping[x] for x in face])
+        self.cells.extend([mapping[x] for x in face] for face in d.faces[1:])
         return [mapping[x] for x in d.boundary_walk]
 
     def new_edge(self, letter: int) -> tuple[int, int]:

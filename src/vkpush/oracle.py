@@ -1,7 +1,7 @@
 """Ground-truth search tools: brute areas, certificates, samplers, towers.
 
-Nothing here knows about corridors or pushing, so its answers can be trusted
-as independent oracles in tests.  One level-synchronous insertion search
+The searches know nothing about corridors or pushing, so their answers can
+be trusted as independent oracles in tests.  One level-synchronous insertion search
 serves both word searches; each run supplies its own ordered moves.  The area
 search runs from the queried word down to the empty word; its moves insert a
 cyclic relator variant whose last letter cancels the letter at the insertion
@@ -12,8 +12,11 @@ relators' span is not null-homotopic, and a word whose phi needs more cells
 than the levels left is dropped.  Its last level is a goal test that stores no
 word and skips words whose cyclic core is not as long as some relator.  The
 scheme-filling search runs from the empty word up to the target, because its
-box constraint speaks about the labels swept while building.  The tower
-builders produce deliberately wasteful fillings for the pushing loop.
+box constraint speaks about the labels swept while building.  The builders
+serve the push as well: ``annular_collar`` builds the collar that
+``pusher._pushed_star`` puts around each corner filling, and the tower
+builders and ``wasteful_diagram`` produce deliberately wasteful fillings
+for the pushing loop.
 """
 
 from __future__ import annotations

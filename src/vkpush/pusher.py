@@ -432,14 +432,18 @@ def _compile_growth(expr: str) -> Callable[[float], float]:
     Permits numbers, n, + - * / ** with unary minus, and calls to log, log2,
     sqrt, exp.  Anything else is rejected up front.  Division by zero, a
     math domain error, a non-real power, a float overflow while evaluating
-    or a NaN value (inf - inf, say) raises ValidationError.  An integer
-    power of more than _EXACT_BITS bits is taken in floats, where it
-    overflows, instead of being built.
+    or a NaN value (inf - inf, say) raises ValidationError, and so does a
+    law nested too deeply to parse or evaluate.  An integer power of more
+    than _EXACT_BITS bits is taken in floats, where it overflows, instead
+    of being built.
     """
     try:
         tree = ast.parse(expr, mode="eval")
     except SyntaxError as exc:
         raise ValidationError(f"cannot parse growth expression {expr!r}: {exc}") from exc
+    except (RecursionError, MemoryError) as exc:
+        # the parser's own limit on nesting
+        raise ValidationError(f"growth expression {expr!r} is nested too deeply") from exc
 
     def ev(node: ast.AST, n: float):
         if isinstance(node, ast.Expression):
@@ -491,6 +495,8 @@ def _compile_growth(expr: str) -> Callable[[float], float]:
             raise ValidationError(
                 f"growth expression {expr!r} is undefined at n = {n}: {exc}"
             ) from exc
+        except (RecursionError, MemoryError) as exc:
+            raise ValidationError(f"growth expression {expr!r} is nested too deeply") from exc
 
     fn(2)
     return fn

@@ -102,7 +102,7 @@ def mirror(d: Diagram) -> Diagram:
     """Reverse the orientation; the boundary word becomes its inverse."""
     if not d.origin:
         return d
-    orbit = d.faces[d.boundary_face_index]
+    orbit = d.faces[0]
     return Diagram.build(
         d.presentation,
         d.amap,

@@ -184,6 +184,26 @@ def test_unparseable_json_is_io_error(capsys, tmp_path):
     assert "invalid JSON" in err["error"]["message"]
 
 
+@pytest.mark.parametrize("role", ["bundle", "diagram"])
+@pytest.mark.parametrize(
+    "content", [b"\xff", b"[" * 100_000 + b"]" * 100_000], ids=["not-utf8", "nested-100000-deep"]
+)
+def test_undecodable_json_is_io_error(capsys, tmp_path, tower_file, role, content):
+    # a UnicodeDecodeError or a RecursionError inside json, not a traceback
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    bundle, diagram = (str(path), tower_file) if role == "bundle" else (Z2, str(path))
+    for argv in (
+        ["validate", bundle] + [diagram] * (role == "diagram"),
+        ["push", bundle, diagram, "--q", "4.5"],
+        ["render", bundle, diagram, "--out", str(tmp_path)],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out is None, argv
+        assert err["error"]["type"] == "InputError"
+        assert err["error"]["message"].startswith(f"{path}: invalid JSON")
+
+
 # -- push --------------------------------------------------------------------
 
 
@@ -524,6 +544,22 @@ def test_bench_rejects_a_malformed_ar_before_pushing(capsys, monkeypatch):
         code, out, err = run(capsys, "bench", Z2, "--q", "5", "--count", "3", "--ar", ar)
         assert code == 64 and err["error"]["type"] == "UsageError", ar
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "law",
+    ["+".join(["n"] * 1200), "n+" + "-" * 3000 + "n", "n+" + "-" * 20000 + "n"],
+    ids=["sum-of-1200-terms", "3000-deep", "20000-deep"],
+)
+def test_bench_rejects_a_law_nested_too_deeply(capsys, law):
+    # a RecursionError in the evaluator or the parser, and the parser's
+    # MemoryError, are an unusable law, not a traceback or a spent search
+    with pytest.raises(ValidationError, match="nested too deeply"):
+        pusher._compile_growth(law)
+    code, out, err = run(capsys, "bench", Z2, "--q", "5", "--count", "0", "--ar", f"{law},n")
+    assert code == 64 and out is None
+    assert err["error"]["type"] == "UsageError"
+    assert err["error"]["message"].endswith("is nested too deeply")
 
 
 @pytest.mark.parametrize(

@@ -30,9 +30,8 @@ def reference_collar(inner, e, outer_word):
     p, m = e.presentation, e.amap
     bld = DiagramBuilder(p, m)
     adopt(bld, inner)
-    for idx, face in enumerate(inner.faces):
-        if idx != inner.boundary_face_index:
-            bld.add_cell(list(face))
+    for face in inner.faces[1:]:
+        bld.add_cell(list(face))
     k = len(outer_word)
     top = bld.path(outer_word)
     verticals = [bld.new_edge(e.t)[0] for _ in range(k)]

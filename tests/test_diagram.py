@@ -404,7 +404,7 @@ def as_builder(d):
     return bld, bld.import_diagram(d)
 
 
-def test_splice_star_back_is_identity(grid):
+def test_glue_star_back_is_identity(grid):
     center, piece = center_star(grid)
     store = DartStore(grid)
     star = store.star(center)
@@ -413,7 +413,7 @@ def test_splice_star_back_is_identity(grid):
     assert canonical_signature(store.diagram()) == canonical_signature(grid)
 
 
-def test_splice_rejects_wrong_boundary(grid, square):
+def test_glue_rejects_wrong_boundary(grid, square):
     center, piece = center_star(grid)
     store = DartStore(grid)
     star = store.star(center)
@@ -424,7 +424,7 @@ def test_splice_rejects_wrong_boundary(grid, square):
         store.glue(star, Template.compile(bld, walk[1:] + walk[:1]))
 
 
-def test_splice_rejects_a_dart_used_twice(grid):
+def test_template_rejects_a_dart_used_twice(grid):
     center, piece = center_star(grid)
     bld, walk = as_builder(piece)
     bld.add_cell(bld.cells[0])
@@ -432,7 +432,7 @@ def test_splice_rejects_a_dart_used_twice(grid):
         Template.compile(bld, walk)
 
 
-def test_splice_rejects_a_cell_that_is_not_a_relator_variant(grid):
+def test_template_rejects_a_cell_that_is_not_a_relator_variant(grid):
     center, piece = center_star(grid)
     bld, walk = as_builder(piece)
     bld.add_cell(bld.path((1, 1)))
@@ -440,7 +440,7 @@ def test_splice_rejects_a_cell_that_is_not_a_relator_variant(grid):
         Template.compile(bld, walk)
 
 
-def test_splice_rejects_a_vertex_the_link_does_not_reach(grid):
+def test_template_rejects_a_vertex_the_link_does_not_reach(grid):
     # a sphere of two squares beside the replacement shares no vertex with it
     center, piece = center_star(grid)
     bld, walk = as_builder(piece)

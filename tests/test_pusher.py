@@ -295,7 +295,7 @@ def test_step_audit_refuses_a_renamed_boundary_dart_with_another_letter(z2, monk
     p, m, s, k = z2
     up = next(e for e in s.entries if e.t == 1)
     d = tower_diagram(up, R, 1, (0,))
-    assert 12 in d.faces[d.boundary_face_index] and d.letter[12] == -2
+    assert 12 in d.faces[0] and d.letter[12] == -2
     glue = DartStore.glue
 
     def relettered(store, star, t):
@@ -674,6 +674,28 @@ def test_heisenberg_descent(heis):
         steps += len(trace.steps)
     assert pushed >= 3
     assert steps >= 20
+
+
+def test_a_run_that_ends_mid_sweep_counts_the_partial_sweep(heis):
+    # this loop crosses five sweep thresholds, the last at sqrt(65), and then
+    # reaches the corridor at norm 8.0 before the next one
+    p, m, s, k = heis
+    q = k.q_min + 0.5
+    cert = sample_corridor_certificates(p, m, q, 12, 20, 2)[2]
+    final, trace = push_to_corridor(wasteful_diagram(s, cert, q), s, k, q)
+    assert len(trace.steps) == 59 and final.metrics()["norm"] == 8.0
+    # recount: the top norm after each step is the next step's c, and after
+    # the last step the final diagram's
+    full, since, threshold, last_crossing = 0, 0, trace.steps[0].c - k.a / 2, None
+    for c in [st.c for st in trace.steps[1:]] + [final.metrics()["norm"]]:
+        since += 1
+        if c < threshold + 1e-9:
+            full, since, threshold = full + 1, 0, c - k.a / 2
+            last_crossing = c
+    assert full == 5 and last_crossing == pytest.approx(math.sqrt(65))
+    assert since == 23
+    assert trace.sweeps == full + 1 == 6
+    assert trace.checks["sweep_cap"] == 16 and trace.checks["sweeps_within_cap"]
 
 
 def test_growth_expressions_reject_unsafe_input():

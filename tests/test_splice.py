@@ -55,7 +55,7 @@ def reference_splice(d, v, replacement):
     bld = DiagramBuilder(d.presentation, d.amap)
     adopt(bld, d)
     for i, face in enumerate(d.faces):
-        if i != d.boundary_face_index and i not in removed:
+        if i != 0 and i not in removed:
             bld.add_cell(face)
     walk = bld.import_diagram(replacement)
     # a replacement whose boundary walk is pinched (one edge used twice)

@@ -25,7 +25,7 @@ from vkpush.oracle import sample_corridor_certificates, tower_diagram, wasteful_
 from vkpush.presentation import ValidationError
 from vkpush.pusher import _push_max, push_to_corridor
 from vkpush.scheme import certify_coverage
-from vkpush.store import DartStore
+from vkpush.store import DartStore, Surgery
 
 R = (1, 2, -1, -2)
 
@@ -81,6 +81,28 @@ def test_dead_slots_are_never_read(z2, heis, z3_bundle):
     q = k.q_min + 1.0
     cert = sample_corridor_certificates(p, m, q, 12, 20, 6)[0]
     assert push_poisoned(wasteful_diagram(s, cert, q), s, k, q) == 45
+
+
+def test_a_step_that_drops_the_top_vertex_and_makes_none_keeps_the_top_exact(z2):
+    # no pushed run has made such a step: every step made a new vertex
+    p, m, s, k, q = z2
+    store = DartStore(tower_diagram(s.entries[0], R, 3, m.zero))
+    top = store._top_vertex
+    assert top == max(store.rotations)
+    x = store.rotations[min(store.rotations)][0]
+    cut = Surgery(
+        darts={x: (store.letter[x], store.twin[x])},
+        rotations={},
+        dropped_vertices=(top,),
+        fresh={},
+        labels={},
+        renamed={},
+        area=store.area,
+        live_darts=store.live_darts,
+    )
+    store.apply(cut)
+    assert top not in store.rotations
+    assert store._top_vertex == max(store.rotations) < top
 
 
 def test_final_build_stays_under_300_bytes_a_dart(z2):
@@ -158,7 +180,7 @@ def reference_build(
         return Diagram(
             presentation=presentation, amap=amap, origin={}, letter={}, twin={}, rotations={base: ()},
             base=base, base_label=base_label, boundary_face_dart=None, faces=((),),
-            boundary_face_index=0, labels={base: base_label}, walk=(),
+            labels={base: base_label}, walk=(),
         )
 
     if boundary_face_dart is None or boundary_face_dart not in darts:
@@ -178,7 +200,8 @@ def reference_build(
 
     face_of: dict[int, int] = {}
     faces: list[tuple[int, ...]] = []
-    for d0 in sorted(darts):
+    # the boundary face first, from its dart
+    for d0 in (boundary_face_dart, *sorted(darts)):
         if d0 in face_of:
             continue
         orbit = [d0]
@@ -192,11 +215,6 @@ def reference_build(
             d = phi(d)
         faces.append(tuple(orbit))
 
-    bindex = face_of[boundary_face_dart]
-    orbit = faces[bindex]
-    shift = orbit.index(boundary_face_dart)
-    faces[bindex] = orbit[shift:] + orbit[:shift]
-
     nv, ne, nf = len(rotations), len(darts) // 2, len(faces)
     if nv - ne + nf != 2:
         raise ValidationError(f"Euler count V-E+F = {nv}-{ne}+{nf} != 2; not a sphere map")
@@ -204,16 +222,13 @@ def reference_build(
     if origin[boundary_face_dart] != base:
         raise ValidationError("the boundary face dart must start at the base vertex")
 
-    check_relator_faces(
-        presentation,
-        (tuple(letter[d] for d in face) for i, face in enumerate(faces) if i != bindex),
-    )
+    check_relator_faces(presentation, (tuple(letter[d] for d in face) for face in faces[1:]))
     labels = walk_labels(amap, origin, letter, twin, rot_lists, base, base_label)
-    walk = tuple(twin[d] for d in reversed(faces[bindex]))
+    walk = tuple(twin[d] for d in reversed(faces[0]))
     return Diagram(
         presentation=presentation, amap=amap, origin=dict(origin), letter=dict(letter), twin=dict(twin),
         rotations=rot_lists, base=base, base_label=base_label, boundary_face_dart=boundary_face_dart,
-        faces=tuple(faces), boundary_face_index=bindex, labels=labels, walk=walk,
+        faces=tuple(faces), labels=labels, walk=walk,
     )
 
 
