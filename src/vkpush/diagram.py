@@ -273,9 +273,12 @@ class Diagram:
             d = entry["id"]
             if not isinstance(d, int) or d in origin:
                 raise ValidationError(f"bad or duplicate dart id {d!r}")
-            origin[d] = entry["origin"]
+            o, t = entry["origin"], entry["twin"]
+            if not isinstance(o, int) or not isinstance(t, int):
+                raise ValidationError(f"dart {d} needs an integer origin and twin, not {o!r} and {t!r}")
+            origin[d] = o
             letter[d] = parse_letter(entry["letter"], p)
-            twin[d] = entry["twin"]
+            twin[d] = t
         rot_obj = obj["rotations"]
         if not isinstance(rot_obj, dict):
             raise ValidationError("'rotations' must be an object")
@@ -287,9 +290,17 @@ class Diagram:
                 raise ValidationError(f"vertex key {key!r} is not an integer") from None
             if not isinstance(rot, list):
                 raise ValidationError(f"rotation of vertex {key} must be a list")
+            if not all(isinstance(d, int) for d in rot):
+                bad = next(d for d in rot if not isinstance(d, int))
+                raise ValidationError(f"rotation of vertex {key} lists {bad!r}, not an integer dart id")
             rotations[v] = tuple(rot)
         if not isinstance(obj["base_label"], list):
             raise ValidationError("'base_label' must be a list")
+        base, bfd = obj["base"], obj.get("boundary_face_dart")
+        if not isinstance(base, int):
+            raise ValidationError(f"'base' must be an integer vertex id, not {base!r}")
+        if not (bfd is None or isinstance(bfd, int)):
+            raise ValidationError(f"'boundary_face_dart' must be an integer dart id or null, not {bfd!r}")
         return cls.build(
             p,
             m,
@@ -297,9 +308,9 @@ class Diagram:
             letter=letter,
             twin=twin,
             rotations=rotations,
-            base=obj["base"],
+            base=base,
             base_label=tuple(obj["base_label"]),
-            boundary_face_dart=obj.get("boundary_face_dart"),
+            boundary_face_dart=bfd,
         )
 
 

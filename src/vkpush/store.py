@@ -6,22 +6,31 @@ boundary face dart, so no step reads the boundary beyond its star.  A
 replacement comes as a ``Template``: compiled once from the DiagramBuilder
 that assembled it, with what does not depend on the host checked then
 (relator words, one use per dart, interior rotations reached from the link,
-label offsets along every edge).  ``DartStore.glue`` checks per step only
-what joining the link creates: the identifications, the rotations at the
-link vertices, the label at each link position and the Euler count.  The
-host darts around the link that the step keeps, its rim, are copied into the
-new rotations as slices of their host rotations and never re-checked: a rim
-edge held before the step, its far end keeps its label, and its near end is
-a link vertex, whose label glue checks.  ``DartStore.diagram`` hands the
-live darts back to ``Diagram.build``, the full validator.  The pusher imports
-this module where it uses it, so a start that never pushes does not load it.
+label offsets along every edge).  How its seam is sewn into a host, which
+classes the link identifies and how each link rotation is threaded, depends
+only on the template and the link shape: the roles of the darts the step
+drops, their cyclic order at each link vertex, where runs of kept host
+darts lie between them, and the folds (``DartStore._link_shape``).  So it
+is compiled once per template and shape into a ``Gluing``, kept on the
+template, and its checks (no link dart identified with its own twin, one
+use per seam dart, twins on faces, a permutation that takes every rim run)
+run then, as the shape fixes their outcome.  ``DartStore.glue`` checks per
+step only what the host's ids and labels bring: the walk word, the label at
+each link position and the Euler count; vertex ids, interior rotations and
+labels are made per step too.  The host darts around the link that the step
+keeps, its rim, are copied into the new rotations as slices of their host
+rotations and never re-checked: a rim edge held before the step, its far
+end keeps its label, and its near end is a link vertex, whose label glue
+checks.  ``DartStore.diagram`` hands the live darts back to
+``Diagram.build``, the full validator.  The pusher imports this module
+where it uses it, so a start that never pushes does not load it.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from vkpush.abelianization import Vector, vec_add
@@ -105,6 +114,9 @@ class Template:
     offsets: tuple[Vector, ...]
     # the same offset at each position of the walk
     walk_offsets: tuple[Vector, ...]
+    # link shape -> how the seam is sewn into a host of that shape, filled
+    # by DartStore.glue; dataclasses.replace starts a template with none
+    gluings: dict[LinkShape, Gluing] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def compile(cls, bld: DiagramBuilder, walk: Sequence[int]) -> Template:
@@ -157,6 +169,186 @@ class Template:
             vertex=tuple(vertex),
             offsets=tuple(offsets),
             walk_offsets=tuple(labels[origin[order[r]]] for r in ranks),
+        )
+
+
+# per role of a dropped dart, its successor at its link vertex, or its fold
+LinkShape = tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class Gluing:
+    """How a template's seam is sewn into a host whose link has one shape.
+
+    Ranks are the template's, so a new id is the first new id plus a rank.
+    A host dart the step drops is named by its role (``DartStore._link_shape``)
+    and a link vertex by a slot: the position of the first link dart that
+    starts there.
+    """
+
+    # the seam classes the step keeps, by the rank of their root, and the
+    # rank of each one's twin
+    seam: tuple[int, ...]
+    seam_twins: tuple[int, ...]
+    # the link positions whose twin the step keeps under a new id, and the
+    # rank of that id
+    outer: tuple[int, ...]
+    outer_ranks: tuple[int, ...]
+    # each new rotation at the link that takes rim runs, as pairs (role,
+    # ranks): the rim run after that role, then a block of new darts; and
+    # the slots of the link vertices it takes
+    wrapped: tuple[tuple[tuple[tuple[int, tuple[int, ...]], ...], tuple[int, ...]], ...]
+    # each new rotation at the link of new darts alone, from its smallest
+    # rank, and the slots it takes
+    closed: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    # the slot of every link vertex, and the number of host darts the step
+    # drops there
+    vertices: tuple[int, ...]
+    dropped: int
+
+    @classmethod
+    def compile(cls, t: Template, key: LinkShape, link: Sequence[int], start: int) -> Gluing:
+        """Sew the template's seam into the link shape ``key``, checking the sewing.
+
+        The link joins the seam through a union-find that picks roots as
+        ``DiagramBuilder.alias`` does, so a glued class keeps its
+        replacement root's id; a pinched walk on either side folds edges
+        and merges link vertices.  Then the link rotations are threaded by
+        sigma(e) = twin(pred(e)).  Checked here: no link dart is identified
+        with its own twin, each seam class is used once across faces and
+        its twin lies on a face, the threads form a permutation, and they
+        take every rim run once.  Each check reads only the template, the
+        roles of the dropped darts, their cyclic order at each link vertex,
+        whether a rim run follows each, and the folds, all of which the key
+        fixes; so its outcome holds for every host of the shape.  ``link``
+        and ``start`` only name darts in the messages.
+        """
+        n = len(t.walk)
+        t_twin, t_pred, seam, vertex = t.twin, t.pred, t.seam, t.vertex
+        partner = {i: -1 - j for i, j in enumerate(key[n : 2 * n]) if j < 0}
+
+        def host_twin(r: int) -> int:
+            return r - n if r >= n else partner.get(r, r + n)
+
+        # a union-find over seam ranks and host roles, a role r as -1 - r
+        parent: dict[int, int] = {}
+
+        def find(u: int) -> int:
+            while u in parent:
+                u = parent[u]
+            return u
+
+        for i, a in enumerate(t.walk):
+            ra, rb = find(a), find(-1 - i)
+            if ra == rb:
+                continue
+            ta = find(t_twin[ra])
+            if ta == rb:
+                raise ValidationError(f"cannot identify link dart {link[i]} with its own twin")
+            tb = find(t_twin[rb] if rb >= 0 else -1 - host_twin(-1 - rb))
+            parent[rb] = ra
+            if ta != tb:
+                parent[tb] = ta
+        # every host dart ends up in a seam class, numbered by its root's rank
+        number = {r: find(r) for r in seam}
+        outer_roles = [n + i for i in range(n) if i not in partner]
+        roles = [*range(n), *outer_roles, *range(2 * n, len(key))]
+        glued = {r: find(-1 - r) for r in roles if r < 2 * n}
+        seam_twin = {number[r]: number[t_twin[r]] for r in seam}
+
+        # each surviving seam class: the face predecessor of its one use on a
+        # cell, or (outer) the host dart whose face it continues
+        on_cells = [r for r in seam if t_pred[r] >= 0]
+        uses = [number[r] for r in on_cells] + [glued[r] for r in outer_roles]
+        if len(set(uses)) < len(uses):
+            r, count = next((r, c) for r, c in Counter(uses).items() if c > 1)
+            raise ValidationError(f"dart {start + r} is used {count} times across faces")
+        pred = {number[r]: number[q] if (q := t_pred[r]) in seam else q for r in on_cells}
+        outer = {glued[r]: r for r in outer_roles}
+        for r in uses:
+            if seam_twin[r] not in pred and seam_twin[r] not in outer:
+                raise ValidationError(f"dart {start + r} has a twin outside every face")
+
+        # the roles at a link vertex form a cycle of successors, and its
+        # smallest role is its slot
+        slot: dict[int, int] = {}
+        for r in roles:
+            u = r
+            while u not in slot:
+                slot[u] = r
+                u = key[u] >> 1
+        rim = sum(key[r] & 1 for r in roles)
+        hints: dict[int, set[int]] = {}
+        for r, e in glued.items():
+            hints.setdefault(e, set()).add(slot[r])
+
+        # each cycle holds a seam class, the template's interior cycles are
+        # closed, and a seam class glued on the outer side of the link turns
+        # into the host rotation: the rim run after its role (as -1 - role),
+        # then the seam class glued to the twin of the dropped dart ending it
+        cycles: list[tuple[list[int], set[int]]] = []
+        placed: set[int] = set()
+        taken: set[int] = set()
+        for e0 in uses:
+            if e0 in placed:
+                continue
+            cyc = [e0]
+            wanted: set[int] = set()
+            placed.add(e0)
+            e = e0
+            while True:
+                wanted.update(hints.get(e, ()))
+                r = outer.get(e)
+                if r is None:
+                    if e in pred:
+                        q = pred[e]
+                    else:
+                        q = t_pred[e]
+                        q = number[q] if q in seam else q
+                    e = seam_twin[q] if q in seam else t_twin[q]
+                else:
+                    y, run = key[r] >> 1, key[r] & 1
+                    if (run and r in taken) or y >= 2 * n:
+                        raise ValidationError("rotation system does not define a permutation of faces")
+                    if run:
+                        taken.add(r)
+                        cyc.append(-1 - r)
+                        rim -= 1
+                    e = seam_twin[glued[host_twin(y)]]
+                if e == e0:
+                    break
+                threaded = (e in pred or e in outer) if e in seam else vertex[e] < 0
+                if e in placed or not threaded:
+                    raise ValidationError("rotation system does not define a permutation of faces")
+                placed.add(e)
+                cyc.append(e)
+            cycles.append((cyc, wanted))
+        if rim:
+            raise ValidationError("rotation system does not define a permutation of faces")
+
+        wrapped = []
+        closed = []
+        for cyc, wanted in cycles:
+            slots = tuple(sorted(wanted))
+            i = next((i for i, e in enumerate(cyc) if e < 0), None)
+            if i is None:
+                i = cyc.index(min(cyc))
+                closed.append((tuple(cyc[i:] + cyc[:i]), slots))
+                continue
+            # from a rim run, which a rank block follows
+            cyc = cyc[i:] + cyc[:i]
+            cuts = [c for c, e in enumerate(cyc) if e < 0] + [len(cyc)]
+            pairs = tuple((-1 - cyc[a], tuple(cyc[a + 1 : b])) for a, b in zip(cuts, cuts[1:]))
+            wrapped.append((pairs, slots))
+        return cls(
+            seam=tuple(uses),
+            seam_twins=tuple(seam_twin[e] for e in uses),
+            outer=tuple(r - n for r in outer_roles),
+            outer_ranks=tuple(glued[r] for r in outer_roles),
+            wrapped=tuple(wrapped),
+            closed=tuple(closed),
+            vertices=tuple(sorted(set(slot.values()))),
+            dropped=len(roles),
         )
 
 
@@ -308,149 +500,63 @@ class DartStore:
 
         The template's walk, read as a boundary walk, must spell the link
         word.  Its classes take ids from the largest dart id plus one, by
-        rank.  The link darts join the seam through a union-find that picks
-        roots as ``DiagramBuilder.alias`` does, so a glued class keeps its
-        replacement root's id; a pinched walk on either side folds edges
-        and merges link vertices.  The corner faces leave, the cells come
-        in, and only the link vertices are re-threaded: the interior
-        vertices keep the template's rotations, numbered by smallest dart
-        among the new vertices, and take its label offsets from the label
-        where the walk starts.  The store is not changed.
+        rank.  The corner faces leave, the cells come in, and only the link
+        vertices are re-threaded: the interior vertices keep the template's
+        rotations, numbered by smallest dart among the new vertices, and
+        take its label offsets from the label where the walk starts.  The
+        store is not changed.
 
-        The rim, the host darts at the link vertices that the step neither
-        drops nor glues, is never walked dart by dart: around a link vertex
-        a rim dart turns to the next dart of its host rotation, so each run
-        of rim darts between two dropped darts joins a new rotation as one
-        slice.  Checked here, on every step: the walk word, the
-        identifications, one use per seam dart, that the new rotations take
-        every rim dart once, the label of each link position, and the Euler
-        count.  The label check is complete in O(link): compile checked
-        every template edge and turn against the walk's offsets, host edges
-        held after the previous step (the first host went through
-        ``Diagram.build``) and no step changes a rim edge, and host vertices
-        that fold together sit at one template vertex, so they share its
-        offset and the label they keep.
+        How the seam is sewn in, which link and seam classes merge and how
+        each link rotation is threaded, depends only on the template and on
+        the link shape (``_link_shape``), so it is compiled once per pair
+        (``Gluing.compile``) and kept on the template; a glue that raises
+        keeps nothing.  A step instantiates it: each link rotation is the
+        gluing's rank blocks shifted to the first new id, with the host's
+        rim runs between them, from its smallest dart.  The rim, the host
+        darts at the link vertices that the step neither drops nor glues,
+        is never walked dart by dart: around a link vertex a rim dart turns
+        to the next dart of its host rotation, so each run of rim darts
+        between two dropped darts joins a new rotation as one slice.
+
+        Checked on every step: the walk word, the label of each link
+        position and the Euler count.  The label check is complete in
+        O(link): compile checked every template edge and turn against the
+        walk's offsets, host edges held after the previous step (the first
+        host went through ``Diagram.build``) and no step changes a rim
+        edge, and host vertices that fold together sit at one template
+        vertex, so they share its offset and the label they keep.
         """
         p = self.presentation
-        t_letter, t_twin, t_pred, seam, vertex = t.letter, t.twin, t.pred, t.seam, t.vertex
-        walk_word = tuple(t_letter[r] for r in t.walk)
+        t_letter = t.letter
+        walk_word = tuple(map(t_letter.__getitem__, t.walk))
         if walk_word != star.link_word:
             raise ValidationError(
                 "replacement boundary "
                 f"{word_to_text(walk_word, p)!r} does not match the link "
                 f"{word_to_text(star.link_word, p)!r}"
             )
-        origin, twin, host_rotations, pos = self.origin, self.twin, self.rotations, self.pos
-        v = star.center
-        # the corner faces less the spokes, which all start at the center
-        gone = {twin[x] for x in star.darts}
-        gone.update(star.link_darts)
-        hosts = {y for x in star.link_darts for y in (x, twin[x])}
-        off_center = gone | hosts
+        origin, twin = self.origin, self.twin
+        link = star.link_darts
+        key, runs = self._link_shape(star)
         start = len(origin)
+        g = t.gluings.get(key)
+        plan = Gluing.compile(t, key, link, start) if g is None else g
 
-        # the link joins the seam: a union-find over seam ranks and host darts,
-        # a host dart x as -x, that picks its roots as DiagramBuilder.alias does
-        parent: dict[int, int] = {}
-
-        def find(u: int) -> int:
-            while u in parent:
-                u = parent[u]
-            return u
-
-        for a, x in zip(t.walk, star.link_darts):
-            ra, rb = find(a), find(-x)
-            if ra == rb:
-                continue
-            ta = find(t_twin[ra])
-            if ta == rb:
-                raise ValidationError(f"cannot identify link dart {x} with its own twin")
-            tb = find(t_twin[rb] if rb >= 0 else -twin[-rb])
-            parent[rb] = ra
-            if ta != tb:
-                parent[tb] = ta
-        # every host dart ends up in a seam class, numbered by its root's rank
-        number = {r: start + (find(r) if r in parent else r) for r in seam}
-        glued = {x: start + find(-x) for x in hosts}
-        seam_twin = {number[r]: number[t_twin[r]] for r in seam}
-
-        # each surviving seam class: the face predecessor of its one use on a
-        # cell, or (outer) the host dart whose face it continues
-        on_cells = [r for r in seam if t_pred[r] >= 0]
-        outer_hosts = hosts - gone
-        uses = [number[r] for r in on_cells] + [glued[x] for x in outer_hosts]
-        if len(set(uses)) < len(uses):
-            r, count = next((r, c) for r, c in Counter(uses).items() if c > 1)
-            raise ValidationError(f"dart {r} is used {count} times across faces")
-        pred = {number[r]: number[q] if (q := t_pred[r]) in seam else start + q for r in on_cells}
-        outer = {glued[x]: x for x in outer_hosts}
-        for r in uses:
-            if seam_twin[r] not in pred and seam_twin[r] not in outer:
-                raise ValidationError(f"dart {r} has a twin outside every face")
-
-        # the dropped darts at each link vertex by rotation position; after[x]
-        # is the run of rim darts that follows dropped dart x there, and the
-        # dropped dart that ends the run
-        dropped_at: dict[int, list[int]] = {}
-        for x in off_center:
-            dropped_at.setdefault(origin[x], []).append(pos[x])
-        after: dict[int, tuple[tuple[int, ...], int]] = {}
-        rim = 0
-        for w, ps in dropped_at.items():
-            rot = host_rotations[w]
-            ps.sort()
-            rim += len(rot) - len(ps)
-            ps.append(ps[0] + len(rot))
-            ring = rot + rot
-            for i, j in zip(ps, ps[1:]):
-                after[rot[i]] = ring[i + 1 : j], ring[j]
-
-        # the rotations of the link vertices, by sigma(e) = twin(pred(e)); each
-        # cycle holds a seam dart, the template's interior cycles are closed,
-        # and a seam dart glued on the outer side of the link turns into the
-        # host rotation: a run of rim darts, then the seam dart glued to the
-        # dropped dart ending it.  Each cycle keeps the host vertices it takes.
-        hints: dict[int, set[int]] = {}
-        for x in hosts:
-            hints.setdefault(glued[x], set()).add(origin[x])
-        cycles: list[tuple[tuple[int, ...], set[int]]] = []
-        placed: set[int] = set()
-        for e0 in uses:
-            if e0 in placed:
-                continue
-            cyc = [e0]
-            wanted: set[int] = set()
-            placed.add(e0)
-            e = e0
-            while True:
-                wanted.update(hints.get(e, ()))
-                x = outer.get(e)
-                if x is None:
-                    if e in pred:
-                        q = pred[e]
-                    else:
-                        q = t_pred[e - start]
-                        q = number[q] if q in seam else start + q
-                    e = seam_twin[q] if q - start in seam else start + t_twin[q - start]
-                else:
-                    run, y = after[x]
-                    if not placed.isdisjoint(run) or y not in hosts:
-                        raise ValidationError("rotation system does not define a permutation of faces")
-                    placed.update(run)
-                    cyc.extend(run)
-                    rim -= len(run)
-                    e = seam_twin[glued[twin[y]]]
-                if e == e0:
-                    break
-                threaded = (e in pred or e in outer) if e - start in seam else vertex[e - start] < 0
-                if e in placed or not threaded:
-                    raise ValidationError("rotation system does not define a permutation of faces")
-                placed.add(e)
-                cyc.append(e)
+        # the new rotations at the link, each from its smallest dart: a rim
+        # dart is smaller than every new id
+        shift = start.__add__
+        cycles: list[tuple[tuple[int, ...], tuple[int, ...] | None]] = []
+        for pairs, slots in plan.wrapped:
+            cyc: list[int] = []
+            for r, block in pairs:
+                cyc += runs[r]
+                cyc += map(shift, block)
             i = cyc.index(min(cyc))
-            cycles.append((tuple(cyc[i:] + cyc[:i]), wanted))
-        if rim:
-            raise ValidationError("rotation system does not define a permutation of faces")
+            cycles.append((tuple(cyc[i:] + cyc[:i]), slots))
+        cycles.extend((tuple(map(shift, cyc)), slots) for cyc, slots in plan.closed)
+        cycles.extend((tuple(map(shift, cyc)), None) for cyc in t.interior)
+        # cycles are disjoint, so tuple order is the order of smallest darts
+        cycles.sort()
 
         # vertex ids as DiagramBuilder.build gives them from host-origin hints,
         # by smallest dart across link and interior cycles
@@ -459,52 +565,95 @@ class DartStore:
         fresh: dict[int, tuple[int, ...]] = {}
         labels: dict[int, Vector] = {}
         interior_ids: list[int] = []
-        cycles.extend((tuple(map(start.__add__, cyc)), None) for cyc in t.interior)
-        # cycles are disjoint, so tuple order is the order of smallest darts
-        cycles.sort()
-        for cyc, wanted in cycles:
-            if wanted is None:
+        for cyc, slots in cycles:
+            if slots is None:
                 vid = fresh_id
                 fresh_id += 1
                 fresh[vid] = ()
                 interior_ids.append(vid)
-            elif len(wanted) == 1 and not wanted & rotations.keys():
-                (vid,) = wanted
+            elif len(slots) == 1 and (w := origin[link[slots[0]]]) not in rotations:
+                vid = w
             else:
                 vid = fresh_id
                 fresh_id += 1
-                fresh[vid] = tuple(sorted(wanted))
+                wanted = fresh[vid] = tuple(sorted(origin[link[i]] for i in slots))
                 if wanted:
-                    labels[vid] = self.labels[min(wanted)]
+                    labels[vid] = self.labels[wanted[0]]
             rotations[vid] = cyc
 
         # the interior labels, translated from the label where the walk starts
-        anchor = self.labels[origin[star.link_darts[0]]]
+        anchor = self.labels[origin[link[0]]]
         labels.update((vid, vec_add(anchor, off)) for vid, off in zip(interior_ids, t.offsets))
-        for x, off in zip(star.link_darts, t.walk_offsets):
+        for x, off in zip(link, t.walk_offsets):
             if self.labels[origin[x]] != vec_add(anchor, off):
                 raise ValidationError(f"link dart {x} violates label consistency")
 
-        nv = len(self.rotations) - len(dropped_at) - 1 + len(rotations)
-        live_darts = self.live_darts - len(off_center) - len(star.darts) + len(t.inner) + len(uses)
+        nv = len(self.rotations) - len(plan.vertices) - 1 + len(rotations)
+        live_darts = self.live_darts - plan.dropped - len(star.darts) + len(t.inner) + len(plan.seam)
         ne = live_darts // 2
         area = self.area + t.area - len(star.darts)
         if nv - ne + area + 1 != 2:
             raise ValidationError(f"Euler count V-E+F = {nv}-{ne}+{area + 1} != 2; not a sphere map")
 
         darts = {start + c: (lt, start + tw) for c, lt, tw in t.inner}
-        darts.update((r, (t_letter[r - start], seam_twin[r])) for r in uses)
-        renamed = {x: glued[x] for x in outer_hosts}
+        darts.update((start + r, (t_letter[r], start + tw)) for r, tw in zip(plan.seam, plan.seam_twins))
+        renamed = dict(zip([twin[link[i]] for i in plan.outer], map(shift, plan.outer_ranks)))
+        if g is None:
+            t.gluings[key] = plan
         return Surgery(
             darts=darts,
             rotations=rotations,
-            dropped_vertices=(v, *sorted(dropped_at.keys() - rotations.keys())),
+            dropped_vertices=(
+                star.center,
+                *sorted(w for i in plan.vertices if (w := origin[link[i]]) not in rotations),
+            ),
             fresh=fresh,
             labels=labels,
             renamed=renamed,
             area=area,
             live_darts=live_darts,
         )
+
+    def _link_shape(self, star: StarView) -> tuple[LinkShape, dict[int, tuple[int, ...]]]:
+        """The link shape that keys a gluing, and the rim runs of this host.
+
+        Every dart the step drops at the link vertices gets a role: link
+        dart i is i, the twin of link dart i is n + i (n the link length)
+        unless the link holds it, a fold, and the twin of spoke j is
+        2n + j.  The shape holds, for each role r, 2s + 1 when a run of rim
+        darts follows r around its link vertex and 2s when none does, where
+        s is the next role there; for a fold it holds -1 - j, where link
+        dart j is the twin of link dart i.  So it fixes which dropped darts
+        share a link vertex, their cyclic order there, where rim runs lie and
+        the folds, whatever dart each host rotation lists first.  Beside
+        the shape: the rim run after each role that has one.
+        """
+        origin, twin, host_rotations, pos = self.origin, self.twin, self.rotations, self.pos
+        link, spokes = star.link_darts, star.darts
+        n = len(link)
+        shape = [0] * (2 * n + len(spokes))
+        role = dict(zip(link, range(n)))
+        for i, x in enumerate(link):
+            j = role.setdefault(twin[x], n + i)
+            if j < n:
+                shape[n + i] = -1 - j
+        role.update(zip(map(twin.__getitem__, spokes), range(2 * n, len(shape))))
+        runs: dict[int, tuple[int, ...]] = {}
+        # the dropped darts by link vertex and rotation position: each one's
+        # successor is the next at its vertex, the last one's the first
+        darts = sorted(zip(map(origin.__getitem__, role), map(pos.__getitem__, role), role.values()))
+        here = None
+        for (w, p, r), (u, q, s) in zip(darts, darts[1:] + darts[:1]):
+            if w != here:
+                here, p0, r0, rot = w, p, r, host_rotations[w]
+            if u != w:
+                q, s = p0, r0
+            if (q - p - 1) % len(rot):
+                shape[r] = 2 * s + 1
+                runs[r] = rot[p + 1 : q] if p < q else rot[p + 1 :] + rot[:q]
+            else:
+                shape[r] = 2 * s
+        return tuple(shape), runs
 
     def apply(self, s: Surgery) -> None:
         """Commit a surgery computed by glue on the current state."""

@@ -170,6 +170,49 @@ def test_validate_rejects_corrupt_diagram(capsys, tower_file, tmp_path):
     assert str(bad) in err["error"]["message"]
 
 
+def _list_at_base(obj):
+    obj["base"] = [obj["base"]]
+
+
+def _list_at_boundary_face_dart(obj):
+    obj["boundary_face_dart"] = [obj["boundary_face_dart"]]
+
+
+def _list_in_a_rotation(obj):
+    rot = next(iter(obj["rotations"].values()))
+    rot[0] = [rot[0]]
+
+
+def _list_at_a_twin(obj):
+    obj["darts"][0]["twin"] = [obj["darts"][0]["twin"]]
+
+
+def _list_at_an_origin(obj):
+    obj["darts"][0]["origin"] = [obj["darts"][0]["origin"]]
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_list_at_base, _list_at_boundary_face_dart, _list_in_a_rotation, _list_at_a_twin, _list_at_an_origin],
+)
+def test_a_list_where_an_id_goes_is_a_validation_error(capsys, tower_file, tmp_path, corrupt):
+    # a list is unhashable: it must be refused as JSON, never reach a dict lookup
+    obj = json.loads(open(tower_file).read())
+    corrupt(obj)
+    bad = tmp_path / "listed.json"
+    bad.write_text(json.dumps(obj))
+    for argv in (
+        ["validate", Z2, str(bad)],
+        ["push", Z2, str(bad), "--q", "4.5"],
+        ["render", Z2, str(bad), "--out", str(tmp_path)],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out is None, argv
+        assert err["error"]["type"] == "ValidationError"
+        assert err["error"]["message"].startswith(f"{bad}: ")
+        assert "integer" in err["error"]["message"]
+
+
 def test_missing_file_is_io_error(capsys):
     code, out, err = run(capsys, "certify", "/nonexistent/bundle.json")
     assert code == 1

@@ -459,7 +459,7 @@ def test_template_rejects_a_vertex_the_link_does_not_reach(grid):
 SQUARE = FillingCertificate((((), (1, 2, -1, -2)),))
 
 
-def test_expand_boundary_inserts_spur(square, zp, zm):
+def test_certificate_to_diagram_boundary_inserts_spur(square, zp, zm):
     target = (1, 2, -2, 2, -1, -2)
     out = certificate_to_diagram(zp, zm, SQUARE, (0, 0), target)
     assert out.boundary_word == target
@@ -468,17 +468,17 @@ def test_expand_boundary_inserts_spur(square, zp, zm):
     assert out.base == square.base
 
 
-def test_expand_boundary_identity(square, zp, zm):
+def test_certificate_to_diagram_boundary_identity(square, zp, zm):
     out = certificate_to_diagram(zp, zm, SQUARE, (0, 0), square.boundary_word)
     assert canonical_signature(out) == canonical_signature(square)
 
 
-def test_expand_boundary_rejects_mismatch(zp, zm):
+def test_certificate_to_diagram_boundary_rejects_mismatch(zp, zm):
     with pytest.raises(ValidationError, match="does not reduce"):
         certificate_to_diagram(zp, zm, SQUARE, (0, 0), (1, 2, -2, -1))
 
 
-def test_expand_boundary_on_trivial(zp, zm):
+def test_certificate_to_diagram_boundary_on_trivial(zp, zm):
     out = certificate_to_diagram(zp, zm, FillingCertificate(()), (0, 0), (1, -1, 2, -2))
     assert out.boundary_word == (1, -1, 2, -2)
     assert out.area == 0
@@ -487,7 +487,7 @@ def test_expand_boundary_on_trivial(zp, zm):
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 30), st.sampled_from([1, -1, 2, -2])), max_size=5))
-def test_expand_boundary_random_insertions(inserts):
+def test_certificate_to_diagram_boundary_random_insertions(inserts):
     p = Presentation.from_texts(["a", "b"], ["a b a^-1 b^-1"])
     m = AbelianizationMap.from_json_dict({"rank": 2, "columns": {"a": [1, 0], "b": [0, 1]}}, p)
     d = build_square(p, m)

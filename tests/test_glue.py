@@ -1,10 +1,12 @@
-"""What DartStore.glue checks per step, and its rim runs against the rebuild reference.
+"""What DartStore.glue checks per step, its gluing cache, and its rim runs against the rebuild reference.
 
 A glue copies each run of untouched host darts around a link vertex as one
 slice and checks labels only at the link positions.  The negative tests
 break a label on either side of the seam; the differential test pushes
 towers whose rotations start at random darts, so the runs wrap around the
-ends of the host rotations.
+ends of the host rotations.  The cache tests ask that a template keeps one
+gluing per link shape, whatever dart a host rotation lists first, and none
+from a glue that raises.
 """
 
 import dataclasses
@@ -19,9 +21,9 @@ from vkpush.abelianization import Character, vec_add
 from vkpush.diagram import Diagram
 from vkpush.oracle import tower_diagram
 from vkpush.presentation import Presentation, ValidationError
-from vkpush.pusher import PushError, _push_max
+from vkpush.pusher import PushError, _push_max, _pushed_star
 from vkpush.scheme import certify_coverage, choose_entry
-from vkpush.store import DartStore
+from vkpush.store import DartStore, Template
 
 R = (1, 2, -1, -2)
 
@@ -67,6 +69,62 @@ def test_glue_rejects_a_template_with_a_wrong_walk_offset(z2, monkeypatch):
     monkeypatch.setattr(pusher, "_template", lambda e, words: bad)
     with pytest.raises(PushError, match="star replacement failed: .*violates label consistency"):
         _push_max(store, s, k, {})
+
+
+# -- the gluing cache -------------------------------------------------------------
+
+
+def uncached_first_step(z2):
+    """first_step, with the star's template compiled afresh, so it holds no gluing."""
+    p, m, s, k, q = z2
+    store, star, t = first_step(z2)
+    entry, _ = choose_entry(s, Character.from_vector([-x for x in store.labels[star.center]]))
+    return store, star, Template.compile(*_pushed_star(entry, star.words))
+
+
+def test_a_template_rebuilt_by_replace_starts_with_no_gluings(z2):
+    store, star, t = uncached_first_step(z2)
+    store.glue(star, t)
+    assert len(t.gluings) == 1
+    again = dataclasses.replace(t, walk=t.walk)
+    assert again.gluings == {} and again.gluings is not t.gluings
+    assert store.glue(star, again) == store.glue(star, t)
+    assert len(again.gluings) == len(t.gluings) == 1
+
+
+def test_a_glue_that_raises_keeps_no_gluing(z2):
+    store, star, t = uncached_first_step(z2)
+    # the gluing compiles, then the label check fails
+    w = store.origin[star.link_darts[2]]
+    good = store.labels[w]
+    store.labels[w] = vec_add(good, (-1,))
+    with pytest.raises(ValidationError, match="violates label consistency"):
+        store.glue(star, t)
+    assert t.gluings == {}
+    # a walk rotated by one, as conftest.unglued_replacements offers it
+    store.labels[w] = good
+    turned = dataclasses.replace(t, walk=t.walk[1:] + t.walk[:1])
+    with pytest.raises(ValidationError, match="does not match the link"):
+        store.glue(star, turned)
+    assert t.gluings == {} and turned.gluings == {}
+    store.glue(star, t)
+    assert len(t.gluings) == 1
+
+
+@pytest.mark.parametrize("turn", [1, 2, 5])
+def test_a_host_whose_rotations_start_elsewhere_hits_the_same_gluing(z2, turn):
+    store, star, t = uncached_first_step(z2)
+    want = store.glue(star, t)
+    (key,) = t.gluings
+    plan = t.gluings[key]
+    for v, rot in store.rotations.items():
+        i = turn % len(rot)
+        store.rotations[v] = rot = rot[i:] + rot[:i]
+        for j, x in enumerate(rot):
+            store.pos[x] = j
+    assert any(rot[0] != min(rot) for rot in store.rotations.values())
+    assert store.glue(star, t) == want
+    assert t.gluings == {key: plan}
 
 
 # the cyclic variants of [a, b] and of its inverse

@@ -4,13 +4,14 @@ Each case pushes 40 concatenated seed-7 corridor loops (wasteful filling,
 q = q_min + 1) and compares the sha256 of the final diagram's
 ``canonical_signature`` and of the step trace with recorded values, so a
 change to the push store shows on a long loop.  A change that alters them
-must say so and record new values.
+must say so and record new values.  The same runs, on bundles of their own,
+pin how many gluings (one per template and link shape) they compile.
 """
 
 import dataclasses
 
 import pytest
-from conftest import concatenated_loops
+from conftest import _load_bundle, concatenated_loops
 from test_report_bytes import sha
 
 from vkpush.diagram import canonical_signature
@@ -49,3 +50,16 @@ def test_long_loop_push(request, name, grid):
         sha([dataclasses.asdict(step) for step in trace.steps]),
     )
     assert got == GOLDEN[name]
+
+
+@pytest.mark.parametrize(
+    "name, grid, templates, gluings", [("z2", 0.05, 38, 47), ("heisenberg", 0.01, 75, 90)]
+)
+def test_long_loop_gluings(name, grid, templates, gluings):
+    # bundles of their own, so the run starts with no template cached
+    p, m, s = _load_bundle(name)
+    k = certify_coverage(s, grid)
+    q = k.q_min + 1.0
+    push_to_corridor(wasteful_diagram(s, concatenated_loops(p, m, q, 40), q), s, k, q)
+    compiled = [t for e in s.entries for t in e.templates.values()]
+    assert (len(compiled), sum(len(t.gluings) for t in compiled)) == (templates, gluings)

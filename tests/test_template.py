@@ -278,6 +278,8 @@ def test_templates_match_reference_on_w1_loops(heis):
     assert steps == 854
     assert seen["miss"] == 56 and seen["hit"] == steps - 56
     assert seen["fold"] > 0 and seen["pinch"] > 0
+    # one gluing per template and link shape
+    assert sum(len(t.gluings) for e in s.entries for t in e.templates.values()) == 75
 
 
 @pytest.mark.parametrize("t", [1, -1])
