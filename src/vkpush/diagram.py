@@ -23,10 +23,11 @@ validator's ``check_relator_faces`` and ``walk_labels``.
 from __future__ import annotations
 
 from collections import Counter, deque
-from itertools import chain
+from itertools import chain, repeat
+from operator import add, mul
 from typing import Iterable, Mapping, Sequence
 
-from vkpush.abelianization import AbelianizationMap, Vector, norm, vec_add
+from vkpush.abelianization import AbelianizationMap, Vector, norm
 from vkpush.presentation import (
     Presentation,
     ValidationError,
@@ -163,9 +164,9 @@ class Diagram:
         if origin.get(boundary_face_dart, base) != base:
             raise ValidationError("the boundary face dart must start at the base vertex")
 
-        check_relator_faces(presentation, (tuple(letter[d] for d in face) for face in faces[1:]))
+        check_relator_faces(presentation, map(tuple, map(map, repeat(letter.__getitem__), faces[1:])))
         labels = walk_labels(amap, origin, letter, twin, rotations, base, base_label)
-        walk = tuple(twin[d] for d in reversed(faces[0]))
+        walk = tuple(map(twin.__getitem__, reversed(faces[0])))
         return cls(
             presentation=presentation,
             amap=amap,
@@ -334,19 +335,34 @@ def walk_labels(
     """Vertex labels propagated breadth first from ``base_label`` at ``base``.
 
     One walk checks the edge equation of every out-dart of every vertex it
-    reaches, so labelling every vertex also proves connectivity.
+    reaches, so labelling every vertex also proves connectivity.  A dart's
+    far label is read from a step table, label -> letter -> label, whose
+    entry is made the first time the walk leaves a vertex of that label
+    along that letter; the entries share their labels, so equal labels in
+    the result are one tuple.  The table holds O(labels x letters) and
+    lives for one walk.
     """
-    column = amap.column
+    columns = amap.signed_columns
     labels: dict[int, Vector] = {base: base_label}
+    # every label made so far, keyed by itself, and the step table
+    known: dict[Vector, Vector] = {base_label: base_label}
+    steps: dict[Vector, dict[int, Vector]] = {}
     queue = deque([base])
     while queue:
         v = queue.popleft()
         lv = labels[v]
+        step = steps.get(lv)
+        if step is None:
+            step = steps[lv] = {}
         for d in rotations[v]:
             w = origin[twin[d]]
-            lw = vec_add(lv, column(letter[d]))
+            x = letter[d]
+            lw = step.get(x)
+            if lw is None:
+                lw = tuple(map(add, lv, columns[x]))
+                lw = step[x] = known.setdefault(lw, lw)
             if w in labels:
-                if labels[w] != lw:
+                if labels[w] is not lw:
                     raise ValidationError(f"inconsistent labels at vertex {w}")
             else:
                 labels[w] = lw
@@ -358,7 +374,7 @@ def walk_labels(
 
 def norm_key(v: int, label: Vector) -> tuple:
     """Sort key of max_norm_vertex: largest norm, then smallest label, then id."""
-    return (-sum(c * c for c in label), label, v)
+    return (-sum(map(mul, label, label)), label, v)
 
 
 class DiagramBuilder:

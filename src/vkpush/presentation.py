@@ -60,6 +60,8 @@ def rotations(w: Word) -> Iterator[Word]:
 
 
 def _parse_tokens(text: str, generators: Sequence[str]) -> Word:
+    if not isinstance(text, str):
+        raise ValidationError(f"expected a word or letter as text, not {text!r}")
     index = {name: i + 1 for i, name in enumerate(generators)}
     letters: list[int] = []
     for token in text.split():

@@ -204,18 +204,24 @@ def _push_max(
         raise PushError(f"star replacement failed: {exc}" + _WHERE.format(*where)) from exc
 
     problems: list[str] = []
-    lost = [store.labels[w] for w in cut.dropped_vertices]
-    # the signed change of each label's count: new labels less lost ones
+    labels = store.labels
+    tau = c - k.a / 2 + FLOAT_TOL
+    # the signed change of each label's count, new labels less lost ones, and
+    # how many more lost labels than new ones have norm >= tau
     delta: dict[Vector, int] = {}
-    for lbl in lost:
+    high = 0
+    for w in cut.dropped_vertices:
+        lbl = labels[w]
         delta[lbl] = delta.get(lbl, 0) - 1
+        high += norm(lbl) >= tau
     for lbl in cut.labels.values():
         delta[lbl] = delta.get(lbl, 0) + 1
+        high -= norm(lbl) >= tau
     if delta.get(label_g, 0) >= 0:
         problems.append("the pushed vertex label did not leave the multiset")
     elif extra := {lbl: n for lbl, d in delta.items() if (n := -d - (lbl == label_g)) > 0}:
         # lost beyond the pushed label: only link labels may go
-        link = [store.labels[v] for v in {store.origin[x] for x in star.link_darts}]
+        link = [labels[v] for v in {store.origin[x] for x in star.link_darts}]
         if any(n > link.count(lbl) for lbl, n in extra.items()):
             problems.append(f"labels lost beyond the pushed vertex and its link: {extra}")
     norms = {lbl: norm(lbl) for lbl in delta}
@@ -235,13 +241,13 @@ def _push_max(
         new_vertex_max_norm=new_max,
     )
     problems.extend(filter(None, _step_bounds(step, k)))
-    tau = c - k.a / 2 + FLOAT_TOL
-    high_lost = sum(1 for lbl in lost if norms[lbl] >= tau)
-    high_new = sum(1 for lbl in cut.labels.values() if norms[lbl] >= tau)
-    if not high_new < high_lost:
+    if high <= 0:
         problems.append("the count of vertices above the c - a/2 threshold did not decrease")
-    if any(cut.darts[n][0] != store.letter[x] for x, n in cut.renamed.items()):
-        problems.append("the boundary word changed")
+    letter, darts = store.letter, cut.darts
+    for x, n in cut.renamed.items():
+        if darts[n][0] != letter[x]:
+            problems.append("the boundary word changed")
+            break
     if problems:
         raise PushError(
             "push step invariant violation (broken scheme?): " + "; ".join(problems) + _WHERE.format(*where)

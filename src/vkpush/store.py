@@ -31,9 +31,11 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import add
 from typing import Sequence
 
-from vkpush.abelianization import Vector, vec_add
+from vkpush.abelianization import Vector
 from vkpush.diagram import (
     Diagram,
     DiagramBuilder,
@@ -129,7 +131,7 @@ class Template:
         edge, from the zero label where the walk starts (``walk_labels``),
         so a glue need only check the labels at the walk.
         """
-        check_relator_faces(bld.p, (tuple(bld.letter[x] for x in cell) for cell in bld.cells))
+        check_relator_faces(bld.p, map(tuple, map(map, repeat(bld.letter.__getitem__), bld.cells)))
         arrays, cells = bld.resolve(walk)
         origin, rotations = arrays["origin"], arrays["rotations"]
         labels = walk_labels(
@@ -437,18 +439,6 @@ class DartStore:
             boundary_face_dart=self.boundary_face_dart,
         )
 
-    def _face(self, d0: int) -> tuple[int, ...]:
-        """The face orbit of d0 under phi(d) = sigma^-1(twin(d)), from d0."""
-        origin, twin, rotations, pos = self.origin, self.twin, self.rotations, self.pos
-        face = [d0]
-        t = twin[d0]
-        d = rotations[origin[t]][pos[t] - 1]
-        while d != d0:
-            face.append(d)
-            t = twin[d]
-            d = rotations[origin[t]][pos[t] - 1]
-        return tuple(face)
-
     def star(self, v: int) -> StarView:
         """The closed star of an interior vertex with a regular neighbourhood.
 
@@ -460,37 +450,45 @@ class DartStore:
         dart a step drops lies on a corner face of an interior vertex, or
         is a host dart the step keeps under a new id (``Surgery.renamed``).
         """
-        if v not in self.rotations:
+        rotations = self.rotations
+        if v not in rotations:
             raise ValidationError(f"no vertex {v} in the diagram")
-        origin, twin, letter = self.origin, self.twin, self.letter
-        spokes = self.rotations[v]
-        # the face orbit of each spoke: the corner it opens
-        faces = [self._face(out) for out in spokes]
-        if any(self.boundary_face_dart in face for face in faces):
-            raise ValidationError(f"vertex {v} lies on the boundary")
-        for s in spokes:
-            if origin[twin[s]] == v:
-                raise ValidationError(f"vertex {v} carries a loop edge; star is not regular")
-        # each corner face runs from its spoke along the link to the twin of
-        # the next spoke
+        origin, twin, pos = self.origin, self.twin, self.pos
+        spokes = rotations[v]
+        # the face orbit of each spoke, the corner it opens, under
+        # phi(d) = sigma^-1(twin(d)); each corner face runs from its spoke
+        # along the link to the twin of the next spoke
+        faces: list[list[int]] = []
         link: list[int] = []
-        seen_faces: set[int] = set()
-        for out, face in zip(spokes, faces):
-            key = min(face)
-            if key in seen_faces:
-                raise ValidationError(
-                    f"face of dart {out} has a repeated corner at vertex {v}"
-                )
-            seen_faces.add(key)
+        for d0 in spokes:
+            face = [d0]
+            t = twin[d0]
+            d = rotations[origin[t]][pos[t] - 1]
+            while d != d0:
+                face.append(d)
+                t = twin[d]
+                d = rotations[origin[t]][pos[t] - 1]
+            faces.append(face)
             link += face[1:-1]
+        bfd = self.boundary_face_dart
+        if any(bfd in face for face in faces):
+            raise ValidationError(f"vertex {v} lies on the boundary")
+        if v in map(origin.__getitem__, map(twin.__getitem__, spokes)):
+            raise ValidationError(f"vertex {v} carries a loop edge; star is not regular")
+        # a face that two spokes open has the same smallest dart from both
+        keys = list(map(min, faces))
+        if len(set(keys)) < len(keys):
+            out = next(out for i, out in enumerate(spokes) if keys[i] in keys[:i])
+            raise ValidationError(f"face of dart {out} has a repeated corner at vertex {v}")
         if not link:
             raise ValidationError(f"the link of vertex {v} has no edges")
+        letter = self.letter.__getitem__
         return StarView(
             center=v,
             darts=tuple(spokes),
-            words=tuple(tuple(letter[x] for x in face) for face in faces),
+            words=tuple(map(tuple, map(map, repeat(letter), faces))),
             link_darts=tuple(link),
-            link_word=tuple(letter[x] for x in link),
+            link_word=tuple(map(letter, link)),
         )
 
     # -- surgery -----------------------------------------------------------------
@@ -582,10 +580,12 @@ class DartStore:
             rotations[vid] = cyc
 
         # the interior labels, translated from the label where the walk starts
-        anchor = self.labels[origin[link[0]]]
-        labels.update((vid, vec_add(anchor, off)) for vid, off in zip(interior_ids, t.offsets))
+        host_labels = self.labels
+        anchor = host_labels[origin[link[0]]]
+        for vid, off in zip(interior_ids, t.offsets):
+            labels[vid] = tuple(map(add, anchor, off))
         for x, off in zip(link, t.walk_offsets):
-            if self.labels[origin[x]] != vec_add(anchor, off):
+            if host_labels[origin[x]] != tuple(map(add, anchor, off)):
                 raise ValidationError(f"link dart {x} violates label consistency")
 
         nv = len(self.rotations) - len(plan.vertices) - 1 + len(rotations)

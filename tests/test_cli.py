@@ -1,12 +1,17 @@
+import contextlib
+import copy
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
+from hypothesis import event, given, note, settings, strategies as st
 
 from vkpush import cli, pusher
 from vkpush.cli import main
@@ -211,6 +216,86 @@ def test_a_list_where_an_id_goes_is_a_validation_error(capsys, tower_file, tmp_p
         assert err["error"]["type"] == "ValidationError"
         assert err["error"]["message"].startswith(f"{bad}: ")
         assert "integer" in err["error"]["message"]
+
+
+# JSON values a mutation may put anywhere in a diagram file
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 60)
+    | st.sampled_from([0, -1, 2**63, 10**30, -(10**30)])
+    | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def json_slots(obj, out):
+    """Every (container, key) of a parsed JSON tree, depth first."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        out.append((obj, key))
+        json_slots(value, out)
+    return out
+
+
+def mutate_json(obj, data) -> str:
+    """Break a parsed diagram file one way, drawn by hypothesis; returns the kind."""
+    slots = json_slots(obj, [])
+    container, key = data.draw(st.sampled_from(slots))
+    kind = data.draw(st.sampled_from(["replace", "delete", "copy", "nudge"]))
+    if kind == "replace":
+        container[key] = data.draw(JSON_VALUES)
+    elif kind == "delete":
+        del container[key]
+    elif kind == "copy":
+        other, okey = data.draw(st.sampled_from(slots))
+        container[key] = copy.deepcopy(other[okey])
+    else:
+        value = container[key]
+        if isinstance(value, int) and not isinstance(value, bool):
+            container[key] = value + data.draw(st.sampled_from([-2, -1, 1, 2]))
+    return kind
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory, z2_bundle, heisenberg_bundle):
+    """Per fixture: its bundle file, a valid diagram of it as JSON, and a file to write cases to."""
+    p, m, s = z2_bundle
+    tower = tower_diagram(next(e for e in s.entries if e.t == 1), (1, 2, -1, -2), 3, m.zero)
+    p, m, s = heisenberg_bundle
+    filling = max((f for e in s.entries for f in e.fillings.values()), key=lambda f: len(f.origin))
+    folder = tmp_path_factory.mktemp("fuzz")
+    return [(bundle, d.to_json_dict(), folder / f"{name}.json") for name, bundle, d in (
+        ("z2", Z2, tower), ("heisenberg", HEIS, filling),
+    )]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_validate_is_total_on_mutated_diagram_json(fuzz_inputs, data):
+    # in-process, as the console script runs it: every case ends in time
+    # with a documented exit code, and an error is one JSON object on stderr
+    bundle, valid, path = fuzz_inputs[data.draw(st.integers(0, len(fuzz_inputs) - 1))]
+    obj = copy.deepcopy(valid)
+    kinds = [mutate_json(obj, data) for _ in range(data.draw(st.integers(1, 3)))]
+    note(kinds)
+    path.write_text(json.dumps(obj))
+    out, err = io.StringIO(), io.StringIO()
+    started = time.monotonic()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["validate", bundle, str(path)])
+    assert time.monotonic() - started < 10.0
+    assert code in (0, 1, 2, 64), code
+    if code == 0:
+        assert err.getvalue() == "" and json.loads(out.getvalue())["ok"] is True
+        event("accepted")
+    else:
+        assert out.getvalue() == ""
+        error = json.loads(err.getvalue())["error"]
+        assert set(error) == {"type", "message"} and "Traceback" not in error["message"]
+        event(f"exit {code}: {error['type']}")
 
 
 def test_missing_file_is_io_error(capsys):

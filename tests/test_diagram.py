@@ -390,6 +390,83 @@ def test_store_star_rejects_boundary_vertex(grid):
             store.star(v)
 
 
+def grid_with_a_c_corner(relators, corner) -> Diagram:
+    """The 2x2 grid over <a, b, c | [a, b], relators> with c -> 0, one corner of the centre widened.
+
+    ``corner(bld)`` gives the darts of c-edges that the lower left cell
+    runs through at the centre, and the cells that fill the room they
+    enclose.
+    """
+    p = Presentation.from_texts(["a", "b", "c"], ["a b a^-1 b^-1", *relators])
+    m = AbelianizationMap.from_json_dict({"rank": 2, "columns": {"a": [1, 0], "b": [0, 1], "c": [0, 0]}}, p)
+    bld = DiagramBuilder(p, m)
+    h = {(x, y): bld.new_edge(1)[0] for x in range(2) for y in range(3)}
+    v = {(x, y): bld.new_edge(2)[0] for x in range(3) for y in range(2)}
+    tw = bld.twin
+    through, cells = corner(bld)
+    for i in range(2):
+        for j in range(2):
+            at_centre = through if (i, j) == (0, 0) else []
+            bld.add_cell([h[i, j], v[i + 1, j], *at_centre, tw[h[i, j + 1]], tw[v[i, j]]])
+    for cell in cells:
+        bld.add_cell(cell)
+    walk = [
+        h[0, 0], h[1, 0], v[2, 0], v[2, 1],
+        tw[h[1, 2]], tw[h[0, 2]], tw[v[0, 1]], tw[v[0, 0]],
+    ]
+    return bld.build(walk, (0, 0))
+
+
+def grid_centre(d: Diagram) -> int:
+    return max((v for v in d.vertices if v not in d.boundary_vertices), key=d.degree)
+
+
+def test_store_star_rejects_a_loop_edge():
+    # a c-loop at the centre, holding a one-cell disc of the relator c
+    def loop(bld):
+        c, ct = bld.new_edge(3)
+        return [c], [[ct]]
+
+    d = grid_with_a_c_corner(["c", "a b c a^-1 b^-1"], loop)
+    v = grid_centre(d)
+    assert v not in d.boundary_vertices
+    with pytest.raises(ValidationError, match=f"^vertex {v} carries a loop edge; star is not regular$"):
+        DartStore(d).star(v)
+
+
+def test_store_star_rejects_a_repeated_corner():
+    # the lower left cell runs out of the centre along c to a vertex inside
+    # it and back along another c, so it opens two corners at the centre
+    def pinch(bld):
+        c1, t1 = bld.new_edge(3)
+        c2, t2 = bld.new_edge(3)
+        return [c1, c2], [[t2, t1]]
+
+    d = grid_with_a_c_corner(["c c", "a b c c a^-1 b^-1"], pinch)
+    v = grid_centre(d)
+    assert v not in d.boundary_vertices
+    face_of = {x: i for i, face in enumerate(d.faces) for x in face}
+    spokes = d.rotations[v]
+    out = next(x for i, x in enumerate(spokes) if face_of[x] in {face_of[y] for y in spokes[:i]})
+    with pytest.raises(ValidationError, match=f"^face of dart {out} has a repeated corner at vertex {v}$"):
+        DartStore(d).star(v)
+
+
+def test_store_star_rejects_a_link_without_edges(zp, zm):
+    # no valid diagram reaches this check: every corner face of a vertex
+    # whose link has no edges is a 2-gon, so the diagram is that vertex's
+    # star alone and one of those faces is the boundary face.  A store
+    # whose boundary face dart names no dart shows it on a spur.
+    bld = DiagramBuilder(zp, zm)
+    d1, t1 = bld.new_edge(1)
+    d = bld.build([d1, t1], (0, 0))
+    store = DartStore(d)
+    store.boundary_face_dart = 0
+    for v in d.vertices:
+        with pytest.raises(ValidationError, match=f"^the link of vertex {v} has no edges$"):
+            store.star(v)
+
+
 def center_star(grid):
     """The grid is the closed star of its centre: re-based where the link starts."""
     center = next(v for v in grid.vertices if v not in grid.boundary_vertices)

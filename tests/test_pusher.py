@@ -152,6 +152,23 @@ def test_step_without_enough_descent_fails_the_step_audit(z2):
     assert info.value.trace.steps == []
 
 
+def test_a_step_below_a_threshold_above_its_own_norm_fails_the_count_check(z2):
+    # with a = 1e-12 the threshold c - a/2 + tol lies above the top label
+    # 7, so no lost vertex counts and the count of vertices above it cannot
+    # drop; the new vertices, at norm 6, keep every other bound
+    p, m, s, k = z2
+    up = next(e for e in s.entries if e.t == 1)
+    d = tower_diagram(up, R, 6, (0,))
+    with pytest.raises(PushError) as info:
+        push_to_corridor(d, s, dataclasses.replace(k, a=1e-12), 5.0)
+    g = max(d.vertices, key=lambda v: norm(d.labels[v]))
+    assert str(info.value) == (
+        "push step invariant violation (broken scheme?): the count of vertices above"
+        f" the c - a/2 threshold did not decrease (step 0, vertex {g}, label (7,), entry 1)"
+    )
+    assert info.value.trace.steps == []
+
+
 def test_a_step_that_outgrows_a_times_degree_fails_both_audits(z2):
     # each tower step grows the area by its degree; with A = 0.5 the first
     # step breaks the per-step bound, in the step audit and in the run audit
@@ -312,7 +329,13 @@ def test_step_audit_refuses_a_renamed_boundary_dart_with_another_letter(z2, monk
 
 def boundary_face_word(store):
     """The boundary word read off the store's boundary face orbit, as Diagram.build reads it."""
-    face = store._face(store.boundary_face_dart)
+    origin, twin, rotations, pos = store.origin, store.twin, store.rotations, store.pos
+    d0 = d = store.boundary_face_dart
+    face = []
+    while not face or d != d0:
+        face.append(d)
+        t = twin[d]
+        d = rotations[origin[t]][pos[t] - 1]
     return tuple(store.letter[store.twin[x]] for x in reversed(face))
 
 

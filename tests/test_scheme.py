@@ -205,6 +205,64 @@ def test_certified_constants_equal_the_reference_gap_ones(bundle, request):
         assert k.grid_spacing == (None if m.rank == 1 else grid)
 
 
+def exact_rank2_coverage_minimum(s) -> float:
+    """The least best-entry gap over the whole circle, in closed form, for a rank-2 scheme.
+
+    Each gap is a min over relators of (least u.L over a filling's labels)
+    less (least u.L over the relator's path), and the best gap the max over
+    the entries whose direction image u advances along.  Between angles
+    where two of those forms tie, u orthogonal to (L1 - L2) - (L3 - L4),
+    and where an entry starts or stops advancing, u orthogonal to its
+    image, the best gap is one form u.w, whose least value on an arc lies
+    at an end or at u = -w/|w|.  So the minimum is the least value of the
+    best gap over those angles, each end read with the entries that
+    advance on its side.
+    """
+    m = s.amap
+    paths = [prefix_labels(m, r, m.zero) for r in s.presentation.relators]
+    fills = [[list(e.fillings[i].labels.values()) for i in range(len(paths))] for e in s.entries]
+    images = [m.column(e.t) for e in s.entries]
+    labels = {lbl for path in paths for lbl in path} | {lbl for f in fills for ls in f for lbl in ls}
+    diffs = {(x[0] - y[0], x[1] - y[1]) for x in labels for y in labels}
+    ties = {(x[0] - y[0], x[1] - y[1]) for x in diffs for y in diffs} - {(0, 0)}
+
+    def dot(u, v):
+        return u[0] * v[0] + u[1] * v[1]
+
+    def gap(u, k):
+        return min(
+            min(dot(u, lbl) for lbl in fill) - min(dot(u, lbl) for lbl in path)
+            for fill, path in zip(fills[k], paths)
+        )
+
+    angles = [(-w[1], w[0]) for w in ties | set(images)] + [(-w[0], -w[1]) for w in diffs - {(0, 0)}]
+    best = math.inf
+    for w in angles:
+        r = math.hypot(*w)
+        for u in ((w[0] / r, w[1] / r), (-w[0] / r, -w[1] / r)):
+            for side in (1, -1):
+                tangent = (-side * u[1], side * u[0])
+                on = [
+                    k for k, t in enumerate(images)
+                    if dot(u, t) > 1e-12 or (abs(dot(u, t)) <= 1e-12 and dot(tangent, t) > 0)
+                ]
+                best = min(best, max((gap(u, k) for k in on), default=-math.inf))
+    return best
+
+
+@pytest.mark.parametrize("bundle", ["heisenberg_bundle", "rebuilt_heisenberg"])
+def test_certified_a_lies_within_the_slack_below_the_exact_minimum(bundle, request):
+    # the grid minimum less lipschitz_bound * spacing may not pass the true
+    # minimum over the circle, and the grid minimum itself may not lie below it
+    p, m, s = request.getfixturevalue(bundle)
+    exact = exact_rank2_coverage_minimum(s)
+    assert abs(exact - 1 / math.sqrt(2)) < 1e-9
+    assert round(exact, 8) == 0.70710678
+    for grid in (0.05, 0.01, 0.005):
+        k = certify_coverage(s, grid)
+        assert k.a <= exact <= k.a + k.lipschitz_bound * grid
+
+
 def directions(rank):
     """Axes, diagonals and integer directions, where entry gaps tie, and random ones."""
     lattice = st.tuples(*[st.integers(-2, 2)] * rank).filter(any)
