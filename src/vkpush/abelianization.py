@@ -52,7 +52,7 @@ class AbelianizationMap:
         for col in self.columns:
             if len(col) != self.rank:
                 raise ValidationError(f"column {col!r} does not have rank {self.rank} entries")
-            if not all(isinstance(c, int) for c in col):
+            if not all(type(c) is int for c in col):
                 raise ValidationError(f"column {col!r} has non-integer entries")
         signed: dict[int, Vector] = {}
         for g, col in enumerate(self.columns, 1):
@@ -66,7 +66,7 @@ class AbelianizationMap:
             raise ValidationError("map JSON must be an object")
         rank = obj.get("rank")
         cols = obj.get("columns")
-        if not isinstance(rank, int):
+        if type(rank) is not int:
             raise ValidationError("map JSON needs an integer 'rank'")
         if not isinstance(cols, dict):
             raise ValidationError("map JSON needs a 'columns' object")

@@ -274,7 +274,7 @@ def _layout(d):
 
 def _edge_list(d):
     edges = []
-    for dart in sorted(d.origin):
+    for dart in d.darts:
         t = d.twin[dart]
         if dart > t:
             continue
@@ -565,7 +565,7 @@ def cmd_render(args) -> int:
             "svg": paths["svg"],
             "area": d.area,
             "vertices": len(d.vertices),
-            "edges": len(d.origin) // 2,
+            "edges": len(d.darts) // 2,
         }
     )
     return EXIT_OK

@@ -1,13 +1,13 @@
 """Van Kampen diagrams as rotation-system sphere maps.
 
-A diagram stores darts (oriented half-edges), a twin involution, and a
-counterclockwise rotation order of out-darts at every vertex.  Faces are the
-orbits of phi(d) = sigma^-1(twin(d)) and are read with their interior on the
-left; the first face is the boundary face, read from ``boundary_face_dart``,
-and every other face must spell a cyclic variant of a relator.  The boundary
-walk of the diagram is the reversed twin sequence of the boundary face orbit,
-and starts at the base vertex, which by convention is the origin of
-``boundary_face_dart``.
+A diagram stores darts (oriented half-edges) in lists indexed by dart id, a
+twin involution, and a counterclockwise rotation of out-darts at every
+vertex.  Faces are the orbits of phi(d) = sigma^-1(twin(d)) and are read
+with their interior on the left; the first face is the boundary face, read
+from ``boundary_face_dart``, and every other face must spell a cyclic
+variant of a relator.  The boundary walk of the diagram is the reversed twin
+sequence of the boundary face orbit, and starts at the base vertex, which by
+convention is the origin of ``boundary_face_dart``.
 
 Vertex labels in Z^n are breadth-first propagated from the base label and
 must be consistent along every edge.  ``Diagram.build`` is the single full
@@ -23,7 +23,7 @@ validator's ``check_relator_faces`` and ``walk_labels``.
 from __future__ import annotations
 
 from collections import Counter, deque
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from operator import add, mul
 from typing import Iterable, Mapping, Sequence
 
@@ -45,9 +45,9 @@ class Diagram:
         # Use Diagram.build; this just stores what build validated.
         self.presentation: Presentation = kw["presentation"]
         self.amap: AbelianizationMap = kw["amap"]
-        self.origin: dict[int, int] = kw["origin"]
-        self.letter: dict[int, int] = kw["letter"]
-        self.twin: dict[int, int] = kw["twin"]
+        self.origin: list[int] = kw["origin"]
+        self.letter: list[int] = kw["letter"]
+        self.twin: list[int] = kw["twin"]
         self.rotations: dict[int, tuple[int, ...]] = kw["rotations"]
         self.base: int = kw["base"]
         self.base_label: Vector = kw["base_label"]
@@ -64,9 +64,9 @@ class Diagram:
         presentation: Presentation,
         amap: AbelianizationMap,
         *,
-        origin: dict[int, int],
-        letter: dict[int, int],
-        twin: dict[int, int],
+        origin: list[int],
+        letter: list[int],
+        twin: list[int],
         rotations: dict[int, Sequence[int]],
         base: int,
         base_label: Sequence[int],
@@ -74,29 +74,30 @@ class Diagram:
     ) -> "Diagram":
         """Validate a diagram's arrays and keep them: no copy is made.
 
-        The caller hands over fresh dicts; ``rotations`` is relisted in
-        place, each rotation as a tuple from its smallest dart.  Dart ids
-        are positive, so 0 stands for no dart.
+        The dart fields are lists of one length indexed by dart id; a slot
+        whose letter is 0 holds no dart, slot 0 never does, and ``darts``
+        lists the others.  The caller hands over fresh lists and rotations;
+        each rotation is relisted in place, as a tuple from its smallest dart.
         """
         if len(amap.columns) != len(presentation.generators):
             raise ValidationError("abelianization map does not match the presentation")
         base_label = tuple(base_label)
-        if len(base_label) != amap.rank or not all(isinstance(c, int) for c in base_label):
+        if len(base_label) != amap.rank or not all(type(c) is int for c in base_label):
             raise ValidationError(f"base label {base_label!r} is not an integer vector of rank {amap.rank}")
 
-        darts = origin.keys()
-        if letter.keys() != darts or twin.keys() != darts:
+        n = len(origin)
+        if len(letter) != n or len(twin) != n:
             raise ValidationError("origin, letter and twin must cover the same darts")
-        for d in darts:
-            if not isinstance(d, int) or d <= 0:
-                raise ValidationError(f"dart id {d!r} must be a positive integer")
+        if n and letter[0]:
+            raise ValidationError("dart id 0 must be a positive integer")
+        darts = n - letter.count(0)
         k = len(presentation.generators)
-        for d in darts:
+        for d in compress(range(n), letter):
             t = twin[d]
-            if t not in darts or t == d or twin[t] != d:
+            if not 0 < t < n or t == d or not letter[t] or twin[t] != d:
                 raise ValidationError(f"twin map is not a fixed-point-free involution at dart {d}")
             x = letter[d]
-            if not isinstance(x, int) or x == 0 or abs(x) > k:
+            if not isinstance(x, int) or abs(x) > k:
                 raise ValidationError(f"dart {d} carries letter {x!r} outside the alphabet")
             if letter[t] != -x:
                 raise ValidationError(f"darts {d} and {t} are twins but not inversely labelled")
@@ -105,28 +106,27 @@ class Diagram:
             raise ValidationError(f"base vertex {base} is not a vertex of the diagram")
         # each dart has one origin, so rotations that list only darts of their
         # own vertex, none twice, are disjoint, and they list every dart
-        # exactly when prev, the dart before each dart around its vertex,
-        # has as many entries as there are darts; each rotation is relisted
-        # in place, as a tuple from its smallest dart
-        prev: dict[int, int] = {}
+        # exactly when prev, the dart before each dart around its vertex (0
+        # for none), has as many entries as there are darts
+        prev = [0] * n
         for v, rot in rotations.items():
+            p = rot[-1] if rot else 0
             for d in rot:
-                if origin.get(d) != v:
-                    if d not in darts:
-                        raise ValidationError(f"rotation of vertex {v} lists unknown dart {d}")
+                if not 0 < d < n or not letter[d]:
+                    raise ValidationError(f"rotation of vertex {v} lists unknown dart {d}")
+                if origin[d] != v:
                     raise ValidationError(f"dart {d} has origin {origin[d]} but sits in the rotation of {v}")
-            size = len(prev)
-            prev.update(zip(rot, rot[-1:] + rot[:-1]))
-            if len(prev) - size < len(rot):
-                d = next(d for i, d in enumerate(rot) if d in rot[:i])
-                raise ValidationError(f"dart {d} appears in two rotations")
+                if prev[d]:
+                    raise ValidationError(f"dart {d} appears in two rotations")
+                prev[d] = p
+                p = d
             rot = tuple(rot)
             if rot and rot[0] != min(rot):
                 i = rot.index(min(rot))
                 rot = rot[i:] + rot[:i]
             rotations[v] = rot
-        if len(prev) != len(darts):
-            missing = next(d for d in darts if d not in prev)
+        if n - prev.count(0) != darts:
+            missing = next(d for d in range(n) if letter[d] != 0 and not prev[d])
             raise ValidationError(f"dart {missing} appears in no rotation")
 
         if not darts:
@@ -135,33 +135,35 @@ class Diagram:
             if set(rotations) != {base}:
                 raise ValidationError("a diagram without darts must consist of the base vertex alone")
             faces: list[tuple[int, ...]] = [()]
-        elif boundary_face_dart is None or boundary_face_dart not in darts:
+        elif boundary_face_dart is None or not 0 < boundary_face_dart < n or not letter[boundary_face_dart]:
             raise ValidationError("boundary_face_dart must name an existing dart")
         else:
             # phi(d) = sigma^-1(twin(d)), the face continuation with interior
-            # on the left, is prev[twin[d]]; the face walk pops that entry as
-            # it leaves d, so a dart whose twin has none left lies on a walked
-            # face.  The boundary face comes first, from its dart; every other
-            # face starts at its smallest dart.
+            # on the left, is prev[twin[d]]; the face walk clears that entry
+            # as it leaves d, so a dart whose twin has none left lies on a
+            # walked face.  The boundary face comes first, from its dart;
+            # every other face starts at its smallest dart.
             faces = []
-            for d0 in chain((boundary_face_dart,), sorted(darts)):
-                d = prev.pop(twin[d0], 0)
+            for d0 in chain((boundary_face_dart,), compress(range(n), letter)):
+                t = twin[d0]
+                d, prev[t] = prev[t], 0
                 if not d:
                     continue
                 orbit = [d0]
                 while d != d0:
                     orbit.append(d)
-                    d = prev.pop(twin[d], 0)
+                    t = twin[d]
+                    d, prev[t] = prev[t], 0
                     if not d:
                         raise ValidationError("rotation system does not define a permutation of faces")
                 faces.append(tuple(orbit))
 
-        nv, ne, nf = len(rotations), len(darts) // 2, len(faces)
+        nv, ne, nf = len(rotations), darts // 2, len(faces)
         if nv - ne + nf != 2:
             raise ValidationError(f"Euler count V-E+F = {nv}-{ne}+{nf} != 2; not a sphere map")
 
         # a diagram without darts names no boundary face dart
-        if origin.get(boundary_face_dart, base) != base:
+        if darts and origin[boundary_face_dart] != base:
             raise ValidationError("the boundary face dart must start at the base vertex")
 
         check_relator_faces(presentation, map(tuple, map(map, repeat(letter.__getitem__), faces[1:])))
@@ -188,6 +190,10 @@ class Diagram:
         return self.origin[self.twin[d]]
 
     @property
+    def darts(self) -> list[int]:
+        return live(self.letter)
+
+    @property
     def area(self) -> int:
         return len(self.faces) - 1
 
@@ -211,14 +217,6 @@ class Diagram:
 
     def degree(self, v: int) -> int:
         return len(self.rotations[v])
-
-    def max_norm_vertex(self) -> int:
-        """Deterministic argmax of the label norm.
-
-        Ties break toward the lexicographically smallest label, then the
-        smallest vertex id; the comparison uses exact squared integers.
-        """
-        return min(self.vertices, key=lambda v: norm_key(v, self.labels[v]))
 
     def metrics(self) -> dict:
         boundary = self.boundary_vertices
@@ -250,7 +248,7 @@ class Diagram:
                     "letter": letter_token(self.letter[d], self.presentation),
                     "twin": self.twin[d],
                 }
-                for d in sorted(self.origin)
+                for d in self.darts
             ],
             "rotations": {str(v): list(rot) for v, rot in sorted(self.rotations.items())},
             "boundary_face_dart": self.boundary_face_dart,
@@ -265,21 +263,27 @@ class Diagram:
                 raise ValidationError(f"diagram JSON lacks {key!r}")
         if not isinstance(obj["darts"], list):
             raise ValidationError("'darts' must be a list")
-        origin: dict[int, int] = {}
-        letter: dict[int, int] = {}
-        twin: dict[int, int] = {}
+        # the lists run to the largest id, so an id above 16 a dart + 1024 is
+        # refused first; a twin or rotation entry past them is an unknown dart
+        bound = 16 * len(obj["darts"]) + 1024
+        origin, letter, twin = [], [], []
         for entry in obj["darts"]:
             if not isinstance(entry, dict) or not {"id", "origin", "letter", "twin"} <= set(entry):
                 raise ValidationError(f"malformed dart entry {entry!r}")
             d = entry["id"]
-            if not isinstance(d, int) or d in origin:
+            # a parsed letter is never 0, so a slot with one is taken
+            if type(d) is not int or 0 < d < len(letter) and letter[d]:
                 raise ValidationError(f"bad or duplicate dart id {d!r}")
             o, t = entry["origin"], entry["twin"]
-            if not isinstance(o, int) or not isinstance(t, int):
+            if type(o) is not int or type(t) is not int:
                 raise ValidationError(f"dart {d} needs an integer origin and twin, not {o!r} and {t!r}")
-            origin[d] = o
-            letter[d] = parse_letter(entry["letter"], p)
-            twin[d] = t
+            if d <= 0:
+                raise ValidationError(f"dart id {d!r} must be a positive integer")
+            if d > bound:
+                raise ValidationError(f"dart id {d} is above {bound}: 16 x {len(obj['darts'])} darts + 1024")
+            for field in (origin, letter, twin):
+                field += [0] * (d + 1 - len(field))
+            origin[d], letter[d], twin[d] = o, parse_letter(entry["letter"], p), t
         rot_obj = obj["rotations"]
         if not isinstance(rot_obj, dict):
             raise ValidationError("'rotations' must be an object")
@@ -291,16 +295,16 @@ class Diagram:
                 raise ValidationError(f"vertex key {key!r} is not an integer") from None
             if not isinstance(rot, list):
                 raise ValidationError(f"rotation of vertex {key} must be a list")
-            if not all(isinstance(d, int) for d in rot):
-                bad = next(d for d in rot if not isinstance(d, int))
+            if not all(type(d) is int for d in rot):
+                bad = next(d for d in rot if type(d) is not int)
                 raise ValidationError(f"rotation of vertex {key} lists {bad!r}, not an integer dart id")
             rotations[v] = tuple(rot)
         if not isinstance(obj["base_label"], list):
             raise ValidationError("'base_label' must be a list")
         base, bfd = obj["base"], obj.get("boundary_face_dart")
-        if not isinstance(base, int):
+        if type(base) is not int:
             raise ValidationError(f"'base' must be an integer vertex id, not {base!r}")
-        if not (bfd is None or isinstance(bfd, int)):
+        if not (bfd is None or type(bfd) is int):
             raise ValidationError(f"'boundary_face_dart' must be an integer dart id or null, not {bfd!r}")
         return cls.build(
             p,
@@ -315,6 +319,11 @@ class Diagram:
         )
 
 
+def live(letter: Sequence[int]) -> list[int]:
+    """The darts of a dart list, ascending: the slots whose letter is not 0."""
+    return list(compress(range(len(letter)), letter))
+
+
 def check_relator_faces(p: Presentation, words: Iterable[Word]) -> None:
     """Raise unless every interior face word is a cyclic variant of a relator."""
     variant_set = p.variant_set
@@ -325,9 +334,9 @@ def check_relator_faces(p: Presentation, words: Iterable[Word]) -> None:
 
 def walk_labels(
     amap: AbelianizationMap,
-    origin: Mapping[int, int],
-    letter: Mapping[int, int],
-    twin: Mapping[int, int],
+    origin: Sequence[int],
+    letter: Sequence[int],
+    twin: Sequence[int],
     rotations: Mapping[int, Sequence[int]],
     base: int,
     base_label: Vector,
@@ -373,7 +382,7 @@ def walk_labels(
 
 
 def norm_key(v: int, label: Vector) -> tuple:
-    """Sort key of max_norm_vertex: largest norm, then smallest label, then id."""
+    """Sort key of the vertex a push step takes: largest norm, then smallest label, then id."""
     return (-sum(map(mul, label, label)), label, v)
 
 
@@ -408,7 +417,7 @@ class DiagramBuilder:
 
         The darts keep their order; returns the boundary walk under the new ids.
         """
-        ids = sorted(d.origin)
+        ids = d.darts
         mapping = {old: self._next + i for i, old in enumerate(ids)}
         self._next += len(ids)
         for old, new in mapping.items():
@@ -521,8 +530,7 @@ class DiagramBuilder:
             cells = [face for i, face in enumerate(cells) if i in reached]
 
         if not orbit:
-            arrays = dict(origin={}, letter={}, twin={}, rotations={0: ()}, base=0, boundary_face_dart=None)
-            return arrays, []
+            return dict(origin=[], letter=[], twin=[], rotations={0: ()}, base=0, boundary_face_dart=None), []
 
         # sigma(e) = twin(face predecessor of e); cycles are the vertices
         sigma: dict[int, int] = {}
@@ -566,15 +574,14 @@ class DiagramBuilder:
             used.add(vid)
             vertex_id.append(vid)
 
-        origin = {d: vertex_id[c] for d, c in cycle_of.items()}
-        arrays = dict(
-            origin=origin,
-            letter={d: letter[d] for d in cycle_of},
-            twin={d: twin_of[d] for d in cycle_of},
-            rotations={vertex_id[i]: tuple(cyc) for i, cyc in enumerate(cycles)},
-            base=origin[orbit[0]],
-            boundary_face_dart=orbit[0],
-        )
+        rotations = {vid: tuple(cyc) for vid, cyc in zip(vertex_id, cycles)}
+        # dart lists indexed by class root, with dead slots at aliased darts
+        origin, letters, twins = ([0] * (max(cycle_of) + 1) for _ in range(3))
+        for vid, cyc in rotations.items():
+            for d in cyc:
+                origin[d], letters[d], twins[d] = vid, letter[d], twin_of[d]
+        arrays = dict(origin=origin, letter=letters, twin=twins, rotations=rotations)
+        arrays.update(base=origin[orbit[0]], boundary_face_dart=orbit[0])
         return arrays, cells
 
     def build(self, walk: Sequence[int], base_label: Sequence[int], **options) -> Diagram:

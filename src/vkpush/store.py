@@ -21,7 +21,7 @@ labels are made per step too.  The host darts around the link that the step
 keeps, its rim, are copied into the new rotations as slices of their host
 rotations and never re-checked: a rim edge held before the step, its far
 end keeps its label, and its near end is a link vertex, whose label glue
-checks.  ``DartStore.diagram`` hands the live darts back to
+checks.  ``DartStore.diagram`` hands copies of its dart lists to
 ``Diagram.build``, the full validator.  The pusher imports this module
 where it uses it, so a start that never pushes does not load it.
 """
@@ -40,6 +40,7 @@ from vkpush.diagram import (
     Diagram,
     DiagramBuilder,
     check_relator_faces,
+    live,
     norm_key,
     walk_labels,
 )
@@ -80,9 +81,9 @@ class Surgery:
     # host dart -> the new id of its class, for each host dart the step
     # keeps under a new id: the outer twins of the link, O(link) of them
     renamed: dict[int, int]
+    # the host darts that leave: spokes, link darts and their twins
+    dropped_darts: frozenset[int]
     area: int
-    # the darts the rotations list after the step
-    live_darts: int
 
 
 @dataclass(frozen=True)
@@ -133,14 +134,12 @@ class Template:
         """
         check_relator_faces(bld.p, map(tuple, map(map, repeat(bld.letter.__getitem__), bld.cells)))
         arrays, cells = bld.resolve(walk)
-        origin, rotations = arrays["origin"], arrays["rotations"]
-        labels = walk_labels(
-            bld.m, origin, arrays["letter"], arrays["twin"], rotations, arrays["base"], bld.m.zero
-        )
-        order = sorted(origin)
+        origin, letters, twins, rotations = map(arrays.get, ("origin", "letter", "twin", "rotations"))
+        labels = walk_labels(bld.m, origin, letters, twins, rotations, arrays["base"], bld.m.zero)
+        order = live(letters)
         rank = {r: i for i, r in enumerate(order)}
-        letter = tuple([arrays["letter"][r] for r in order])
-        twin = tuple([rank[arrays["twin"][r]] for r in order])
+        letter = tuple([letters[r] for r in order])
+        twin = tuple([rank[twins[r]] for r in order])
         pred = [-1] * len(order)
         for cell in cells:
             ids = [rank[r] for r in cell]
@@ -203,10 +202,8 @@ class Gluing:
     # each new rotation at the link of new darts alone, from its smallest
     # rank, and the slots it takes
     closed: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-    # the slot of every link vertex, and the number of host darts the step
-    # drops there
+    # the slot of every link vertex
     vertices: tuple[int, ...]
-    dropped: int
 
     @classmethod
     def compile(cls, t: Template, key: LinkShape, link: Sequence[int], start: int) -> Gluing:
@@ -350,7 +347,6 @@ class Gluing:
             wrapped=tuple(wrapped),
             closed=tuple(closed),
             vertices=tuple(sorted(set(slot.values()))),
-            dropped=len(roles),
         )
 
 
@@ -358,18 +354,18 @@ class DartStore:
     """The arrays of a diagram in mutable form, for replacing stars in place.
 
     It holds what ``Diagram.build`` derived (origin, letter, twin,
-    rotations, labels) and the position of each dart in its rotation; faces
-    are read off the rotations on demand.  The four dart fields are flat
-    lists indexed by dart id: a dropped dart leaves a dead slot that nothing
-    reads, and ``live_darts`` counts the darts the rotations list.  Of the
-    boundary it keeps one fact, the boundary face dart, whose origin is the
-    base vertex: a step reads no part of the boundary beyond its star.
+    rotations, labels) and each dart's rotation position, the four dart
+    fields in lists indexed by dart id as a Diagram does: a dropped dart
+    leaves a dead slot of letter 0, and ``live_darts`` counts the rest.
+    Faces are read off the rotations on demand.  Of the boundary it keeps
+    the boundary face dart, whose origin is the base vertex: a step reads
+    no part of the boundary beyond its star.
     ``glue`` computes the surgery that replaces a star, and ``apply``
     commits it.  Both cost O(star): the replacement, the corner faces and
     the rotations of the link vertices.  Glue does per-dart work only for
     the darts a step drops or creates; the kept host darts at the link
-    vertices come along as slices.  ``diagram`` hands the live darts back to
-    the full validator.
+    vertices come along as slices.  ``diagram`` hands copies of the dart
+    lists to the full validator.
 
     Ids come out as a rebuild of the whole diagram through a
     ``DiagramBuilder`` gives them (``tests/test_splice.py`` keeps that
@@ -390,17 +386,12 @@ class DartStore:
     def __init__(self, d: Diagram):
         self.presentation = d.presentation
         self.amap = d.amap
-        # the dart fields, as lists indexed by dart id; slot 0 and the slots
-        # of darts no rotation lists are dead, and nothing reads them
-        size = max(d.origin, default=0) + 1
-        self.origin, self.letter, self.twin, self.pos = ([0] * size for _ in range(4))
-        for v, rot in d.rotations.items():
+        self.origin, self.letter, self.twin = d.origin.copy(), d.letter.copy(), d.twin.copy()
+        self.pos = pos = [0] * len(self.origin)
+        for rot in d.rotations.values():
             for i, x in enumerate(rot):
-                self.origin[x] = v
-                self.letter[x] = d.letter[x]
-                self.twin[x] = d.twin[x]
-                self.pos[x] = i
-        self.live_darts = len(d.origin)
+                pos[x] = i
+        self.live_darts = sum(map(len, d.rotations.values()))
         self.rotations = dict(d.rotations)
         self.labels = dict(d.labels)
         self.base_label = d.base_label
@@ -415,7 +406,7 @@ class DartStore:
     # -- queries ---------------------------------------------------------------
 
     def max_norm_vertex(self) -> int:
-        """Diagram.max_norm_vertex, from a heap with lazy deletion."""
+        """The vertex a push step takes, by norm_key, from a heap with lazy deletion."""
         heap = self._heap
         if len(heap) > 2 * len(self.labels) + 64:
             heap = self._heap = [norm_key(v, lbl) for v, lbl in self.labels.items()]
@@ -425,18 +416,18 @@ class DartStore:
         return heap[0][2]
 
     def diagram(self) -> Diagram:
-        """The live darts as fresh dicts, through the full validator."""
-        origin = {x: v for v, rot in self.rotations.items() for x in rot}
+        """Copies of the dart lists, through the full validator: the store pushes on."""
+        bfd = self.boundary_face_dart
         return Diagram.build(
             self.presentation,
             self.amap,
-            origin=origin,
-            letter={x: self.letter[x] for x in origin},
-            twin={x: self.twin[x] for x in origin},
+            origin=self.origin.copy(),
+            letter=self.letter.copy(),
+            twin=self.twin.copy(),
             rotations=dict(self.rotations),
-            base=origin.get(self.boundary_face_dart, next(iter(self.rotations))),
+            base=next(iter(self.rotations)) if bfd is None else self.origin[bfd],
             base_label=self.base_label,
-            boundary_face_dart=self.boundary_face_dart,
+            boundary_face_dart=bfd,
         )
 
     def star(self, v: int) -> StarView:
@@ -535,7 +526,7 @@ class DartStore:
             )
         origin, twin = self.origin, self.twin
         link = star.link_darts
-        key, runs = self._link_shape(star)
+        key, runs, dropped = self._link_shape(star)
         start = len(origin)
         g = t.gluings.get(key)
         plan = Gluing.compile(t, key, link, start) if g is None else g
@@ -589,8 +580,7 @@ class DartStore:
                 raise ValidationError(f"link dart {x} violates label consistency")
 
         nv = len(self.rotations) - len(plan.vertices) - 1 + len(rotations)
-        live_darts = self.live_darts - plan.dropped - len(star.darts) + len(t.inner) + len(plan.seam)
-        ne = live_darts // 2
+        ne = (self.live_darts - len(dropped) + len(t.inner) + len(plan.seam)) // 2
         area = self.area + t.area - len(star.darts)
         if nv - ne + area + 1 != 2:
             raise ValidationError(f"Euler count V-E+F = {nv}-{ne}+{area + 1} != 2; not a sphere map")
@@ -610,11 +600,11 @@ class DartStore:
             fresh=fresh,
             labels=labels,
             renamed=renamed,
+            dropped_darts=dropped,
             area=area,
-            live_darts=live_darts,
         )
 
-    def _link_shape(self, star: StarView) -> tuple[LinkShape, dict[int, tuple[int, ...]]]:
+    def _link_shape(self, star: StarView) -> tuple[LinkShape, dict[int, tuple[int, ...]], frozenset[int]]:
         """The link shape that keys a gluing, and the rim runs of this host.
 
         Every dart the step drops at the link vertices gets a role: link
@@ -626,7 +616,8 @@ class DartStore:
         dart j is the twin of link dart i.  So it fixes which dropped darts
         share a link vertex, their cyclic order there, where rim runs lie and
         the folds, whatever dart each host rotation lists first.  Beside
-        the shape: the rim run after each role that has one.
+        the shape: the rim run after each role that has one, and the darts
+        the step drops, those with a role and the spokes.
         """
         origin, twin, host_rotations, pos = self.origin, self.twin, self.rotations, self.pos
         link, spokes = star.link_darts, star.darts
@@ -653,7 +644,7 @@ class DartStore:
                 runs[r] = rot[p + 1 : q] if p < q else rot[p + 1 :] + rot[:q]
             else:
                 shape[r] = 2 * s
-        return tuple(shape), runs
+        return tuple(shape), runs, frozenset(role).union(spokes)
 
     def apply(self, s: Surgery) -> None:
         """Commit a surgery computed by glue on the current state."""
@@ -661,11 +652,13 @@ class DartStore:
         rotations, labels = self.rotations, self.labels
         # the new ids lie above every slot, and a step renumbers at least the
         # link classes it glues, so s.darts is never empty; dropped darts
-        # keep their slots, dead
+        # keep their slots, dead, with letter 0
         grow = [0] * (max(s.darts) + 1 - len(origin))
         for field in (origin, letter, twin, pos):
             field += grow
-        self.live_darts = s.live_darts
+        self.live_darts += len(s.darts) - len(s.dropped_darts)
+        for x in s.dropped_darts:
+            letter[x] = 0
         for x, (lt, tw) in s.darts.items():
             letter[x] = lt
             twin[x] = tw

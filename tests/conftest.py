@@ -8,10 +8,10 @@ import pytest
 
 from vkpush import pusher
 from vkpush.abelianization import AbelianizationMap
-from vkpush.diagram import Diagram, DiagramBuilder
-from vkpush.oracle import FillingCertificate, build_scheme_entry, sample_corridor_certificates
+from vkpush.diagram import Diagram, DiagramBuilder, norm_key
+from vkpush.oracle import FillingCertificate, build_scheme_entry, sample_corridor_certificates, wasteful_diagram
 from vkpush.presentation import Presentation, ValidationError, Word, invert
-from vkpush.scheme import PushingScheme, SchemeEntry, hat_word
+from vkpush.scheme import PushingScheme, SchemeEntry, certify_coverage, hat_word
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -32,6 +32,16 @@ def z2_bundle():
 @pytest.fixture(scope="session")
 def heisenberg_bundle():
     return _load_bundle("heisenberg")
+
+
+@pytest.fixture(scope="session")
+def w1_runs(heisenberg_bundle):
+    """ROADMAP workload W1, 20 wasteful loops sampled with seed 6, and their pushed finals."""
+    p, m, s = heisenberg_bundle
+    k = certify_coverage(s, 0.01)
+    q = k.q_min + 1.0
+    loops = [wasteful_diagram(s, c, q) for c in sample_corridor_certificates(p, m, q, 12, 20, 6)]
+    return loops, [pusher.push_to_corridor(d, s, k, q)[0] for d in loops]
 
 
 def build_z3_bundle() -> tuple[Presentation, AbelianizationMap, PushingScheme]:
@@ -100,7 +110,7 @@ def unglued_replacements(monkeypatch):
 
 def mirror(d: Diagram) -> Diagram:
     """Reverse the orientation; the boundary word becomes its inverse."""
-    if not d.origin:
+    if not d.darts:
         return d
     orbit = d.faces[0]
     return Diagram.build(
@@ -130,9 +140,9 @@ def rebase_on_boundary(d: Diagram, position: int, base_label: Sequence[int] | No
         return Diagram.build(
             d.presentation,
             d.amap,
-            origin={},
-            letter={},
-            twin={},
+            origin=[],
+            letter=[],
+            twin=[],
             rotations={d.base: ()},
             base=d.base,
             base_label=label,
@@ -157,9 +167,9 @@ def rebase_on_boundary(d: Diagram, position: int, base_label: Sequence[int] | No
 
 def adopt(bld: DiagramBuilder, d: Diagram) -> None:
     """Copy a diagram's darts into a fresh builder under their own ids."""
-    for x in d.origin:
+    for x in d.darts:
         bld.add_dart(x, d.letter[x], d.twin[x])
-    bld._next = max(d.origin, default=0) + 1
+    bld._next = max(d.darts, default=0) + 1
 
 
 def corner_instance(e: SchemeEntry, word: Word) -> Diagram:
@@ -172,3 +182,19 @@ def corner_instance(e: SchemeEntry, word: Word) -> Diagram:
         f = mirror(f)
         bw = invert(bw)
     return rebase_on_boundary(f, len(hat_word(e, bw[:shift])))
+
+
+def dart_dicts(d: Diagram) -> tuple[dict[int, int], dict[int, int], dict[int, int]]:
+    """A diagram's origin, letter and twin as dicts over its live darts, in id order."""
+    darts = d.darts
+    return tuple({x: field[x] for x in darts} for field in (d.origin, d.letter, d.twin))
+
+
+def max_norm_vertex(d: Diagram) -> int:
+    """The vertex a push step takes, by a scan: the reference for DartStore.max_norm_vertex.
+
+    Deterministic argmax of the label norm.  Ties break toward the
+    lexicographically smallest label, then the smallest vertex id; the
+    comparison uses exact squared integers.
+    """
+    return min(d.vertices, key=lambda v: norm_key(v, d.labels[v]))

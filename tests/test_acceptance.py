@@ -9,6 +9,7 @@ import math
 import time
 
 import pytest
+from conftest import max_norm_vertex
 
 from vkpush.abelianization import norm
 from vkpush.oracle import (
@@ -106,7 +107,7 @@ def test_acceptance_2_step_invariants(
             store, choices = DartStore(cur), {}
             while cur.metrics()["norm"] > q:
                 cur_ids = set(cur.vertices)
-                g = cur.max_norm_vertex()
+                g = max_norm_vertex(cur)
                 c = norm(cur.labels[g])
                 degree = cur.degree(g)
                 tau = c - k.a / 2 + TOL

@@ -218,6 +218,42 @@ def test_a_list_where_an_id_goes_is_a_validation_error(capsys, tower_file, tmp_p
         assert "integer" in err["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "where", ["id", "origin", "twin", "base", "base_label", "boundary_face_dart", "rotation"]
+)
+def test_a_boolean_where_an_integer_goes_in_a_diagram_is_a_validation_error(
+    capsys, tower_file, tmp_path, where
+):
+    # JSON true parses to a Python bool, which is an int: it must be refused
+    obj = json.loads(open(tower_file).read())
+    if where in ("id", "origin", "twin"):
+        obj["darts"][0][where] = True
+    elif where == "rotation":
+        next(iter(obj["rotations"].values()))[0] = True
+    else:
+        obj[where] = [True] if where == "base_label" else True
+    bad = tmp_path / "boolean.json"
+    bad.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "validate", Z2, str(bad))
+    assert code == 2 and out is None
+    assert err["error"]["type"] == "ValidationError"
+    assert err["error"]["message"].startswith(f"{bad}: ")
+
+
+@pytest.mark.parametrize("where", ["rank", "column"])
+def test_a_boolean_where_an_integer_goes_in_a_map_is_a_validation_error(capsys, tmp_path, where):
+    bundle = json.loads(pathlib.Path(Z2).read_text())
+    if where == "rank":
+        bundle["map"]["rank"] = True
+    else:
+        next(iter(bundle["map"]["columns"].values()))[0] = True
+    path = tmp_path / "boolean-map.json"
+    path.write_text(json.dumps(bundle))
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2 and out is None
+    assert err["error"]["type"] == "ValidationError"
+
+
 # JSON values a mutation may put anywhere in a diagram file
 JSON_VALUES = st.recursive(
     st.none()
@@ -238,6 +274,22 @@ def json_slots(obj, out):
         out.append((obj, key))
         json_slots(value, out)
     return out
+
+
+# values far above any dart id, or no integer at all, where a dart id goes
+FAR = [10**12, 2**63, True]
+
+
+def id_slots(obj):
+    """The (container, key) of every dart id, twin and rotation entry a diagram file still has."""
+    darts, rotations = obj.get("darts"), obj.get("rotations")
+    slots = []
+    if isinstance(darts, list):
+        entries = [entry for entry in darts if isinstance(entry, dict)]
+        slots += [(entry, key) for entry in entries for key in ("id", "twin") if key in entry]
+    if isinstance(rotations, dict):
+        slots += [(rot, i) for rot in rotations.values() if isinstance(rot, list) for i in range(len(rot))]
+    return slots
 
 
 def mutate_json(obj, data) -> str:
@@ -265,22 +317,19 @@ def fuzz_inputs(tmp_path_factory, z2_bundle, heisenberg_bundle):
     p, m, s = z2_bundle
     tower = tower_diagram(next(e for e in s.entries if e.t == 1), (1, 2, -1, -2), 3, m.zero)
     p, m, s = heisenberg_bundle
-    filling = max((f for e in s.entries for f in e.fillings.values()), key=lambda f: len(f.origin))
+    filling = max((f for e in s.entries for f in e.fillings.values()), key=lambda f: len(f.darts))
     folder = tmp_path_factory.mktemp("fuzz")
     return [(bundle, d.to_json_dict(), folder / f"{name}.json") for name, bundle, d in (
         ("z2", Z2, tower), ("heisenberg", HEIS, filling),
     )]
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_validate_is_total_on_mutated_diagram_json(fuzz_inputs, data):
-    # in-process, as the console script runs it: every case ends in time
-    # with a documented exit code, and an error is one JSON object on stderr
-    bundle, valid, path = fuzz_inputs[data.draw(st.integers(0, len(fuzz_inputs) - 1))]
-    obj = copy.deepcopy(valid)
-    kinds = [mutate_json(obj, data) for _ in range(data.draw(st.integers(1, 3)))]
-    note(kinds)
+def validate_in_process(bundle, path, obj) -> tuple[int, str]:
+    """Write obj to path and run validate in-process, as the console script does.
+
+    The run must end in time with a documented exit code, and an error must
+    be one JSON object on stderr.  Returns the code and what it says.
+    """
     path.write_text(json.dumps(obj))
     out, err = io.StringIO(), io.StringIO()
     started = time.monotonic()
@@ -290,12 +339,45 @@ def test_validate_is_total_on_mutated_diagram_json(fuzz_inputs, data):
     assert code in (0, 1, 2, 64), code
     if code == 0:
         assert err.getvalue() == "" and json.loads(out.getvalue())["ok"] is True
-        event("accepted")
-    else:
-        assert out.getvalue() == ""
-        error = json.loads(err.getvalue())["error"]
-        assert set(error) == {"type", "message"} and "Traceback" not in error["message"]
-        event(f"exit {code}: {error['type']}")
+        return code, "accepted"
+    assert out.getvalue() == ""
+    error = json.loads(err.getvalue())["error"]
+    assert set(error) == {"type", "message"} and "Traceback" not in error["message"]
+    return code, f"exit {code}: {error['type']}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_validate_is_total_on_mutated_diagram_json(fuzz_inputs, data):
+    bundle, valid, path = fuzz_inputs[data.draw(st.integers(0, len(fuzz_inputs) - 1))]
+    obj = copy.deepcopy(valid)
+    kinds = [mutate_json(obj, data) for _ in range(data.draw(st.integers(1, 3)))]
+    # last, perhaps, a dart id, twin or rotation entry far above the ids
+    far = data.draw(st.booleans()) and id_slots(obj)
+    if far:
+        container, key = data.draw(st.sampled_from(far))
+        container[key] = data.draw(st.sampled_from(FAR))
+        kinds.append(f"far {key}")
+    note(kinds)
+    code, said = validate_in_process(bundle, path, obj)
+    event(said)
+    if far:
+        assert code == 2
+
+
+@pytest.mark.parametrize("value", FAR, ids=["1e12", "2^63", "true"])
+@pytest.mark.parametrize("slot", ["id", "twin", "rotation"])
+def test_validate_refuses_a_dart_id_far_above_the_dart_count(fuzz_inputs, slot, value):
+    # the dart lists run to the largest id, so an id like these must be
+    # refused before a list that long is made, and a twin or rotation entry
+    # like them is an unknown dart
+    for bundle, valid, path in fuzz_inputs:
+        obj = copy.deepcopy(valid)
+        if slot == "rotation":
+            obj["rotations"][max(obj["rotations"])][-1] = value
+        else:
+            obj["darts"][-1][slot] = value
+        assert validate_in_process(bundle, path, obj)[0] == 2
 
 
 def test_missing_file_is_io_error(capsys):

@@ -11,7 +11,7 @@ every push step.
 """
 
 import pytest
-from conftest import _load_bundle, adopt, corner_instance
+from conftest import _load_bundle, adopt, corner_instance, dart_dicts
 
 from vkpush.abelianization import Character, norm, vec_add, vec_sub
 from vkpush.diagram import DiagramBuilder
@@ -54,7 +54,7 @@ def reference_collar(inner, e, outer_word):
             cell.extend(bld.twin[bk] for bk in reversed(block))
             bld.add_cell(cell)
     label = vec_sub(inner.base_label, m.column(e.t))
-    return bld.build(top, label, vertex_hints=dict(inner.origin))
+    return bld.build(top, label, vertex_hints=dart_dicts(inner)[0])
 
 
 def reference_tower(e, word, depth, base_label):

@@ -2,7 +2,7 @@ import heapq
 import json
 
 import pytest
-from conftest import mirror, rebase_on_boundary
+from conftest import max_norm_vertex, mirror, rebase_on_boundary
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -68,7 +68,7 @@ def test_square_cell(square):
     assert square.area == 1
     assert square.boundary_word == (1, 2, -1, -2)
     assert len(square.vertices) == 4
-    assert len(square.origin) == 8
+    assert len(square.darts) == 8
     assert sorted(square.labels.values()) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert square.labels[square.base] == (0, 0)
 
@@ -83,7 +83,7 @@ def test_square_walk_starts_at_base(square):
 def test_grid_counts(grid):
     assert grid.area == 4
     assert len(grid.vertices) == 9
-    assert len(grid.origin) == 24
+    assert len(grid.darts) == 24
     assert grid.boundary_word == (1, 1, 2, 2, -1, -1, -2, -2)
     assert sorted(grid.labels.values()) == sorted(
         (x, y) for x in range(3) for y in range(3)
@@ -102,7 +102,7 @@ def test_grid_metrics(grid):
     assert out["area"] == 4
     assert out["radius"] == 1
     assert out["norm"] == pytest.approx(8 ** 0.5)
-    assert grid.labels[grid.max_norm_vertex()] == (2, 2)
+    assert grid.labels[max_norm_vertex(grid)] == (2, 2)
 
 
 def test_store_heap_compacts_its_dead_entries(grid):
@@ -115,7 +115,7 @@ def test_store_heap_compacts_its_dead_entries(grid):
     for i, v in enumerate(dead):
         heapq.heappush(store._heap, norm_key(v, (9, 9) if i % 2 else (0, 0)))
     assert len(store._heap) > 2 * live + 64
-    assert store.max_norm_vertex() == grid.max_norm_vertex()
+    assert store.max_norm_vertex() == max_norm_vertex(grid)
     assert len(store._heap) == live
 
 
@@ -146,9 +146,9 @@ def test_torus_rotation_rejected(zp, zm):
         Diagram.build(
             zp,
             zm,
-            origin={1: 0, 2: 0, 3: 0, 4: 0},
-            letter={1: 1, 2: -1, 3: 2, 4: -2},
-            twin={1: 2, 2: 1, 3: 4, 4: 3},
+            origin=[0, 0, 0, 0, 0],
+            letter=[0, 1, -1, 2, -2],
+            twin=[0, 2, 1, 4, 3],
             rotations={0: (1, 3, 2, 4)},
             base=0,
             base_label=(0, 0),
@@ -181,15 +181,15 @@ def test_disconnected_diagram_rejected(z2_bundle):
     # the Euler count of the union is 2 + 0, so only connectivity fails
     p, m, s = z2_bundle
     tower = tower_diagram(s.entries[0], (1, 2, -1, -2), 2, (0,))
-    a, ai, b, bi = (max(tower.origin) + i for i in range(1, 5))
+    a, ai, b, bi = (len(tower.origin) + i for i in range(4))
     v = max(tower.rotations) + 1
     with pytest.raises(ValidationError, match="diagram is not connected"):
         Diagram.build(
             p,
             m,
-            origin={**tower.origin, a: v, ai: v, b: v, bi: v},
-            letter={**tower.letter, a: 1, ai: -1, b: 2, bi: -2},
-            twin={**tower.twin, a: ai, ai: a, b: bi, bi: b},
+            origin=tower.origin + [v] * 4,
+            letter=tower.letter + [1, -1, 2, -2],
+            twin=tower.twin + [ai, a, bi, b],
             rotations={**tower.rotations, v: (a, b, ai, bi)},
             base=tower.base,
             base_label=tower.base_label,
@@ -202,9 +202,9 @@ def test_twin_letter_mismatch_rejected(zp, zm):
         Diagram.build(
             zp,
             zm,
-            origin={1: 0, 2: 1},
-            letter={1: 1, 2: 1},
-            twin={1: 2, 2: 1},
+            origin=[0, 0, 1],
+            letter=[0, 1, 1],
+            twin=[0, 2, 1],
             rotations={0: (1,), 1: (2,)},
             base=0,
             base_label=(0, 0),
@@ -293,7 +293,7 @@ def test_detached_sphere(zp, zm):
     bld, cell = assemble()
     d = bld.build(cell, (0, 0), allow_bubbles=True)
     assert d.area == 1
-    assert len(d.origin) == 8
+    assert len(d.darts) == 8
 
 
 # -- serialization ---------------------------------------------------------
@@ -584,7 +584,7 @@ def test_signature_ignores_dart_ids(square, zp, zm):
     bld = DiagramBuilder(zp, zm)
     bld.new_edge(1)  # shift the id space
     moved = bld.build(bld.import_diagram(square), square.base_label)
-    assert set(moved.origin) != set(square.origin)
+    assert moved.darts != square.darts
     assert canonical_signature(moved) == canonical_signature(square)
 
 

@@ -4,7 +4,7 @@ import math
 from collections import Counter
 
 import pytest
-from conftest import FIXTURES, _load_bundle, concatenated_loops
+from conftest import FIXTURES, _load_bundle, concatenated_loops, max_norm_vertex
 
 from vkpush import cli, pusher
 from vkpush.abelianization import Character, norm
@@ -214,8 +214,8 @@ def test_a_fold_of_budgeted_vertices_gets_the_sum_of_their_budgets():
         fresh={9: (1, 2), 10: (5, 8), 11: ()},
         labels={},
         renamed={},
+        dropped_darts=frozenset(),
         area=0,
-        live_darts=0,
     )
     _carry_budgets(budgets, cut)
     assert budgets == {6: 1, 9: 7}
@@ -400,7 +400,7 @@ def test_replacement_that_does_not_glue_raises_with_trace(z2, unglued_replacemen
     assert trace is not None and trace.steps == []
     assert trace.final.to_json_dict() == d.to_json_dict()
     # the failing step names its index, vertex, label and entry
-    g = d.max_norm_vertex()
+    g = max_norm_vertex(d)
     entry, _ = choose_entry(s, Character.from_vector([-x for x in d.labels[g]]))
     where = f" (step 0, vertex {g}, label {d.labels[g]}, entry {s.entries.index(entry)})"
     assert str(info.value).endswith(where) and d.labels[g] == (7,)

@@ -12,7 +12,7 @@ import json
 from collections import Counter
 
 import pytest
-from conftest import adopt
+from conftest import adopt, dart_dicts, max_norm_vertex
 
 from vkpush.abelianization import Character, norm
 from vkpush.diagram import Diagram, DiagramBuilder, canonical_signature
@@ -63,12 +63,12 @@ def reference_splice(d, v, replacement):
     # same-label link vertices is a fold product and gets a fresh id
     for rep_dart, link_dart in zip(walk, star.link_darts):
         bld.alias(rep_dart, link_dart)
-    return bld.build(d.boundary_walk, d.base_label, vertex_hints=dict(d.origin))
+    return bld.build(d.boundary_walk, d.base_label, vertex_hints=dart_dicts(d)[0])
 
 
 def reference_step(d, s, k):
     """One push step through reference_splice; returns the new diagram and its PushStep."""
-    g = d.max_norm_vertex()
+    g = max_norm_vertex(d)
     label_g = d.labels[g]
     star, _ = reference_star(d, g)
     entry, _ = choose_entry(s, Character.from_vector([-x for x in label_g]))
@@ -96,9 +96,7 @@ def reference_step(d, s, k):
 
 
 def assert_same(a: Diagram, b: Diagram):
-    assert a.origin == b.origin
-    assert a.letter == b.letter
-    assert a.twin == b.twin
+    assert dart_dicts(a) == dart_dicts(b)
     assert a.rotations == b.rotations
     assert a.labels == b.labels
     assert a.boundary_walk == b.boundary_walk

@@ -193,8 +193,8 @@ def reference_glue(store, star, bld, walk):
         fresh=fresh,
         labels=labels,
         renamed={x: glued[x] for x in hosts - gone},
+        dropped_darts=frozenset(gone | hosts),
         area=area,
-        live_darts=live_darts,
     )
 
 

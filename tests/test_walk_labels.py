@@ -13,11 +13,8 @@ import pytest
 from hypothesis import event, given, note, settings, strategies as st
 
 from vkpush.abelianization import AbelianizationMap, vec_add
-from vkpush.diagram import Diagram, DiagramBuilder, walk_labels
-from vkpush.oracle import sample_corridor_certificates, wasteful_diagram
+from vkpush.diagram import Diagram, DiagramBuilder, live, walk_labels
 from vkpush.presentation import Presentation, ValidationError
-from vkpush.pusher import push_to_corridor
-from vkpush.scheme import certify_coverage
 
 
 def reference_walk_labels(amap, origin, letter, twin, rotations, base, base_label):
@@ -45,9 +42,9 @@ def reference_walk_labels(amap, origin, letter, twin, rotations, base, base_labe
 def walk_arrays(d: Diagram) -> dict:
     return dict(
         amap=d.amap,
-        origin=dict(d.origin),
-        letter=dict(d.letter),
-        twin=dict(d.twin),
+        origin=d.origin.copy(),
+        letter=d.letter.copy(),
+        twin=d.twin.copy(),
         rotations=dict(d.rotations),
         base=d.base,
         base_label=d.base_label,
@@ -62,17 +59,11 @@ def outcome(walk, a: dict):
 
 
 @pytest.fixture(scope="module")
-def diagrams(z2_bundle, heisenberg_bundle):
+def diagrams(z2_bundle, heisenberg_bundle, w1_runs):
     """Both fixtures' fillings, the W1 loops and their pushed finals."""
     out = [f for _, _, s in (z2_bundle, heisenberg_bundle) for e in s.entries for f in e.fillings.values()]
-    p, m, s = heisenberg_bundle
-    k = certify_coverage(s, 0.01)
-    q = k.q_min + 1.0
-    # ROADMAP workload W1: 20 wasteful loops sampled with seed 6
-    loops = [wasteful_diagram(s, c, q) for c in sample_corridor_certificates(p, m, q, 12, 20, 6)]
-    out += loops
-    out += [push_to_corridor(d, s, k, q)[0] for d in loops]
-    return out
+    loops, finals = w1_runs
+    return out + loops + finals
 
 
 def test_walk_matches_reference_on_fixtures_w1_and_pushed_finals(diagrams):
@@ -123,8 +114,10 @@ def test_inconsistent_labels_name_the_first_vertex_reached_twice(zp_square):
 
 def detach(a: dict, data) -> None:
     """Add a copy of a drawn part of the diagram under fresh ids, joined to nothing."""
-    darts, vertices = sorted(a["origin"]), sorted(a["rotations"])
-    shift_d, shift_v = darts[-1] + 1, vertices[-1] + 1
+    vertices = sorted(a["rotations"])
+    shift_d, shift_v = len(a["origin"]), vertices[-1] + 1
+    for field in ("origin", "letter", "twin"):
+        a[field] += [0] * shift_d
     kept = data.draw(st.lists(st.sampled_from(vertices), min_size=1, max_size=4, unique=True))
     for v in kept:
         rot = a["rotations"][v]
@@ -137,7 +130,7 @@ def detach(a: dict, data) -> None:
 
 def reletter(a: dict, data) -> None:
     """Give a drawn dart another letter of the alphabet, and its twin the inverse."""
-    x = data.draw(st.sampled_from(sorted(a["origin"])))
+    x = data.draw(st.sampled_from(live(a["letter"])))
     k = len(a["amap"].columns)
     y = data.draw(st.sampled_from([y for y in range(-k, k + 1) if y not in (0, a["letter"][x])]))
     a["letter"][x], a["letter"][a["twin"][x]] = y, -y
@@ -147,7 +140,7 @@ def reletter(a: dict, data) -> None:
 @given(st.data())
 def test_walk_matches_reference_on_mutations(diagrams, data):
     d = diagrams[data.draw(st.integers(0, len(diagrams) - 1))]
-    if not d.origin:
+    if not d.darts:
         return
     a = walk_arrays(d)
     kinds = data.draw(st.lists(st.sampled_from(["reletter", "detach"]), min_size=1, max_size=3))
