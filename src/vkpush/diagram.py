@@ -33,6 +33,7 @@ from vkpush.presentation import (
     ValidationError,
     Word,
     letter_token,
+    parse_key,
     parse_letter,
     word_to_text,
 )
@@ -76,8 +77,9 @@ class Diagram:
 
         The dart fields are lists of one length indexed by dart id; a slot
         whose letter is 0 holds no dart, slot 0 never does, and ``darts``
-        lists the others.  The caller hands over fresh lists and rotations;
-        each rotation is relisted in place, as a tuple from its smallest dart.
+        lists the others.  The caller hands over lists and rotations that it
+        changes no more; each rotation is relisted in place, as a tuple from
+        its smallest dart.
         """
         if len(amap.columns) != len(presentation.generators):
             raise ValidationError("abelianization map does not match the presentation")
@@ -289,10 +291,7 @@ class Diagram:
             raise ValidationError("'rotations' must be an object")
         rotations: dict[int, tuple[int, ...]] = {}
         for key, rot in rot_obj.items():
-            try:
-                v = int(key)
-            except ValueError:
-                raise ValidationError(f"vertex key {key!r} is not an integer") from None
+            v = parse_key(key, "vertex key", "an integer")
             if not isinstance(rot, list):
                 raise ValidationError(f"rotation of vertex {key} must be a list")
             if not all(type(d) is int for d in rot):

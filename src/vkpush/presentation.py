@@ -231,5 +231,20 @@ def parse_letter(token: str, p: Presentation) -> int:
     return w[0]
 
 
+def parse_key(key: str, what: str, kind: str) -> int:
+    """The integer a JSON object key spells, read only in canonical decimal form.
+
+    ``int`` also reads signs, leading zeros, spaces, underscores and
+    non-ASCII digits, so "1" and "01" would name one integer.
+    """
+    try:
+        n = int(key)
+    except ValueError:
+        n = None
+    if n is None or str(n) != key:
+        raise ValidationError(f"{what} {key!r} is not {kind} in canonical decimal form")
+    return n
+
+
 def word_to_text(w: Sequence[int], p: Presentation) -> str:
     return " ".join(letter_token(x, p) for x in w)

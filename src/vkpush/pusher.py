@@ -9,17 +9,17 @@ into a ``store.Template`` once per such key, cached on the entry; a template
 that fails its checks is never cached.  A run keeps one DartStore, which
 glues the template along the link: a step costs O(star) and not O(diagram)
 and builds no diagram, and the full validator runs once, on the final
-diagram.  What a template holds for any host (relator words, one use per
-dart, interior rotations and labels) is checked when it is compiled; the
-identifications and rotations at the link, once per template and link
-shape; the labels at the link and the Euler count, on every step.  Every
-quantitative promise the certified constants make is audited at runtime; a
-violation is reported as a broken scheme, never glossed over.  Each step is
-checked from what it removed and created.  ``push_to_corridor`` is the one
-entry point, and ``_audit`` the one place the run bounds (sweep cap,
-(1+4AB)^sweeps area bound, degree doubling) are computed: once per run, on
-every trace the run returns or raises, which carries the checks for the
-command line to report.
+diagram, which takes over the store's own lists.  What a template holds for
+any host (relator words, one use per dart, interior rotations and labels)
+is checked when it is compiled; the identifications and rotations at the
+link, once per template and link shape; the labels at the link and the
+Euler count, on every step.  Every quantitative promise the certified
+constants make is audited at runtime; a violation is reported as a broken
+scheme, never glossed over.  Each step is checked from what it removed and
+created.  ``push_to_corridor`` is the one entry point, and ``_audit`` the
+one place the run bounds (sweep cap, (1+4AB)^sweeps area bound, degree
+doubling) are computed: once per run, on every trace the run returns or
+raises, which carries the checks for the command line to report.
 """
 
 from __future__ import annotations

@@ -42,6 +42,7 @@ from vkpush.presentation import (
     Word,
     invert,
     letter_token,
+    parse_key,
     parse_letter,
     parse_word,
     word_to_text,
@@ -124,10 +125,7 @@ class PushingScheme:
             }
             fillings = {}
             for key, dia in raw["fillings"].items():
-                try:
-                    idx = int(key)
-                except ValueError:
-                    raise ValidationError(f"filling key {key!r} is not a relator index") from None
+                idx = parse_key(key, "filling key", "a relator index")
                 fillings[idx] = Diagram.from_json_dict(dia, p, m)
             entries.append(SchemeEntry(p, m, t, conj, fillings))
         return cls(p, m, tuple(entries))

@@ -21,9 +21,10 @@ labels are made per step too.  The host darts around the link that the step
 keeps, its rim, are copied into the new rotations as slices of their host
 rotations and never re-checked: a rim edge held before the step, its far
 end keeps its label, and its near end is a link vertex, whose label glue
-checks.  ``DartStore.diagram`` hands copies of its dart lists to
-``Diagram.build``, the full validator.  The pusher imports this module
-where it uses it, so a start that never pushes does not load it.
+checks.  ``DartStore.diagram`` hands its own dart lists and rotations to
+``Diagram.build``, the full validator, which ends the store: a push run's
+product is its final diagram.  The pusher imports this module where it
+uses it, so a start that never pushes does not load it.
 """
 
 from __future__ import annotations
@@ -364,8 +365,9 @@ class DartStore:
     commits it.  Both cost O(star): the replacement, the corner faces and
     the rotations of the link vertices.  Glue does per-dart work only for
     the darts a step drops or creates; the kept host darts at the link
-    vertices come along as slices.  ``diagram`` hands copies of the dart
-    lists to the full validator.
+    vertices come along as slices.  ``diagram`` hands the dart lists and
+    rotations themselves to the full validator, and the store is finished
+    once it has: the diagram would change under a further step.
 
     Ids come out as a rebuild of the whole diagram through a
     ``DiagramBuilder`` gives them (``tests/test_splice.py`` keeps that
@@ -416,15 +418,21 @@ class DartStore:
         return heap[0][2]
 
     def diagram(self) -> Diagram:
-        """Copies of the dart lists, through the full validator: the store pushes on."""
+        """The store's own dart lists and rotations, through the full validator.
+
+        This ends the store: the diagram holds the very lists and dict that
+        a further step would change.  The validator relists each rotation
+        from its smallest dart, which changes nothing here, as every store
+        rotation already starts there.
+        """
         bfd = self.boundary_face_dart
         return Diagram.build(
             self.presentation,
             self.amap,
-            origin=self.origin.copy(),
-            letter=self.letter.copy(),
-            twin=self.twin.copy(),
-            rotations=dict(self.rotations),
+            origin=self.origin,
+            letter=self.letter,
+            twin=self.twin,
+            rotations=self.rotations,
             base=next(iter(self.rotations)) if bfd is None else self.origin[bfd],
             base_label=self.base_label,
             boundary_face_dart=bfd,

@@ -7,11 +7,12 @@ from typing import Sequence
 import pytest
 
 from vkpush import pusher
-from vkpush.abelianization import AbelianizationMap
+from vkpush.abelianization import AbelianizationMap, Character
 from vkpush.diagram import Diagram, DiagramBuilder, norm_key
 from vkpush.oracle import FillingCertificate, build_scheme_entry, sample_corridor_certificates, wasteful_diagram
 from vkpush.presentation import Presentation, ValidationError, Word, invert
-from vkpush.scheme import PushingScheme, SchemeEntry, certify_coverage, hat_word
+from vkpush.scheme import PushingScheme, SchemeEntry, certify_coverage, choose_entry, hat_word
+from vkpush.store import DartStore
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -67,6 +68,31 @@ def z3_bundle():
     return build_z3_bundle()
 
 
+def build_f2_bundle() -> tuple[Presentation, AbelianizationMap, PushingScheme]:
+    """A free-by-cyclic bundle built here: F2 x|_phi Z onto Z, with phi(a) = ab, phi(b) = a.
+
+    The map sends t to 1 and a, b to 0, so the kernel is F2 = <a, b>.  The
+    four relators give both entries their conjugation cells: t a t^-1 = ab
+    and t b t^-1 = a for t^-1, t^-1 a t = b and t^-1 b t = b^-1 a for t.
+    Every call builds fresh entries, whose template caches are empty.
+    """
+    p = Presentation.from_texts(
+        ("a", "b", "t"), ("t a t^-1 b^-1 a^-1", "t b t^-1 a^-1", "t^-1 a t b^-1", "t^-1 b t a^-1 b")
+    )
+    m = AbelianizationMap(rank=1, columns=((0,), (0,), (1,)))
+    conj = {3: {1: (2,), 2: (-2, 1)}, -3: {1: (1, 2), 2: (1,)}}
+    entries = tuple(
+        build_scheme_entry(p, m, t, {**c, **{-x: invert(w) for x, w in c.items()}}, max_area=3)
+        for t, c in conj.items()
+    )
+    return p, m, PushingScheme(p, m, entries)
+
+
+@pytest.fixture(scope="session")
+def f2_bundle():
+    return build_f2_bundle()
+
+
 def table_gap(u, e) -> float:
     """Entry e's valuation gap at the character u, read off a table of e alone."""
     table = PushingScheme(e.presentation, e.amap, (e,)).table
@@ -83,6 +109,32 @@ def concatenated_loops(
     """
     certs = sample_corridor_certificates(p, m, q, 12, count, rng_seed)
     return FillingCertificate(tuple(f for cert in certs for f in cert.factors))
+
+
+def unpush(d: Diagram, s: PushingScheme, levels: int) -> Diagram:
+    """Run ``levels`` push steps outward, away from the corridor, with no step audit.
+
+    Each step takes the interior vertex of largest norm (by ``norm_key``)
+    whose star ``DartStore.star`` accepts, and glues the template of the
+    entry that ``choose_entry`` picks for the character +label; a vertex at
+    label zero, which points nowhere, takes the first entry.  The result
+    goes through the full validator.
+    """
+    store = DartStore(d)
+    labels = store.labels
+    for _ in range(levels):
+        for *_, v in sorted(map(norm_key, labels, labels.values())):
+            try:
+                star = store.star(v)
+            except ValidationError:
+                continue
+            break
+        else:
+            raise ValidationError("no interior vertex has a regular star")
+        lbl = labels[v]
+        entry = choose_entry(s, Character.from_vector(lbl))[0] if any(lbl) else s.entries[0]
+        store.apply(store.glue(star, pusher._template(entry, star.words)))
+    return store.diagram()
 
 
 @pytest.fixture

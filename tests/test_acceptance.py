@@ -103,13 +103,16 @@ def test_acceptance_2_step_invariants(
         q = k.q_min + 1.0
         for cert in sample_corridor_certificates(p, m, q, 12, count, seed):
             cur = wasteful_diagram(s, cert, q)
-            # one store pushes the whole run; its diagram is validated after every step
+            # one store pushes the whole run; its diagram is validated after
+            # every step.  That diagram shares the store's lists, so all it
+            # is read for is read before the next step changes them.
             store, choices = DartStore(cur), {}
             while cur.metrics()["norm"] > q:
                 cur_ids = set(cur.vertices)
                 g = max_norm_vertex(cur)
                 c = norm(cur.labels[g])
                 degree = cur.degree(g)
+                area, word = cur.area, cur.boundary_word
                 tau = c - k.a / 2 + TOL
                 high_before = sum(1 for lbl in cur.labels.values() if norm(lbl) >= tau)
                 _push_max(store, s, k, choices)
@@ -120,12 +123,12 @@ def test_acceptance_2_step_invariants(
                 ]
                 if any(x > c - k.a / 2 + TOL for x in fresh_norms):
                     violations.append("new vertex norm")
-                if nxt.area - cur.area > k.A * degree + TOL:
+                if nxt.area - area > k.A * degree + TOL:
                     violations.append("area delta")
                 high_after = sum(1 for lbl in nxt.labels.values() if norm(lbl) >= tau)
                 if high_after >= high_before:
                     violations.append("high vertex count")
-                if nxt.boundary_word != cur.boundary_word:
+                if nxt.boundary_word != word:
                     violations.append("boundary word")
                 cur = nxt
     elapsed = time.perf_counter() - started

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -292,8 +293,34 @@ def id_slots(obj):
     return slots
 
 
+# spellings of an integer key that int() reads as that integer; the loader
+# takes only the canonical one, str(int(key)) == key
+SPELLINGS = {
+    "leading zero": lambda key: "0" + key,
+    "space and underscore": lambda key: f" 0_{key}",
+    "arabic-indic": lambda key: key.translate(str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))),
+}
+
+
+def int_keys(obj) -> list[tuple[dict, str]]:
+    """The (object, key) of every canonical integer key the loader reads in a file.
+
+    Those are the keys of each diagram's rotations and of each scheme
+    entry's fillings, wherever a mutation has left them in place.
+    """
+    scheme = obj.get("scheme") if isinstance(obj, dict) else None
+    entries = scheme.get("entries") if isinstance(scheme, dict) else None
+    if isinstance(entries, list):
+        keyed = [e["fillings"] for e in entries if isinstance(e, dict) and isinstance(e.get("fillings"), dict)]
+        diagrams = [f for fillings in keyed for f in fillings.values()]
+    else:
+        keyed, diagrams = [], [obj]
+    keyed += [d["rotations"] for d in diagrams if isinstance(d, dict) and isinstance(d.get("rotations"), dict)]
+    return [(o, key) for o in keyed for key in o if re.fullmatch("-?(0|[1-9][0-9]*)", key)]
+
+
 def mutate_json(obj, data) -> str:
-    """Break a parsed diagram file one way, drawn by hypothesis; returns the kind."""
+    """Break a parsed diagram or bundle file one way, drawn by hypothesis; returns the kind."""
     slots = json_slots(obj, [])
     container, key = data.draw(st.sampled_from(slots))
     kind = data.draw(st.sampled_from(["replace", "delete", "copy", "nudge"]))
@@ -324,26 +351,39 @@ def fuzz_inputs(tmp_path_factory, z2_bundle, heisenberg_bundle):
     )]
 
 
-def validate_in_process(bundle, path, obj) -> tuple[int, str]:
-    """Write obj to path and run validate in-process, as the console script does.
+def run_in_process(*argv) -> tuple[int, str, object]:
+    """Run the command line in-process, as the console script does.
 
-    The run must end in time with a documented exit code, and an error must
-    be one JSON object on stderr.  Returns the code and what it says.
+    The run must end in time with a documented exit code.  A success prints
+    one JSON object on stdout and nothing on stderr; an error, one JSON
+    object on stderr and nothing on stdout.  Returns the code, what it says
+    and the output object.
     """
-    path.write_text(json.dumps(obj))
     out, err = io.StringIO(), io.StringIO()
     started = time.monotonic()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["validate", bundle, str(path)])
+        code = main(list(argv))
     assert time.monotonic() - started < 10.0
-    assert code in (0, 1, 2, 64), code
+    assert code in (0, 1, 2, 3, 64), code
     if code == 0:
-        assert err.getvalue() == "" and json.loads(out.getvalue())["ok"] is True
-        return code, "accepted"
+        assert err.getvalue() == ""
+        return code, "accepted", json.loads(out.getvalue())
     assert out.getvalue() == ""
     error = json.loads(err.getvalue())["error"]
-    assert set(error) == {"type", "message"} and "Traceback" not in error["message"]
-    return code, f"exit {code}: {error['type']}"
+    assert {"type", "message"} <= set(error) and "Traceback" not in error["message"]
+    return code, f"exit {code}: {error['type']}", error
+
+
+def validate_in_process(bundle, path, obj) -> tuple[int, str]:
+    """Write obj to path and run validate on it in-process; returns the code and what it says."""
+    path.write_text(json.dumps(obj))
+    code, said, output = run_in_process("validate", bundle, str(path))
+    assert code in (0, 1, 2, 64), code
+    if code == 0:
+        assert output["ok"] is True
+    else:
+        assert set(output) == {"type", "message"}
+    return code, said
 
 
 @settings(max_examples=300, deadline=None)
@@ -358,11 +398,24 @@ def test_validate_is_total_on_mutated_diagram_json(fuzz_inputs, data):
         container, key = data.draw(st.sampled_from(far))
         container[key] = data.draw(st.sampled_from(FAR))
         kinds.append(f"far {key}")
+    spelled = respell_a_key(obj, data)
+    kinds += spelled
     note(kinds)
     code, said = validate_in_process(bundle, path, obj)
     event(said)
-    if far:
+    if far or spelled:
         assert code == 2
+
+
+def respell_a_key(obj, data) -> list[str]:
+    """Perhaps move one integer key the loader reads to a spelling int reads as it too."""
+    keys = data.draw(st.booleans()) and int_keys(obj)
+    if not keys:
+        return []
+    container, key = data.draw(st.sampled_from(keys))
+    form = data.draw(st.sampled_from(sorted(SPELLINGS)))
+    container[SPELLINGS[form](key)] = container.pop(key)
+    return [f"{form} {key!r}"]
 
 
 @pytest.mark.parametrize("value", FAR, ids=["1e12", "2^63", "true"])
@@ -378,6 +431,74 @@ def test_validate_refuses_a_dart_id_far_above_the_dart_count(fuzz_inputs, slot, 
         else:
             obj["darts"][-1][slot] = value
         assert validate_in_process(bundle, path, obj)[0] == 2
+
+
+@pytest.mark.parametrize("form", sorted(SPELLINGS))
+@pytest.mark.parametrize("how", ["renamed", "listed twice"])
+@pytest.mark.parametrize("where", ["rotation", "filling"])
+def test_an_integer_key_in_another_spelling_is_a_validation_error(fuzz_inputs, where, how, form):
+    # int() reads "01", " 0_1" and Arabic-Indic digits as 1: a vertex listed
+    # under "1" and "01" was folded into one, and "01" replaced filling "1"
+    bundle, valid, path = fuzz_inputs[0]
+    obj = copy.deepcopy(valid) if where == "rotation" else json.loads(pathlib.Path(bundle).read_text())
+    keyed = obj["rotations"] if where == "rotation" else obj["scheme"]["entries"][0]["fillings"]
+    key = str(obj["base"]) if where == "rotation" else next(iter(keyed))
+    keyed[SPELLINGS[form](key)] = keyed[key] if how == "listed twice" else keyed.pop(key)
+    path.write_text(json.dumps(obj))
+    argv = ["validate", bundle, str(path)] if where == "rotation" else ["validate", str(path)]
+    code, said, error = run_in_process(*argv)
+    assert code == 2 and error["type"] == "ValidationError"
+    assert "canonical decimal form" in error["message"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_bundles(tmp_path_factory):
+    """Per fixture bundle: its parsed JSON, and a file to write cases to."""
+    folder = tmp_path_factory.mktemp("fuzz-bundles")
+    return [(json.loads(pathlib.Path(b).read_text()), folder / pathlib.Path(b).name) for b in (Z2, HEIS)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_validate_and_certify_are_total_on_mutated_bundle_json(fuzz_bundles, data):
+    valid, path = fuzz_bundles[data.draw(st.integers(0, len(fuzz_bundles) - 1))]
+    obj = copy.deepcopy(valid)
+    kinds = [mutate_json(obj, data) for _ in range(data.draw(st.integers(1, 3)))]
+    spelled = respell_a_key(obj, data)
+    note(kinds + spelled)
+    path.write_text(json.dumps(obj))
+    for argv in (["validate", str(path)], ["certify", str(path), "--grid", "0.05"]):
+        code, said, _ = run_in_process(*argv)
+        event(f"{argv[0]} {said}")
+        if spelled:
+            assert code == 2
+
+
+def flag(data, values) -> str:
+    """A drawn flag value: mostly one of values, else text that may not parse as one."""
+    if data.draw(st.integers(0, 4)):
+        return str(data.draw(values))
+    return data.draw(st.sampled_from(["", "x", "nan", "inf", "-inf", "1e999", "1.5", "-1", "0x10", "\u0663"]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sample_and_area_oracle_are_total_on_drawn_flags(data):
+    bundle = data.draw(st.sampled_from([Z2, HEIS]))
+    if data.draw(st.booleans()):
+        argv = ["sample", bundle, "--q", flag(data, st.floats(0, 12) | st.floats()), "--count", flag(data, st.integers(-1, 5))]
+        argv += ["--seed", flag(data, st.integers(-(2**70), 2**70))] * data.draw(st.booleans())
+        argv += ["--target-len", flag(data, st.integers(-1, 24))] * data.draw(st.booleans())
+    else:
+        letters = ["a", "b", "x", "y", "z", "a^-1", "b^-1", "x^-1", "y^-1", "z^-1", "t", "^-1"]
+        word = data.draw(st.lists(st.sampled_from(letters), max_size=8).map(" ".join) | st.text(max_size=6))
+        argv = ["area-oracle", bundle, "--word", word, "--max-area", flag(data, st.integers(-1, 3))]
+        argv += ["--max-len", flag(data, st.integers(-1, 30))] * data.draw(st.booleans())
+        argv += ["--max-words", flag(data, st.integers(0, 10**5))] * data.draw(st.booleans())
+        argv += ["--certificate"] * data.draw(st.booleans())
+    note(argv)
+    code, said, _ = run_in_process(*argv)
+    event(f"{argv[0]} {said}")
 
 
 def test_missing_file_is_io_error(capsys):

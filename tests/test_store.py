@@ -114,7 +114,7 @@ def test_a_step_that_drops_the_top_vertex_and_makes_none_keeps_the_top_exact(z2)
     assert store._top_vertex == max(store.rotations) < top
 
 
-def test_final_build_stays_under_150_bytes_a_dart(z2):
+def test_final_build_stays_under_100_bytes_a_dart(z2):
     # tracemalloc peak of the final store.diagram() alone, per live dart,
     # Python 3.11.7: 371 B/dart (11.38 MB for 30,640 darts) when the
     # validator copied the store's dicts and held a dart set, a seen map,
@@ -122,7 +122,8 @@ def test_final_build_stays_under_150_bytes_a_dart(z2):
     # and a validator that kept the fresh dicts it was handed and walked
     # faces on one predecessor map; 217 B/dart (6.66 MB) with the label walk
     # read from a step table; 131 B/dart (4.00 MB) with a Diagram on lists,
-    # handed copies of the store's lists of 73,839 slots
+    # handed copies of the store's lists of 73,839 slots; 62 B/dart (1.91 MB)
+    # with the store's own lists handed over
     p, m, s, k, q = z2
     store, choices = DartStore(wasteful_diagram(s, concatenated_loops(p, m, q, 40), q)), {}
     while norm(store.labels[store.max_norm_vertex()]) > q:
@@ -134,7 +135,17 @@ def test_final_build_stays_under_150_bytes_a_dart(z2):
     finally:
         tracemalloc.stop()
     assert len(final.darts) == 30640
-    assert peak / len(final.darts) < 150
+    assert peak / len(final.darts) < 100
+
+
+def test_the_final_diagram_takes_over_the_store(z2):
+    p, m, s, k, q = z2
+    store = DartStore(tower_diagram(s.entries[0], R, 6, m.zero))
+    while norm(store.labels[store.max_norm_vertex()]) > q:
+        _push_max(store, s, k, {})
+    fields = store.origin, store.letter, store.twin, store.rotations
+    final = store.diagram()
+    assert all(a is b for a, b in zip((final.origin, final.letter, final.twin, final.rotations), fields))
 
 
 # -- the validator against its old forms ---------------------------------------
