@@ -183,7 +183,8 @@ def _push_max(
     so extra losses are accepted exactly on link labels.  ``choices`` holds
     the run's entry and entry index per pushed label, so entry choice runs
     once per label.  A failed step names itself by ``index``, the step's
-    place in the run, and by its vertex, label and entry.
+    place in the run, and by its vertex, label and entry; a star refused
+    before any entry is chosen names no entry.
     """
     g = store.max_norm_vertex()
     label_g = store.labels[g]
@@ -191,7 +192,9 @@ def _push_max(
     try:
         star = store.star(g)
     except ValidationError as exc:
-        raise PushError(f"max-norm vertex has no regular star: {exc}") from exc
+        raise PushError(
+            f"max-norm vertex has no regular star: {exc} (step {index}, vertex {g}, label {label_g})"
+        ) from exc
     choice = choices.get(label_g)
     if choice is None:
         entry, _ = choose_entry(s, Character.from_vector([-x for x in label_g]))

@@ -355,12 +355,14 @@ class DartStore:
     """The arrays of a diagram in mutable form, for replacing stars in place.
 
     It holds what ``Diagram.build`` derived (origin, letter, twin,
-    rotations, labels) and each dart's rotation position, the four dart
-    fields in lists indexed by dart id as a Diagram does: a dropped dart
-    leaves a dead slot of letter 0, and ``live_darts`` counts the rest.
-    Faces are read off the rotations on demand.  Of the boundary it keeps
-    the boundary face dart, whose origin is the base vertex: a step reads
-    no part of the boundary beyond its star.
+    rotations, labels), the three dart fields in lists indexed by dart id
+    as a Diagram does, and nothing per dart that the final diagram does
+    not take over: a dropped dart leaves a dead slot of letter 0, and
+    ``live_darts`` counts the rest.  Faces are read off the rotations on
+    demand, and a dart's place in its rotation by ``tuple.index``, as
+    rotations are short.  Of the boundary it keeps the boundary face dart,
+    whose origin is the base vertex: a step reads no part of the boundary
+    beyond its star.
     ``glue`` computes the surgery that replaces a star, and ``apply``
     commits it.  Both cost O(star): the replacement, the corner faces and
     the rotations of the link vertices.  Glue does per-dart work only for
@@ -389,10 +391,6 @@ class DartStore:
         self.presentation = d.presentation
         self.amap = d.amap
         self.origin, self.letter, self.twin = d.origin.copy(), d.letter.copy(), d.twin.copy()
-        self.pos = pos = [0] * len(self.origin)
-        for rot in d.rotations.values():
-            for i, x in enumerate(rot):
-                pos[x] = i
         self.live_darts = sum(map(len, d.rotations.values()))
         self.rotations = dict(d.rotations)
         self.labels = dict(d.labels)
@@ -452,7 +450,7 @@ class DartStore:
         rotations = self.rotations
         if v not in rotations:
             raise ValidationError(f"no vertex {v} in the diagram")
-        origin, twin, pos = self.origin, self.twin, self.pos
+        origin, twin = self.origin, self.twin
         spokes = rotations[v]
         # the face orbit of each spoke, the corner it opens, under
         # phi(d) = sigma^-1(twin(d)); each corner face runs from its spoke
@@ -462,11 +460,13 @@ class DartStore:
         for d0 in spokes:
             face = [d0]
             t = twin[d0]
-            d = rotations[origin[t]][pos[t] - 1]
+            rot = rotations[origin[t]]
+            d = rot[rot.index(t) - 1]
             while d != d0:
                 face.append(d)
                 t = twin[d]
-                d = rotations[origin[t]][pos[t] - 1]
+                rot = rotations[origin[t]]
+                d = rot[rot.index(t) - 1]
             faces.append(face)
             link += face[1:-1]
         bfd = self.boundary_face_dart
@@ -627,7 +627,7 @@ class DartStore:
         the shape: the rim run after each role that has one, and the darts
         the step drops, those with a role and the spokes.
         """
-        origin, twin, host_rotations, pos = self.origin, self.twin, self.rotations, self.pos
+        origin, twin, host_rotations = self.origin, self.twin, self.rotations
         link, spokes = star.link_darts, star.darts
         n = len(link)
         shape = [0] * (2 * n + len(spokes))
@@ -640,7 +640,7 @@ class DartStore:
         runs: dict[int, tuple[int, ...]] = {}
         # the dropped darts by link vertex and rotation position: each one's
         # successor is the next at its vertex, the last one's the first
-        darts = sorted(zip(map(origin.__getitem__, role), map(pos.__getitem__, role), role.values()))
+        darts = sorted((w := origin[x], host_rotations[w].index(x), r) for x, r in role.items())
         here = None
         for (w, p, r), (u, q, s) in zip(darts, darts[1:] + darts[:1]):
             if w != here:
@@ -656,13 +656,13 @@ class DartStore:
 
     def apply(self, s: Surgery) -> None:
         """Commit a surgery computed by glue on the current state."""
-        origin, letter, twin, pos = self.origin, self.letter, self.twin, self.pos
+        origin, letter, twin = self.origin, self.letter, self.twin
         rotations, labels = self.rotations, self.labels
         # the new ids lie above every slot, and a step renumbers at least the
         # link classes it glues, so s.darts is never empty; dropped darts
         # keep their slots, dead, with letter 0
         grow = [0] * (max(s.darts) + 1 - len(origin))
-        for field in (origin, letter, twin, pos):
+        for field in (origin, letter, twin):
             field += grow
         self.live_darts += len(s.darts) - len(s.dropped_darts)
         for x in s.dropped_darts:
@@ -674,9 +674,8 @@ class DartStore:
             del rotations[w], labels[w]
         for vid, rot in s.rotations.items():
             rotations[vid] = rot
-            for j, x in enumerate(rot):
+            for x in rot:
                 origin[x] = vid
-                pos[x] = j
         labels.update(s.labels)
         for vid, lbl in s.labels.items():
             heapq.heappush(self._heap, norm_key(vid, lbl))

@@ -111,14 +111,14 @@ def concatenated_loops(
     return FillingCertificate(tuple(f for cert in certs for f in cert.factors))
 
 
-def unpush(d: Diagram, s: PushingScheme, levels: int) -> Diagram:
+def unpush(d: Diagram, s: PushingScheme, levels: int, zero_entry: SchemeEntry | None = None) -> Diagram:
     """Run ``levels`` push steps outward, away from the corridor, with no step audit.
 
     Each step takes the interior vertex of largest norm (by ``norm_key``)
     whose star ``DartStore.star`` accepts, and glues the template of the
     entry that ``choose_entry`` picks for the character +label; a vertex at
-    label zero, which points nowhere, takes the first entry.  The result
-    goes through the full validator.
+    label zero, which points nowhere, takes ``zero_entry``, by default the
+    first entry.  The result goes through the full validator.
     """
     store = DartStore(d)
     labels = store.labels
@@ -132,7 +132,7 @@ def unpush(d: Diagram, s: PushingScheme, levels: int) -> Diagram:
         else:
             raise ValidationError("no interior vertex has a regular star")
         lbl = labels[v]
-        entry = choose_entry(s, Character.from_vector(lbl))[0] if any(lbl) else s.entries[0]
+        entry = choose_entry(s, Character.from_vector(lbl))[0] if any(lbl) else zero_entry or s.entries[0]
         store.apply(store.glue(star, pusher._template(entry, star.words)))
     return store.diagram()
 

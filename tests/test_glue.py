@@ -1,4 +1,4 @@
-"""What DartStore.glue checks per step, its gluing cache, and its rim runs against the rebuild reference.
+"""What DartStore.glue checks, its gluing cache, and its rim runs against the rebuild reference.
 
 A glue copies each run of untouched host darts around a link vertex as one
 slice and checks labels only at the link positions.  The negative tests
@@ -6,7 +6,8 @@ break a label on either side of the seam; the differential test pushes
 towers whose rotations start at random darts, so the runs wrap around the
 ends of the host rotations.  The cache tests ask that a template keeps one
 gluing per link shape, whatever dart a host rotation lists first, and none
-from a glue that raises.
+from a glue that raises.  The refusal tests hand ``Gluing.compile`` a
+broken link shape for each check it makes once per gluing.
 """
 
 import dataclasses
@@ -23,7 +24,7 @@ from vkpush.oracle import tower_diagram
 from vkpush.presentation import Presentation, ValidationError
 from vkpush.pusher import PushError, _push_max, _pushed_star
 from vkpush.scheme import certify_coverage, choose_entry
-from vkpush.store import DartStore, Template
+from vkpush.store import DartStore, Gluing, Template
 
 R = (1, 2, -1, -2)
 
@@ -35,11 +36,13 @@ def z2(z2_bundle):
     return p, m, s, k, k.q_min + 1.0
 
 
-def first_step(z2):
-    """A store holding a depth-6 tower, the star it pushes first, and that star's template."""
+def first_step(z2, depth=6, steps=0):
+    """A store holding a tower pushed ``steps`` steps, the star it pushes next, and that star's template."""
     p, m, s, k, q = z2
     up = next(e for e in s.entries if e.t == 1)
-    store = DartStore(tower_diagram(up, R, 6, m.zero))
+    store, choices = DartStore(tower_diagram(up, R, depth, m.zero)), {}
+    for i in range(steps):
+        _push_max(store, s, k, choices, i)
     g = store.max_norm_vertex()
     entry, _ = choose_entry(s, Character.from_vector([-x for x in store.labels[g]]))
     star = store.star(g)
@@ -119,12 +122,49 @@ def test_a_host_whose_rotations_start_elsewhere_hits_the_same_gluing(z2, turn):
     plan = t.gluings[key]
     for v, rot in store.rotations.items():
         i = turn % len(rot)
-        store.rotations[v] = rot = rot[i:] + rot[:i]
-        for j, x in enumerate(rot):
-            store.pos[x] = j
+        store.rotations[v] = rot[i:] + rot[:i]
     assert any(rot[0] != min(rot) for rot in store.rotations.values())
     assert store.glue(star, t) == want
     assert t.gluings == {key: plan}
+
+
+# -- what Gluing.compile refuses ---------------------------------------------------
+
+# A push never hands compile these shapes: each is the link shape of a tower
+# step with one to three roles changed, which breaks the sewing.  A fold
+# entry -1 - j says the twin of that link dart is link dart j; 2s + 1 says
+# role s follows after a rim run.  The first step of a depth-6 tower has the
+# shape (16, 6, 18, 12, -4, 5, 3, -1, 0, 10) on a link of 4 darts, and the
+# step after 5 steps of a depth-7 tower a shape on a link of 8.
+REFUSALS = [
+    # link dart 0 named as its own twin, in place of link dart 3
+    (7, 5, {8: -1}, "cannot identify link dart 147 with its own twin"),
+    # link dart 0 named as the twin of itself and of link dart 2, and link
+    # dart 1 as the twin of link dart 3
+    (6, 0, {4: -1, 6: -1, 7: -2}, "dart 115 is used 2 times across faces"),
+    # the twin of link dart 0 leaves the link, but link dart 3 still names
+    # link dart 0 as its twin
+    (6, 0, {4: 3}, "dart 118 has a twin outside every face"),
+    # the twin of link dart 1 followed by the twin of spoke 0
+    (6, 0, {5: 17}, "rotation system does not define a permutation of faces"),
+    # the twin of link dart 2 followed by the twin of link dart 0, a role
+    # that the fold of link darts 0 and 3 leaves empty
+    (6, 0, {6: 9}, "rotation system does not define a permutation of faces"),
+    # a rim run after link dart 2 that no thread takes
+    (6, 0, {2: 1}, "rotation system does not define a permutation of faces"),
+]
+
+
+@pytest.mark.parametrize("depth, steps, edits, message", REFUSALS)
+def test_gluing_compile_refuses_a_broken_link_shape(z2, depth, steps, edits, message):
+    store, star, t = first_step(z2, depth, steps)
+    key = list(store._link_shape(star)[0])
+    Gluing.compile(t, tuple(key), star.link_darts, len(store.origin))
+    for r, value in edits.items():
+        key[r] = value
+    with pytest.raises(ValidationError) as info:
+        Gluing.compile(t, tuple(key), star.link_darts, len(store.origin))
+    assert str(info.value) == message
 
 
 # the cyclic variants of [a, b] and of its inverse

@@ -329,13 +329,14 @@ def test_step_audit_refuses_a_renamed_boundary_dart_with_another_letter(z2, monk
 
 def boundary_face_word(store):
     """The boundary word read off the store's boundary face orbit, as Diagram.build reads it."""
-    origin, twin, rotations, pos = store.origin, store.twin, store.rotations, store.pos
+    origin, twin, rotations = store.origin, store.twin, store.rotations
     d0 = d = store.boundary_face_dart
     face = []
     while not face or d != d0:
         face.append(d)
         t = twin[d]
-        d = rotations[origin[t]][pos[t] - 1]
+        rot = rotations[origin[t]]
+        d = rot[rot.index(t) - 1]
     return tuple(store.letter[store.twin[x]] for x in reversed(face))
 
 
@@ -421,6 +422,18 @@ def test_a_failed_step_audit_names_the_step(z2):
         pusher._push_max(store, s, dataclasses.replace(k, a=4.0), choices, 2)
     where = f" (step 2, vertex {g}, label {store.labels[g]}, entry {s.entries.index(entry)})"
     assert str(info.value).endswith(where)
+
+
+def test_a_step_at_a_vertex_without_a_regular_star_names_the_step(z2):
+    # every vertex of one cell lies on the boundary, so no entry is chosen
+    # and the message names the step, vertex and label alone
+    p, m, s, k = z2
+    d = tower_diagram(s.entries[0], R, 0, (0,))
+    with pytest.raises(PushError) as info:
+        pusher._push_max(DartStore(d), s, k, {})
+    assert str(info.value) == (
+        "max-norm vertex has no regular star: vertex 1 lies on the boundary (step 0, vertex 1, label (1,))"
+    )
 
 
 def test_uncovered_character_mid_run_raises_with_trace(z2, monkeypatch):

@@ -1,8 +1,9 @@
 """The push store's flat dart lists, and the validator against its old forms.
 
-``DartStore`` keeps origin, letter, twin and pos as lists indexed by dart
-id; a dropped dart leaves a dead slot whose letter is 0, the mark of no dart
-that ``Diagram.build`` reads.  The poisoned runs check that letter and
+``DartStore`` keeps origin, letter and twin as lists indexed by dart id,
+the lists the final diagram takes over, and nothing else per dart; a dropped
+dart leaves a dead slot whose letter is 0, the mark of no dart that
+``Diagram.build`` reads.  The poisoned runs check that letter and
 overwrite the rest of every dead slot with None after each step, so a read
 of one fails loudly, and must push exactly as an unpoisoned run does.
 
@@ -56,7 +57,7 @@ def live_darts(store: DartStore) -> set[int]:
 def push_poisoned(d: Diagram, s, k, q) -> int:
     """Push d, poisoning every dead slot after each step; compare with a plain run.
 
-    A dead slot's letter must be 0; its origin, twin and pos are set to None.
+    A dead slot's letter must be 0; its origin and twin are set to None.
     """
     store, choices, steps = DartStore(d), {}, []
     while norm(store.labels[store.max_norm_vertex()]) > q:
@@ -64,12 +65,12 @@ def push_poisoned(d: Diagram, s, k, q) -> int:
         steps.append(step)
         live = live_darts(store)
         assert store.live_darts == len(live)
-        for field in (store.origin, store.letter, store.twin, store.pos):
+        for field in (store.origin, store.letter, store.twin):
             assert len(field) == max(live) + 1
         for x in range(len(store.letter)):
             if x not in live:
                 assert store.letter[x] == 0
-                store.origin[x] = store.twin[x] = store.pos[x] = None
+                store.origin[x] = store.twin[x] = None
     final, trace = push_to_corridor(d, s, k, q)
     assert trace.steps == steps
     assert canonical_signature(store) == canonical_signature(final)
@@ -146,6 +147,17 @@ def test_the_final_diagram_takes_over_the_store(z2):
     fields = store.origin, store.letter, store.twin, store.rotations
     final = store.diagram()
     assert all(a is b for a, b in zip((final.origin, final.letter, final.twin, final.rotations), fields))
+
+
+def test_the_store_keeps_per_dart_only_the_lists_the_final_diagram_takes_over(z2):
+    # a dart's place in its rotation is read off the rotation, not kept
+    p, m, s, k, q = z2
+    store = DartStore(tower_diagram(s.entries[0], R, 6, m.zero))
+    for step in range(3):
+        slots = len(store.letter)
+        per_dart = sorted(name for name, value in vars(store).items() if isinstance(value, list) and len(value) == slots)
+        assert per_dart == ["letter", "origin", "twin"]
+        _push_max(store, s, k, {}, step)
 
 
 # -- the validator against its old forms ---------------------------------------

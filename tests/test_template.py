@@ -79,7 +79,7 @@ def reference_glue(store, star, bld, walk):
 
     def host_pred(x: int) -> int:
         rot = store.rotations[origin[x]]
-        y = twin[rot[(store.pos[x] + 1) % len(rot)]]
+        y = twin[rot[(rot.index(x) + 1) % len(rot)]]
         return glued.get(y, y)
 
     for x in hosts - gone:

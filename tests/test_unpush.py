@@ -62,6 +62,18 @@ def test_unpushed_diagrams_push_back(starts, name, levels, steps):
     assert len(trace.steps) == steps
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=PushError,
+    reason="ROADMAP item 7: with t^-1 at label zero the spike grows downward, and step 1 fails glue's Euler count",
+)
+def test_a_downward_spike_pushes_back(starts):
+    d, s, k, q = starts["f2"]
+    final, trace = push_to_corridor(unpush(d, s, 5, zero_entry=s.entries[1]), s, k, q)
+    assert [check for check, ok in trace.checks.items() if ok is False] == []
+    assert final.boundary_word == d.boundary_word
+
+
 def test_free_by_cyclic_constants(f2_bundle):
     p, m, s = f2_bundle
     k = certify_coverage(s, 0.05)
