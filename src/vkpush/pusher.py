@@ -158,8 +158,10 @@ def _check_boundary_inside(d: Diagram, q: float) -> None:
         )
 
 
-# how a failed step names itself, after its message
-_WHERE = " (step {}, vertex {}, label {}, entry {})"
+def _where(index: int, vertex: int, label: Vector, entry: int | None = None) -> str:
+    """How a failed step names itself, after its message; an entry only once chosen."""
+    chosen = "" if entry is None else f", entry {entry}"
+    return f" (step {index}, vertex {vertex}, label {label}{chosen})"
 
 
 def _push_max(
@@ -192,9 +194,7 @@ def _push_max(
     try:
         star = store.star(g)
     except ValidationError as exc:
-        raise PushError(
-            f"max-norm vertex has no regular star: {exc} (step {index}, vertex {g}, label {label_g})"
-        ) from exc
+        raise PushError(f"max-norm vertex has no regular star: {exc}" + _where(index, g, label_g)) from exc
     choice = choices.get(label_g)
     if choice is None:
         entry, _ = choose_entry(s, Character.from_vector([-x for x in label_g]))
@@ -204,7 +204,7 @@ def _push_max(
     try:
         cut = store.glue(star, _template(entry, star.words))
     except ValidationError as exc:
-        raise PushError(f"star replacement failed: {exc}" + _WHERE.format(*where)) from exc
+        raise PushError(f"star replacement failed: {exc}" + _where(*where)) from exc
 
     problems: list[str] = []
     labels = store.labels
@@ -253,7 +253,7 @@ def _push_max(
             break
     if problems:
         raise PushError(
-            "push step invariant violation (broken scheme?): " + "; ".join(problems) + _WHERE.format(*where)
+            "push step invariant violation (broken scheme?): " + "; ".join(problems) + _where(*where)
         )
     store.apply(cut)
     return step, cut

@@ -365,7 +365,8 @@ class DartStore:
     beyond its star.
     ``glue`` computes the surgery that replaces a star, and ``apply``
     commits it.  Both cost O(star): the replacement, the corner faces and
-    the rotations of the link vertices.  Glue does per-dart work only for
+    the rotations of the link vertices, where each corner-face dart also
+    costs a scan of its vertex's rotation.  Glue does per-dart work only for
     the darts a step drops or creates; the kept host darts at the link
     vertices come along as slices.  ``diagram`` hands the dart lists and
     rotations themselves to the full validator, and the store is finished
@@ -442,10 +443,12 @@ class DartStore:
         Errors if v lies on the boundary, carries a loop edge, or if some
         corner face visits v more than once.  A vertex lies on the boundary
         exactly when one of its corner faces is the boundary face, so the
-        check reads only the corner faces; only refusing a boundary vertex
-        costs the boundary's length.  So no step drops a boundary dart: each
-        dart a step drops lies on a corner face of an interior vertex, or
-        is a host dart the step keeps under a new id (``Surgery.renamed``).
+        check reads only the corner faces.  Each corner-face dart costs a
+        scan of its vertex's rotation, so refusing a boundary vertex costs
+        the sum of the degrees of the boundary's vertices.  So no step
+        drops a boundary dart: each dart a step drops lies on a corner face
+        of an interior vertex, or is a host dart the step keeps under a new
+        id (``Surgery.renamed``).
         """
         rotations = self.rotations
         if v not in rotations:

@@ -352,10 +352,10 @@ def fuzz_inputs(tmp_path_factory, z2_bundle, heisenberg_bundle):
     )]
 
 
-def run_in_process(*argv) -> tuple[int, str, object]:
+def run_in_process(*argv, codes=(0, 1, 2, 3, 64)) -> tuple[int, str, object]:
     """Run the command line in-process, as the console script does.
 
-    The run must end in time with a documented exit code.  A success prints
+    The run must end in time with one of ``codes``.  A success prints
     one JSON object on stdout and nothing on stderr; an error, one JSON
     object on stderr and nothing on stdout.  Returns the code, what it says
     and the output object.
@@ -365,7 +365,7 @@ def run_in_process(*argv) -> tuple[int, str, object]:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
     assert time.monotonic() - started < 10.0
-    assert code in (0, 1, 2, 3, 4, 64), code
+    assert code in codes, code
     if code == 0:
         assert err.getvalue() == ""
         return code, "accepted", json.loads(out.getvalue())
@@ -516,7 +516,7 @@ def drawn_towers(tmp_path_factory, z2_bundle):
     return paths, folder
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_push_bench_and_render_are_total_on_drawn_flags(drawn_towers, data):
     # finite --q stays at most 20: a huge one makes bench build towers
@@ -547,8 +547,9 @@ def test_push_bench_and_render_are_total_on_drawn_flags(drawn_towers, data):
         argv = ["render", bundle, data.draw(st.sampled_from(paths)), "--out", str(folder / "render")]
         argv += ["--name", data.draw(st.text("ab-_.", max_size=6))] * data.draw(st.booleans())
     note(argv)
-    code, said, _ = run_in_process(*argv)
-    assert code in (0, 2, 3, 4, 64)
+    # a push that breaks its own checks exits 4 with only the error; bench
+    # would print its report too, so 4 fails there
+    code, said, _ = run_in_process(*argv, codes=(0, 2, 3, 4, 64) if command == "push" else (0, 2, 3, 64))
     event(f"{command} {said}")
 
 
