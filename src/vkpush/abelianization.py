@@ -118,12 +118,7 @@ def check_compatible(m: AbelianizationMap, p: Presentation) -> list[str]:
 
 
 def project(m: AbelianizationMap, w: Word, base: Vector | None = None) -> Vector:
-    acc = list(base) if base is not None else [0] * m.rank
-    for x in w:
-        col = m.column(x)
-        for d in range(m.rank):
-            acc[d] += col[d]
-    return tuple(acc)
+    return prefix_labels(m, w, base)[-1]
 
 
 def prefix_labels(m: AbelianizationMap, w: Word, base: Vector | None = None) -> list[Vector]:
@@ -153,6 +148,3 @@ class Character:
         if length <= 0:
             raise ValidationError("cannot normalize the zero vector to a character")
         return cls(tuple(c / length for c in v))
-
-    def value(self, label: Sequence[float]) -> float:
-        return dot(self.direction, label)

@@ -18,6 +18,7 @@ import hashlib
 import heapq
 import json
 import math
+import re
 import sys
 import time
 from pathlib import Path
@@ -66,7 +67,17 @@ class InputError(Exception):
     """A file that is missing, unreadable, or not JSON."""
 
 
+_NEGATIVE_FLOAT = re.compile(r"-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)\Z", re.IGNORECASE)
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads "-1.0" as a value but "-inf", "-nan" and "-1e-5" as
+        # options, so a flag given one would lack its value; every negative
+        # float spelling is a value here, and the range checks refuse it
+        self._negative_number_matcher = _NEGATIVE_FLOAT
+
     # argparse exits with 2 on bad flags; 2 is taken by validation failures,
     # so usage problems are rerouted through 64
     def error(self, message):

@@ -55,7 +55,6 @@ class Diagram:
         self.boundary_face_dart: int | None = kw["boundary_face_dart"]
         self.faces: tuple[tuple[int, ...], ...] = kw["faces"]
         self.labels: dict[int, Vector] = kw["labels"]
-        self._walk: tuple[int, ...] = kw["walk"]
 
     # -- construction -----------------------------------------------------
 
@@ -170,7 +169,6 @@ class Diagram:
 
         check_relator_faces(presentation, map(tuple, map(map, repeat(letter.__getitem__), faces[1:])))
         labels = walk_labels(amap, origin, letter, twin, rotations, base, base_label)
-        walk = tuple(map(twin.__getitem__, reversed(faces[0])))
         return cls(
             presentation=presentation,
             amap=amap,
@@ -183,7 +181,6 @@ class Diagram:
             boundary_face_dart=boundary_face_dart,
             faces=tuple(faces),
             labels=labels,
-            walk=walk,
         )
 
     # -- basic queries -----------------------------------------------------
@@ -201,17 +198,15 @@ class Diagram:
 
     @property
     def boundary_walk(self) -> tuple[int, ...]:
-        return self._walk
+        return tuple(map(self.twin.__getitem__, reversed(self.faces[0])))
 
     @property
     def boundary_word(self) -> Word:
-        return tuple(self.letter[d] for d in self._walk)
+        return tuple(map(self.letter.__getitem__, self.boundary_walk))
 
     @property
     def boundary_vertices(self) -> frozenset[int]:
-        if not self._walk:
-            return frozenset({self.base})
-        return frozenset(self.origin[d] for d in self._walk)
+        return frozenset(map(self.origin.__getitem__, self.boundary_walk)) or frozenset({self.base})
 
     @property
     def vertices(self) -> tuple[int, ...]:

@@ -34,21 +34,11 @@ def free_reduce(w: Iterable[int]) -> Word:
     return tuple(out)
 
 
-def is_freely_reduced(w: Sequence[int]) -> bool:
-    return all(w[i] != -w[i + 1] for i in range(len(w) - 1))
-
-
 def cyclic_reduce(w: Sequence[int]) -> Word:
     v = free_reduce(w)
     while len(v) >= 2 and v[0] == -v[-1]:
         v = v[1:-1]
     return v
-
-
-def is_cyclically_reduced(w: Sequence[int]) -> bool:
-    if not is_freely_reduced(w):
-        return False
-    return len(w) < 2 or w[0] != -w[-1]
 
 
 def rotations(w: Word) -> Iterator[Word]:
@@ -103,7 +93,7 @@ class Presentation:
             for x in r:
                 if not isinstance(x, int) or x == 0 or abs(x) > k:
                     raise ValidationError(f"letter {x!r} outside the generator alphabet")
-            if not is_cyclically_reduced(r):
+            if cyclic_reduce(r) != r:
                 raise ValidationError(f"relator {r!r} is not cyclically reduced")
 
     @classmethod

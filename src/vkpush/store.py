@@ -216,12 +216,13 @@ class Gluing:
         and merges link vertices.  Then the link rotations are threaded by
         sigma(e) = twin(pred(e)).  Checked here: no link dart is identified
         with its own twin, each seam class is used once across faces and
-        its twin lies on a face, the threads form a permutation, and they
-        take every rim run once.  Each check reads only the template, the
-        roles of the dropped darts, their cyclic order at each link vertex,
-        whether a rim run follows each, and the folds, all of which the key
-        fixes; so its outcome holds for every host of the shape.  ``link``
-        and ``start`` only name darts in the messages.
+        its twin lies on a face, the folds pair link darts up, the
+        successors permute the roles, the threads form a permutation, and
+        they take every rim run once.  Each check reads only the template,
+        the roles of the dropped darts, their cyclic order at each link
+        vertex, whether a rim run follows each, and the folds, all of which
+        the key fixes; so its outcome holds for every host of the shape.
+        ``link`` and ``start`` only name darts in the messages.
         """
         n = len(t.walk)
         t_twin, t_pred, seam, vertex = t.twin, t.pred, t.seam, t.vertex
@@ -266,11 +267,20 @@ class Gluing:
         pred = {number[r]: number[q] if (q := t_pred[r]) in seam else q for r in on_cells}
         outer = {glued[r]: r for r in outer_roles}
         for r in uses:
+            if r < 0:
+                # a kept host dart that no seam class took: a one-sided fold
+                i = outer[r] - n
+                raise ValidationError(f"twin map is not a fixed-point-free involution at dart {link[i]}")
             if seam_twin[r] not in pred and seam_twin[r] not in outer:
                 raise ValidationError(f"dart {start + r} has a twin outside every face")
+        for i, j in partner.items():
+            if j == i or partner.get(j) != i:
+                raise ValidationError(f"twin map is not a fixed-point-free involution at dart {link[i]}")
 
         # the roles at a link vertex form a cycle of successors, and its
         # smallest role is its slot
+        if sorted(key[r] >> 1 for r in roles) != roles:
+            raise ValidationError("rotation system does not define a permutation of faces")
         slot: dict[int, int] = {}
         for r in roles:
             u = r
@@ -385,7 +395,7 @@ class DartStore:
     live, as ``apply`` extends the lists to its largest new id, and an
     integer that ``apply`` keeps exact holds the largest vertex id; the heap
     of vertices by norm that ``max_norm_vertex`` reads drops its dead
-    entries lazily.
+    entries lazily, and is made again when it is too long or empty.
     """
 
     def __init__(self, d: Diagram):
@@ -409,7 +419,7 @@ class DartStore:
     def max_norm_vertex(self) -> int:
         """The vertex a push step takes, by norm_key, from a heap with lazy deletion."""
         heap = self._heap
-        if len(heap) > 2 * len(self.labels) + 64:
+        if not heap or len(heap) > 2 * len(self.labels) + 64:
             heap = self._heap = [norm_key(v, lbl) for v, lbl in self.labels.items()]
             heapq.heapify(heap)
         while self.labels.get(heap[0][2]) != heap[0][1]:
@@ -422,8 +432,11 @@ class DartStore:
         This ends the store: the diagram holds the very lists and dict that
         a further step would change.  The validator relists each rotation
         from its smallest dart, which changes nothing here, as every store
-        rotation already starts there.
+        rotation already starts there.  The heap of vertices by norm is
+        dropped first, so the build, the peak of a long run, does not hold
+        it too; ``max_norm_vertex`` makes it again if asked.
         """
+        self._heap = []
         bfd = self.boundary_face_dart
         return Diagram.build(
             self.presentation,
@@ -680,8 +693,10 @@ class DartStore:
             for x in rot:
                 origin[x] = vid
         labels.update(s.labels)
-        for vid, lbl in s.labels.items():
-            heapq.heappush(self._heap, norm_key(vid, lbl))
+        # a heap that diagram dropped is made again from the labels
+        if self._heap:
+            for vid, lbl in s.labels.items():
+                heapq.heappush(self._heap, norm_key(vid, lbl))
         # new vertex ids all lie above every host id and all live on
         if s.fresh:
             self._top_vertex = max(s.fresh)

@@ -9,6 +9,7 @@ from vkpush.abelianization import (
     AbelianizationMap,
     Character,
     check_compatible,
+    dot,
     norm,
     prefix_labels,
     project,
@@ -131,7 +132,7 @@ def test_negating_character_flips_prefix_extrema(w, angle):
     u = Character.from_vector((math.cos(angle), math.sin(angle)))
     neg = Character.from_vector((-math.cos(angle), -math.sin(angle)))
     labels = prefix_labels(m, w, (0, 0))
-    lo = min(u.value(lbl) for lbl in labels)
-    hi = max(u.value(lbl) for lbl in labels)
-    assert min(neg.value(lbl) for lbl in labels) == pytest.approx(-hi, abs=1e-9)
+    lo = min(dot(u.direction, lbl) for lbl in labels)
+    hi = max(dot(u.direction, lbl) for lbl in labels)
+    assert min(dot(neg.direction, lbl) for lbl in labels) == pytest.approx(-hi, abs=1e-9)
     assert lo <= hi + 1e-9

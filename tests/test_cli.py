@@ -155,7 +155,36 @@ def test_certify_requires_a_scheme(capsys, tmp_path):
     assert err["error"]["type"] == "ValidationError"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["push", Z2, "unused.json", "--q", "-inf"], "q must be a finite number"),
+        (["push", Z2, "unused.json", "--q", "-NaN"], "q must be a finite number"),
+        (["bench", Z2, "--q", "-Infinity"], "q must be a finite number"),
+        (["certify", Z2, "--grid", "-1.5e-285"], "grid spacing must be a positive finite number"),
+        (["certify", Z2, "--grid", "-.5E+3"], "grid spacing must be a positive finite number"),
+    ],
+    ids=["q=-inf-push", "q=-NaN-push", "q=-Infinity-bench", "-1.5e-285-certify", "-.5E+3-certify"],
+)
+def test_a_negative_float_spelling_is_a_flag_value(capsys, argv, message):
+    # argparse alone would read these as options and say the flag lacks a value
+    code, out, err = run(capsys, *argv)
+    assert code == 64 and out is None
+    assert err["error"] == {"type": "UsageError", "message": message}
+
+
 # -- validate ----------------------------------------------------------------
+
+
+def test_validate_refuses_a_scheme_that_fails_verification(capsys, tmp_path):
+    obj = json.loads((FIXTURES / "z2.json").read_text())
+    obj["scheme"]["entries"][0]["conj"]["b"] = "b b"
+    path = tmp_path / "bad_conj.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 3 and out is None
+    assert err["error"]["type"] == "CertificationError"
+    assert err["error"]["message"].startswith("entry 0: conjugates of 'b' and its inverse are not inverse words")
 
 
 def test_validate_bundle_and_diagram(capsys, tower_file):

@@ -228,6 +228,62 @@ def test_boundary_dart_must_start_at_base(square):
         )
 
 
+def square_arrays(square) -> dict:
+    """The square's Diagram.build arguments, as copies a case may change."""
+    return dict(
+        origin=list(square.origin),
+        letter=list(square.letter),
+        twin=list(square.twin),
+        rotations=dict(square.rotations),
+        base=square.base,
+        base_label=square.base_label,
+        boundary_face_dart=square.boundary_face_dart,
+    )
+
+
+def no_darts(**changes) -> dict:
+    a = dict(origin=[0], letter=[0], twin=[0], rotations={0: ()}, base=0, base_label=(0, 0), boundary_face_dart=None)
+    return {**a, **changes}
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        (lambda a: {"letter": a["letter"][:-1]}, "origin, letter and twin must cover the same darts"),
+        (lambda a: {"letter": [1] + a["letter"][1:]}, "dart id 0 must be a positive integer"),
+        (lambda a: no_darts(boundary_face_dart=1), "a diagram without darts cannot name a boundary face dart"),
+        (lambda a: no_darts(rotations={0: (), 1: ()}), "a diagram without darts must consist of the base vertex alone"),
+    ],
+    ids=["short letter list", "slot 0", "no darts, a boundary dart", "no darts, two vertices"],
+)
+def test_build_refuses_malformed_arrays(square, case, message):
+    a = square_arrays(square)
+    with pytest.raises(ValidationError) as info:
+        Diagram.build(square.presentation, square.amap, **{**a, **case(a)})
+    assert str(info.value) == message
+
+
+def test_build_refuses_a_map_with_a_column_too_many(square, zp):
+    m3 = AbelianizationMap(2, ((1, 0), (0, 1), (1, 1)))
+    with pytest.raises(ValidationError) as info:
+        Diagram.build(zp, m3, **square_arrays(square))
+    assert str(info.value) == "abelianization map does not match the presentation"
+
+
+def test_builder_refuses_an_empty_cell(zp, zm):
+    with pytest.raises(ValidationError) as info:
+        DiagramBuilder(zp, zm).add_cell([])
+    assert str(info.value) == "cells must have at least one side"
+
+
+def test_alias_refuses_a_dart_and_its_twin(zp, zm):
+    bld = DiagramBuilder(zp, zm)
+    d1, t1 = bld.new_edge(1)
+    with pytest.raises(ValidationError) as info:
+        bld.alias(d1, t1)
+    assert str(info.value) == f"cannot identify dart {d1} with its own twin"
+
+
 def test_builder_rejects_open_walk(zp, zm):
     bld = DiagramBuilder(zp, zm)
     d1, _ = bld.new_edge(1)
@@ -319,6 +375,24 @@ def test_json_shape_errors(square, zp, zm):
         Diagram.from_json_dict(broken, zp, zm)
     with pytest.raises(ValidationError, match="object"):
         Diagram.from_json_dict([1, 2], zp, zm)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("id", -3, "dart id -3 must be a positive integer"),
+        ("base_label", "0 0", "'base_label' must be a list"),
+    ],
+)
+def test_json_reader_refuses_a_bad_id_or_base_label(square, zp, zm, field, value, message):
+    obj = json.loads(json.dumps(square.to_json_dict()))
+    if field == "id":
+        obj["darts"][0]["id"] = value
+    else:
+        obj[field] = value
+    with pytest.raises(ValidationError) as info:
+        Diagram.from_json_dict(obj, zp, zm)
+    assert str(info.value) == message
 
 
 # -- mirror and rebase -------------------------------------------------------

@@ -7,7 +7,8 @@ towers whose rotations start at random darts, so the runs wrap around the
 ends of the host rotations.  The cache tests ask that a template keeps one
 gluing per link shape, whatever dart a host rotation lists first, and none
 from a glue that raises.  The refusal tests hand ``Gluing.compile`` a
-broken link shape for each check it makes once per gluing.
+broken link shape for each check it makes once per gluing, and every shape
+one role away from a real one.
 """
 
 import dataclasses
@@ -152,6 +153,15 @@ REFUSALS = [
     (6, 0, {6: 9}, "rotation system does not define a permutation of faces"),
     # a rim run after link dart 2 that no thread takes
     (6, 0, {2: 1}, "rotation system does not define a permutation of faces"),
+    # the twin of link dart 0 is link dart 3, but the twin of link dart 3
+    # leaves the link: a one-sided fold
+    (6, 0, {7: 17}, "twin map is not a fixed-point-free involution at dart 21"),
+    # link dart 0 named as the twin of link dart 8, one past the link
+    (7, 5, {8: -9}, "twin map is not a fixed-point-free involution at dart 152"),
+    # link dart 0 followed by role 10, one past the key
+    (6, 0, {0: 21}, "rotation system does not define a permutation of faces"),
+    # link dart 0 followed by itself, and by the twin of spoke 0 as well
+    (6, 0, {0: 0}, "rotation system does not define a permutation of faces"),
 ]
 
 
@@ -165,6 +175,28 @@ def test_gluing_compile_refuses_a_broken_link_shape(z2, depth, steps, edits, mes
     with pytest.raises(ValidationError) as info:
         Gluing.compile(t, tuple(key), star.link_darts, len(store.origin))
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("depth, steps", [(7, 5), (6, 0)])
+def test_gluing_compile_refuses_one_role_edits_with_a_validation_error(z2, depth, steps):
+    """Each role of a link shape set to each value from -n - 1 to 2 len + 1 (n the link length).
+
+    No edit raises anything but a ValidationError, and the only edits that
+    still compile drop a rim run: the shape of a host with no rim dart there.
+    """
+    store, star, t = first_step(z2, depth, steps)
+    base = store._link_shape(star)[0]
+    compiled = []
+    for r in range(len(base)):
+        for value in range(-len(star.link_darts) - 1, 2 * len(base) + 2):
+            key = base[:r] + (value,) + base[r + 1 :]
+            try:
+                Gluing.compile(t, key, star.link_darts, len(store.origin))
+            except ValidationError:
+                continue
+            compiled.append((r, value))
+    rim_dropped = [(r, x - 1) for r, x in enumerate(base) if x > 0 and x & 1]
+    assert compiled == sorted([*enumerate(base), *rim_dropped])
 
 
 # the cyclic variants of [a, b] and of its inverse

@@ -9,7 +9,6 @@ from vkpush.presentation import (
     cyclic_reduce,
     free_reduce,
     invert,
-    is_freely_reduced,
     letter_token,
     parse_letter,
     parse_word,
@@ -124,7 +123,6 @@ words = st.lists(letters, max_size=30).map(tuple)
 @given(words)
 def test_free_reduce_is_idempotent_and_shorter(w):
     red = free_reduce(w)
-    assert is_freely_reduced(red)
     assert len(red) <= len(w)
     assert free_reduce(red) == red
 

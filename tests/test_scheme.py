@@ -7,7 +7,7 @@ from conftest import mirror, rebase_on_boundary, table_gap
 from hypothesis import given, settings, strategies as st
 
 from vkpush import scheme
-from vkpush.abelianization import AbelianizationMap, Character, norm, prefix_labels
+from vkpush.abelianization import AbelianizationMap, Character, dot, norm, prefix_labels
 from vkpush.diagram import DiagramBuilder
 from vkpush.oracle import build_scheme_entry
 from vkpush.presentation import Presentation, ValidationError, invert
@@ -26,6 +26,8 @@ from vkpush.scheme import (
 
 ZP = Presentation.from_texts(("a", "b"), ("a b a^-1 b^-1",))
 ZM = AbelianizationMap(rank=1, columns=((1,), (0,)))
+# a map other than ZM, for entries and fillings built against the wrong one
+OTHER_M = AbelianizationMap(rank=1, columns=((2,), (0,)))
 COMMUTATOR = (1, 2, -1, -2)
 
 
@@ -100,6 +102,43 @@ def test_verify_entry_wrong_filling_boundary():
     assert any("differs from the hat word" in m for m in msgs)
 
 
+def test_verify_names_each_failing_entry():
+    bad = entry_a()
+    bad.conj[2] = ()
+    with pytest.raises(CertificationError) as info:
+        PushingScheme(ZP, ZM, (entry_a_inv(), bad)).verify()
+    assert str(info.value) == (
+        "entry 1: conjugate of 'b' is empty or uses unknown letters; "
+        "entry 1: filling 0 boundary 'a b a^-1 b^-1' differs from the hat word 'a a^-1 b^-1'"
+    )
+
+
+def test_verify_entry_built_against_another_map():
+    e = SchemeEntry(ZP, OTHER_M, 1, {2: (2,), -2: (-2,)}, {0: one_cell(COMMUTATOR, (1,))})
+    assert verify_entry(e, ZP, ZM) == ["entry was built against a different presentation or map"]
+
+
+def test_verify_entry_direction_outside_the_alphabet():
+    e = entry_a()
+    e.t = 3
+    assert verify_entry(e, ZP, ZM) == ["direction 3 is not a letter of the presentation"]
+
+
+def test_verify_entry_fillings_off_the_relator_indices():
+    e = entry_a()
+    e.fillings[1] = e.fillings.pop(0)
+    assert verify_entry(e, ZP, ZM) == ["fillings must cover exactly the relator indices"]
+
+
+def test_verify_entry_filling_built_against_another_map():
+    e = entry_a()
+    bld = DiagramBuilder(ZP, OTHER_M)
+    cell = bld.path(COMMUTATOR)
+    bld.add_cell(cell)
+    e.fillings[0] = bld.build(cell, (1,))
+    assert verify_entry(e, ZP, ZM) == ["filling 0 was built against a different presentation or map"]
+
+
 def test_hat_word_identity_on_fixture():
     e = entry_a()
     assert hat_word(e, COMMUTATOR) == COMMUTATOR
@@ -141,8 +180,8 @@ def test_gap_matches_rotated_rebased_instances():
                 for j in range(len(s)):
                     inst = rebase_on_boundary(f, starts[j], base_label=col)
                     rotated = s[j:] + s[:j]
-                    val = min(u.value(lbl) for lbl in inst.labels.values())
-                    low = min(u.value(lbl) for lbl in prefix_labels(ZM, rotated, ZM.zero))
+                    val = min(dot(u.direction, lbl) for lbl in inst.labels.values())
+                    low = min(dot(u.direction, lbl) for lbl in prefix_labels(ZM, rotated, ZM.zero))
                     observed = min(observed, val - low)
         assert math.isclose(observed, table_gap(u, e), abs_tol=1e-12)
 

@@ -22,15 +22,16 @@ import tracemalloc
 from itertools import chain, repeat
 
 import pytest
-from conftest import concatenated_loops, dart_dicts
+from conftest import concatenated_loops, dart_dicts, max_norm_vertex
 from hypothesis import event, given, note, settings, strategies as st
 
-from vkpush.abelianization import norm
+from vkpush import pusher
+from vkpush.abelianization import Character, norm
 from vkpush.diagram import Diagram, canonical_signature, check_relator_faces, walk_labels
 from vkpush.oracle import sample_corridor_certificates, tower_diagram, wasteful_diagram
 from vkpush.presentation import ValidationError
 from vkpush.pusher import _push_max, push_to_corridor
-from vkpush.scheme import certify_coverage
+from vkpush.scheme import certify_coverage, choose_entry
 from vkpush.store import DartStore, Surgery
 
 R = (1, 2, -1, -2)
@@ -149,6 +150,24 @@ def test_the_final_diagram_takes_over_the_store(z2):
     assert all(a is b for a, b in zip((final.origin, final.letter, final.twin, final.rotations), fields))
 
 
+def test_the_final_build_drops_the_heap_and_a_later_query_makes_it_again(z2):
+    p, m, s, k, q = z2
+    store = DartStore(tower_diagram(s.entries[0], R, 6, m.zero))
+    _push_max(store, s, k, {})
+    for _ in range(3):
+        final = store.diagram()
+        assert store._heap == []
+        # a step glued without a query between: apply leaves the heap empty
+        g = max_norm_vertex(final)
+        entry, _ = choose_entry(s, Character.from_vector([-x for x in store.labels[g]]))
+        star = store.star(g)
+        store.apply(store.glue(star, pusher._template(entry, star.words)))
+        assert store._heap == []
+        got = store.max_norm_vertex()
+        assert len(store._heap) == len(store.labels)
+        assert got == max_norm_vertex(store.diagram())
+
+
 def test_the_store_keeps_per_dart_only_the_lists_the_final_diagram_takes_over(z2):
     # a dart's place in its rotation is read off the rotation, not kept
     p, m, s, k, q = z2
@@ -243,11 +262,10 @@ def dict_build(
 
     check_relator_faces(presentation, map(tuple, map(map, repeat(letter.__getitem__), faces[1:])))
     labels = walk_labels(amap, origin, letter, twin, rotations, base, base_label)
-    walk = tuple(map(twin.__getitem__, reversed(faces[0])))
     return Diagram(
         presentation=presentation, amap=amap, origin=origin, letter=letter, twin=twin,
         rotations=rotations, base=base, base_label=base_label, boundary_face_dart=boundary_face_dart,
-        faces=tuple(faces), labels=labels, walk=walk,
+        faces=tuple(faces), labels=labels,
     )
 
 
@@ -302,7 +320,7 @@ def reference_build(
         return Diagram(
             presentation=presentation, amap=amap, origin={}, letter={}, twin={}, rotations={base: ()},
             base=base, base_label=base_label, boundary_face_dart=None, faces=((),),
-            labels={base: base_label}, walk=(),
+            labels={base: base_label},
         )
 
     if boundary_face_dart is None or boundary_face_dart not in darts:
@@ -346,11 +364,10 @@ def reference_build(
 
     check_relator_faces(presentation, (tuple(letter[d] for d in face) for face in faces[1:]))
     labels = walk_labels(amap, origin, letter, twin, rot_lists, base, base_label)
-    walk = tuple(twin[d] for d in reversed(faces[0]))
     return Diagram(
         presentation=presentation, amap=amap, origin=dict(origin), letter=dict(letter), twin=dict(twin),
         rotations=rot_lists, base=base, base_label=base_label, boundary_face_dart=boundary_face_dart,
-        faces=tuple(faces), labels=labels, walk=walk,
+        faces=tuple(faces), labels=labels,
     )
 
 
@@ -479,7 +496,7 @@ def verdict(build, d: Diagram, a: dict):
 def assert_same(got: Diagram, was: Diagram) -> None:
     """A Diagram on lists against one on dicts: the same live darts and derived fields."""
     assert dart_dicts(got) == (was.origin, was.letter, was.twin)
-    for key in ("rotations", "faces", "labels", "_walk", "base", "base_label", "boundary_face_dart"):
+    for key in ("rotations", "faces", "labels", "boundary_walk", "base", "base_label", "boundary_face_dart"):
         assert getattr(got, key) == getattr(was, key), key
     assert list(got.rotations.items()) == list(was.rotations.items())
     assert list(got.labels.items()) == list(was.labels.items())
