@@ -12,14 +12,16 @@ and builds no diagram, and the full validator runs once, on the final
 diagram, which takes over the store's own lists.  What a template holds for
 any host (relator words, one use per dart, interior rotations and labels)
 is checked when it is compiled; the identifications and rotations at the
-link, once per template and link shape; the labels at the link and the
-Euler count, on every step.  Every quantitative promise the certified
-constants make is audited at runtime; a violation is reported as a broken
-scheme, never glossed over.  Each step is checked from what it removed and
-created.  ``push_to_corridor`` is the one entry point, and ``_audit`` the
-one place the run bounds (sweep cap, (1+4AB)^sweeps area bound, degree
-doubling) are computed: once per run, on every trace the run returns or
-raises, which carries the checks for the command line to report.
+link, once per template and link shape; the walk word and the Euler
+count, on every step.  The walk word and the labels the host holds along
+its edges fix the labels at the link, so they need no check.  Every
+quantitative promise the certified constants make is audited at runtime;
+a violation is reported as a broken scheme, never glossed over.  Each
+step is checked from what it removed and created.  ``push_to_corridor`` is
+the one entry point, and ``_audit`` the one place the run bounds (sweep
+cap, (1+4AB)^sweeps area bound, degree doubling) are computed: once per
+run, on every trace the run returns or raises, which carries the checks
+for the command line to report.
 """
 
 from __future__ import annotations

@@ -316,10 +316,11 @@ def choose_entry(s: PushingScheme, u: Character) -> tuple[SchemeEntry, float]:
     return s.entries[k], g
 
 
-# Grids with more points are refused before any point is made; at about 35
-# microseconds a point on the Heisenberg fixture (2-core machine) this is
-# over a minute.
-MAX_GRID_POINTS = 2_000_000
+# Grids with more points are refused before any point is made.  At about 18
+# microseconds a point on the Heisenberg fixture and 24 on a rank-3 bundle
+# (2-core machine), the largest grid certifies in 4.5-6 s; the finest grid
+# the tests or perfbench certify has 5,400 points.
+MAX_GRID_POINTS = 250_000
 
 
 def _grid_steps(n: int, delta: float) -> int:

@@ -15,16 +15,19 @@ is compiled once per template and shape into a ``Gluing``, kept on the
 template, and its checks (no link dart identified with its own twin, one
 use per seam dart, twins on faces, a permutation that takes every rim run)
 run then, as the shape fixes their outcome.  ``DartStore.glue`` checks per
-step only what the host's ids and labels bring: the walk word, the label at
-each link position and the Euler count; vertex ids, interior rotations and
-labels are made per step too.  The host darts around the link that the step
-keeps, its rim, are copied into the new rotations as slices of their host
-rotations and never re-checked: a rim edge held before the step, its far
-end keeps its label, and its near end is a link vertex, whose label glue
-checks.  ``DartStore.diagram`` hands its own dart lists and rotations to
-``Diagram.build``, the full validator, which ends the store: a push run's
-product is its final diagram.  The pusher imports this module where it
-uses it, so a start that never pushes does not load it.
+step only what the host brings: the walk word and the Euler count, with
+the host's E read as V + F - 2, as every host is a sphere map; vertex ids,
+interior rotations and labels are made per step too.  The labels at the
+link need no check: the walk word and the labels the host holds along its
+edges fix them (``DartStore.glue``).  The host darts around the link that
+the step keeps, its rim, are copied into the new rotations as slices of
+their host rotations and never re-checked: a rim edge held before the
+step, its far end keeps its label, and its near end is a link vertex,
+whose label the step keeps.  ``DartStore.diagram`` hands its own dart
+lists and rotations to ``Diagram.build``, the full validator, which ends
+the store: a push run's product is its final diagram.  The pusher imports
+this module where it uses it, so a start that never pushes does not load
+it.
 """
 
 from __future__ import annotations
@@ -116,8 +119,6 @@ class Template:
     interior: tuple[tuple[int, ...], ...]
     vertex: tuple[int, ...]
     offsets: tuple[Vector, ...]
-    # the same offset at each position of the walk
-    walk_offsets: tuple[Vector, ...]
     # link shape -> how the seam is sewn into a host of that shape, filled
     # by DartStore.glue; dataclasses.replace starts a template with none
     gluings: dict[LinkShape, Gluing] = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -131,7 +132,7 @@ class Template:
         each twin on a face and a walk that reaches every cell
         (``DiagramBuilder.resolve``); and the label offsets along every
         edge, from the zero label where the walk starts (``walk_labels``),
-        so a glue need only check the labels at the walk.
+        so a glue whose walk word matches its link need check no label.
         """
         check_relator_faces(bld.p, map(tuple, map(map, repeat(bld.letter.__getitem__), bld.cells)))
         arrays, cells = bld.resolve(walk)
@@ -170,7 +171,6 @@ class Template:
             interior=tuple(interior),
             vertex=tuple(vertex),
             offsets=tuple(offsets),
-            walk_offsets=tuple(labels[origin[order[r]]] for r in ranks),
         )
 
 
@@ -367,10 +367,11 @@ class DartStore:
     It holds what ``Diagram.build`` derived (origin, letter, twin,
     rotations, labels), the three dart fields in lists indexed by dart id
     as a Diagram does, and nothing per dart that the final diagram does
-    not take over: a dropped dart leaves a dead slot of letter 0, and
-    ``live_darts`` counts the rest.  Faces are read off the rotations on
-    demand, and a dart's place in its rotation by ``tuple.index``, as
-    rotations are short.  Of the boundary it keeps the boundary face dart,
+    not take over: a dropped dart leaves a dead slot of letter 0.  It
+    counts no darts: every store is a sphere map, so its edges number
+    V + F - 2.  Faces are read off the rotations on demand, and a
+    dart's place in its rotation by ``tuple.index``, as rotations are
+    short.  Of the boundary it keeps the boundary face dart,
     whose origin is the base vertex: a step reads no part of the boundary
     beyond its star.
     ``glue`` computes the surgery that replaces a star, and ``apply``
@@ -402,16 +403,15 @@ class DartStore:
         self.presentation = d.presentation
         self.amap = d.amap
         self.origin, self.letter, self.twin = d.origin.copy(), d.letter.copy(), d.twin.copy()
-        self.live_darts = sum(map(len, d.rotations.values()))
         self.rotations = dict(d.rotations)
         self.labels = dict(d.labels)
         self.base_label = d.base_label
         self.boundary_face_dart = d.boundary_face_dart
         self.area = d.area
         # a max-heap of vertices by norm_key, whose dead entries leave lazily,
-        # and the largest live vertex id, which apply keeps exact
-        self._heap = [norm_key(v, lbl) for v, lbl in self.labels.items()]
-        heapq.heapify(self._heap)
+        # made on the first query, and the largest live vertex id, which
+        # apply keeps exact
+        self._heap: list[tuple] = []
         self._top_vertex = max(self.rotations)
 
     # -- queries ---------------------------------------------------------------
@@ -531,13 +531,29 @@ class DartStore:
         to the next dart of its host rotation, so each run of rim darts
         between two dropped darts joins a new rotation as one slice.
 
-        Checked on every step: the walk word, the label of each link
-        position and the Euler count.  The label check is complete in
-        O(link): compile checked every template edge and turn against the
-        walk's offsets, host edges held after the previous step (the first
-        host went through ``Diagram.build``) and no step changes a rim
-        edge, and host vertices that fold together sit at one template
-        vertex, so they share its offset and the label they keep.
+        Checked on every step: the walk word, and the Euler count, with the
+        host's E read as V + F - 2, as every host is a sphere map (the
+        first went through ``Diagram.build``, and each step passed this
+        count).  The labels at the link need no check, as the checks that
+        stay fix them.  Write l_0 ... l_{n-1} for the link darts and w_i
+        for the walk's classes:
+
+        - the link is a closed walk of host edges, head(l_i) =
+          origin(l_{i+1}), within a corner face and across corners;
+        - host labels agree along every host edge: the first host passed
+          ``Diagram.build``, and each step keeps this true, as interior
+          labels are the anchor plus the template's offsets, a folded
+          vertex takes the label its parts share, and no step changes a
+          rim edge;
+        - the template's walk is its outer face, and ``Template.compile``
+          checked every template edge's labels (``walk_labels``), from
+          zero where the walk starts;
+        - the walk-word check makes letter(w_i) = letter(l_i).
+
+        So by induction from link position 0, the anchor, the host label
+        at origin(l_i) is the anchor plus the template's offset at walk
+        position i, and the interior labels glue makes agree with the link
+        along every template edge.
         """
         p = self.presentation
         t_letter = t.letter
@@ -595,16 +611,13 @@ class DartStore:
             rotations[vid] = cyc
 
         # the interior labels, translated from the label where the walk starts
-        host_labels = self.labels
-        anchor = host_labels[origin[link[0]]]
+        anchor = self.labels[origin[link[0]]]
         for vid, off in zip(interior_ids, t.offsets):
             labels[vid] = tuple(map(add, anchor, off))
-        for x, off in zip(link, t.walk_offsets):
-            if host_labels[origin[x]] != tuple(map(add, anchor, off)):
-                raise ValidationError(f"link dart {x} violates label consistency")
 
+        # the host is a sphere map, so its E is V + F - 2
         nv = len(self.rotations) - len(plan.vertices) - 1 + len(rotations)
-        ne = (self.live_darts - len(dropped) + len(t.inner) + len(plan.seam)) // 2
+        ne = len(self.rotations) + self.area - 1 + (len(t.inner) + len(plan.seam) - len(dropped)) // 2
         area = self.area + t.area - len(star.darts)
         if nv - ne + area + 1 != 2:
             raise ValidationError(f"Euler count V-E+F = {nv}-{ne}+{area + 1} != 2; not a sphere map")
@@ -680,7 +693,6 @@ class DartStore:
         grow = [0] * (max(s.darts) + 1 - len(origin))
         for field in (origin, letter, twin):
             field += grow
-        self.live_darts += len(s.darts) - len(s.dropped_darts)
         for x in s.dropped_darts:
             letter[x] = 0
         for x, (lt, tw) in s.darts.items():
@@ -693,7 +705,8 @@ class DartStore:
             for x in rot:
                 origin[x] = vid
         labels.update(s.labels)
-        # a heap that diagram dropped is made again from the labels
+        # no heap until the first query (or after diagram());
+        # max_norm_vertex makes it from the labels
         if self._heap:
             for vid, lbl in s.labels.items():
                 heapq.heappush(self._heap, norm_key(vid, lbl))

@@ -93,6 +93,54 @@ def f2_bundle():
     return build_f2_bundle()
 
 
+def build_f3_bundle() -> tuple[Presentation, AbelianizationMap, PushingScheme]:
+    """A hyperbolic bundle built here: F3 x|_phi Z onto Z, with phi(a) = b, phi(b) = c, phi(c) = ab.
+
+    The map sends t to 1 and a, b, c to 0, so the kernel is F3 = <a, b, c>.
+    The six relators give both entries their conjugation cells: t x t^-1 =
+    phi(x) for t^-1, and t^-1 a t = c a^-1, t^-1 b t = a, t^-1 c t = b, which
+    is phi^-1, for t.  Every call builds fresh entries, whose template caches
+    are empty.
+
+    By Brinkmann's theorem the group is hyperbolic, as phi is atoroidal:
+
+    - phi acts on H1(F3) = Z^3 with characteristic polynomial x^3 - x - 1.
+      It is irreducible over Q, and so is the polynomial of every power of
+      phi, as its real root is a Pisot unit of degree 3.  So phi is fully
+      irreducible.
+    - By Bestvina and Handel, a fully irreducible automorphism is atoroidal
+      unless it is induced by a pseudo-Anosov map of a surface with one
+      boundary component.
+    - A surface with one boundary component and free fundamental group of
+      rank 3 is non-orientable, and its boundary class in H1 is twice the sum
+      of the crosscap generators, which is not zero.  phi would fix that
+      class up to sign, but x^3 - x - 1 has no root 1 or -1.
+    """
+    p = Presentation.from_texts(
+        ("a", "b", "c", "t"),
+        (
+            "t a t^-1 b^-1",
+            "t b t^-1 c^-1",
+            "t c t^-1 b^-1 a^-1",
+            "t^-1 a t a c^-1",
+            "t^-1 b t a^-1",
+            "t^-1 c t b^-1",
+        ),
+    )
+    m = AbelianizationMap(rank=1, columns=((0,), (0,), (0,), (1,)))
+    conj = {4: {1: (3, -1), 2: (1,), 3: (2,)}, -4: {1: (2,), 2: (3,), 3: (1, 2)}}
+    entries = tuple(
+        build_scheme_entry(p, m, t, {**c, **{-x: invert(w) for x, w in c.items()}}, max_area=3)
+        for t, c in conj.items()
+    )
+    return p, m, PushingScheme(p, m, entries)
+
+
+@pytest.fixture(scope="session")
+def f3_bundle():
+    return build_f3_bundle()
+
+
 def table_gap(u, e) -> float:
     """Entry e's valuation gap at the character u, read off a table of e alone."""
     table = PushingScheme(e.presentation, e.amap, (e,)).table

@@ -84,6 +84,7 @@ def _range_case(flag, value, code, kind, command):
             ("nan", 64, "UsageError"),
             ("inf", 64, "UsageError"),
             ("1e-300", 2, "ValidationError"),
+            ("1e-5", 2, "ValidationError"),
         ]
         for command in ("certify", "push", "bench")
     ]
@@ -97,7 +98,8 @@ def _range_case(flag, value, code, kind, command):
 )
 def test_grid_outside_its_range_is_a_json_error(capsys, tmp_path, flag, value, code, kind, command):
     # a grid spacing or a corridor radius out of range; 1e-300 asks for about
-    # 10^300 sphere points, and the count is refused before any is made
+    # 10^300 sphere points and 1e-5 for 400,004, and the count is refused
+    # before any is made
     args = {"--q": "20", "--grid": "0.05", flag: value}
     argv = {
         "certify": ["certify", HEIS],

@@ -111,7 +111,14 @@ def test_store_heap_compacts_its_dead_entries(grid):
     # live label must be skipped, the ones below only a compaction removes
     store = DartStore(grid)
     live = len(store.labels)
+    # the first query makes the heap
+    assert store.max_norm_vertex() == max_norm_vertex(grid)
+    assert len(store._heap) == live
     dead = range(max(store.labels) + 1, max(store.labels) + 2 * live + 66)
+    for v in dead[:3]:
+        heapq.heappush(store._heap, norm_key(v, (9, 9)))
+    assert store.max_norm_vertex() == max_norm_vertex(grid)
+    assert len(store._heap) == live
     for i, v in enumerate(dead):
         heapq.heappush(store._heap, norm_key(v, (9, 9) if i % 2 else (0, 0)))
     assert len(store._heap) > 2 * live + 64

@@ -394,26 +394,29 @@ class NoPoints:
 def test_certify_refuses_oversized_grids_before_making_a_point(heisenberg_bundle, monkeypatch, grid):
     p, m, s = heisenberg_bundle
     monkeypatch.setattr(scheme, "Character", NoPoints)
-    with pytest.raises(ValidationError, match="2,000,000 sphere points"):
+    with pytest.raises(ValidationError, match="250,000 sphere points"):
         certify_coverage(s, grid)
 
 
 def test_rank_3_certifies_at_grid_0_05_and_refuses_0_002(z3_bundle):
     p, m, s = z3_bundle
     assert certify_coverage(s, 0.05).a == 0.35374347143964674
-    with pytest.raises(ValidationError, match="needs more than 2,000,000 sphere points in rank 3"):
+    with pytest.raises(ValidationError, match="needs more than 250,000 sphere points in rank 3"):
         certify_coverage(s, 0.002)
 
 
 def test_grid_point_count_cap():
     # 2n (steps+1)^(n-1) points; rank 2 takes steps = ceil(1/delta)
-    assert _grid_steps(2, 1 / 499_990) == 499_990
-    assert 4 * (_grid_steps(2, 1 / 499_990) + 1) <= MAX_GRID_POINTS
+    assert _grid_steps(2, 1 / 62_490) == 62_490
+    assert 4 * (_grid_steps(2, 1 / 62_490) + 1) == 249_964 <= MAX_GRID_POINTS
     with pytest.raises(ValidationError):
-        _grid_steps(2, 1 / 500_010)
-    assert 6 * (_grid_steps(3, 0.005) + 1) ** 2 <= MAX_GRID_POINTS
+        _grid_steps(2, 1 / 62_510)
+    # 1/62,499 rounds up to 62,500 steps, 250,004 points
     with pytest.raises(ValidationError):
-        _grid_steps(3, 0.001)
+        _grid_steps(2, 1 / 62_499)
+    assert 6 * (_grid_steps(3, 0.01) + 1) ** 2 == 122_694 <= MAX_GRID_POINTS
+    with pytest.raises(ValidationError):
+        _grid_steps(3, 0.005)
     with pytest.raises(ValidationError):
         _grid_steps(40, 0.5)
 

@@ -58,14 +58,20 @@ def live_darts(store: DartStore) -> set[int]:
 def push_poisoned(d: Diagram, s, k, q) -> int:
     """Push d, poisoning every dead slot after each step; compare with a plain run.
 
-    A dead slot's letter must be 0; its origin and twin are set to None.
+    After each step the store must hold V + F - 2 edges, as a sphere map
+    does, and the labels a walk from the base vertex gives, which glue does
+    not check at the link.  A dead slot's letter must be 0; its origin
+    and twin are set to None.
     """
     store, choices, steps = DartStore(d), {}, []
     while norm(store.labels[store.max_norm_vertex()]) > q:
         step, _ = _push_max(store, s, k, choices, len(steps))
         steps.append(step)
         live = live_darts(store)
-        assert store.live_darts == len(live)
+        assert 2 * (len(store.rotations) + store.area - 1) == len(live)
+        base = store.origin[store.boundary_face_dart]
+        args = store.amap, store.origin, store.letter, store.twin, store.rotations, base, store.base_label
+        assert store.labels == walk_labels(*args)
         for field in (store.origin, store.letter, store.twin):
             assert len(field) == max(live) + 1
         for x in range(len(store.letter)):
