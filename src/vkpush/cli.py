@@ -193,7 +193,7 @@ def _diagram_summary(d):
         "area": met["area"],
         "radius": met["radius"],
         "norm": met["norm"],
-        "vertices": len(d.vertices),
+        "vertices": len(d.rotations),
         "boundary_length": len(d.boundary_walk),
     }
 
@@ -393,7 +393,7 @@ def cmd_validate(args) -> int:
             {
                 "path": dpath,
                 "area": d.area,
-                "vertices": len(d.vertices),
+                "vertices": len(d.rotations),
                 "boundary": word_to_text(d.boundary_word, p),
             }
         )
@@ -575,7 +575,7 @@ def cmd_render(args) -> int:
             "dot": paths["dot"],
             "svg": paths["svg"],
             "area": d.area,
-            "vertices": len(d.vertices),
+            "vertices": len(d.rotations),
             "edges": len(d.darts) // 2,
         }
     )

@@ -175,20 +175,34 @@ def _push_max(
 ) -> tuple[PushStep, Surgery]:
     """Replace the star of the store's maximum-norm vertex, audited from the delta.
 
-    The surgery is applied only once its checks pass: every vertex the step
-    creates has norm at most c - a/2, the count of vertices at norm >= c - a/2
-    strictly drops, the area grows by at most A per unit of degree, and the
-    boundary word is untouched: the step drops no boundary dart (``star``
-    refuses a boundary vertex), so only a host dart it keeps under a new id
-    could change a boundary letter, and each must keep its letter.  The
-    label multiset loses the pushed label; when the link walk traverses an
-    edge twice the splice may also absorb link vertices whose whole
-    neighbourhood lay in the closed star (their edges fold into the ring),
-    so extra losses are accepted exactly on link labels.  ``choices`` holds
-    the run's entry and entry index per pushed label, so entry choice runs
-    once per label.  A failed step names itself by ``index``, the step's
-    place in the run, and by its vertex, label and entry; a star refused
-    before any entry is chosen names no entry.
+    The surgery is applied only once its checks pass: the label multiset
+    loses the pushed label, every vertex the step creates has norm at most
+    c - a/2, the count of vertices at norm >= c - a/2 strictly drops, and
+    the area grows by at most A per unit of degree.  ``choices`` holds the
+    run's entry and entry index per pushed label, so entry choice runs once
+    per label.  A failed step names itself by ``index``, the step's place in
+    the run, and by its vertex, label and entry; a star refused before any
+    entry is chosen names no entry.
+
+    Two facts need no check here, as glue makes them true:
+
+    - No label is lost beyond the pushed vertex and its link.  ``glue``
+      lists ``dropped_vertices`` as the center, then the link vertices that
+      no new rotation keeps, one per slot; ``_link_shape`` chains each link
+      vertex's dropped darts into one cycle, so no two slots name the same
+      vertex; and ``star`` refuses a loop edge and a repeated corner, so no
+      link vertex is the center.  So each label lost beyond the center's is
+      the label of a distinct link vertex (a fold may absorb some, when the
+      link walk traverses an edge twice).
+    - No step changes a boundary letter.  The step drops no boundary dart
+      (``star`` refuses a boundary vertex), and each host dart x it keeps
+      under a new id (``Surgery.renamed``) is the outer twin of a link dart
+      l_i that is no fold, which ``Gluing.compile`` puts in the twin class
+      of the walk class w_i.  Classes merge only darts of one letter: the
+      builder's ``alias`` checks letters, and the walk-word check makes
+      letter(w_i) = letter(l_i).  So the class's root rank r gets the
+      letter ``t.letter[r]`` = -letter(l_i) = letter(x).  ``_audit`` still
+      compares the run's initial and final boundary words.
     """
     g = store.max_norm_vertex()
     label_g = store.labels[g]
@@ -224,11 +238,6 @@ def _push_max(
         high -= norm(lbl) >= tau
     if delta.get(label_g, 0) >= 0:
         problems.append("the pushed vertex label did not leave the multiset")
-    elif extra := {lbl: n for lbl, d in delta.items() if (n := -d - (lbl == label_g)) > 0}:
-        # lost beyond the pushed label: only link labels may go
-        link = [labels[v] for v in {store.origin[x] for x in star.link_darts}]
-        if any(n > link.count(lbl) for lbl, n in extra.items()):
-            problems.append(f"labels lost beyond the pushed vertex and its link: {extra}")
     norms = {lbl: norm(lbl) for lbl in delta}
     # a new vertex without host parts lies inside the replacement
     new_max = max(
@@ -248,11 +257,6 @@ def _push_max(
     problems.extend(filter(None, _step_bounds(step, k)))
     if high <= 0:
         problems.append("the count of vertices above the c - a/2 threshold did not decrease")
-    letter, darts = store.letter, cut.darts
-    for x, n in cut.renamed.items():
-        if darts[n][0] != letter[x]:
-            problems.append("the boundary word changed")
-            break
     if problems:
         raise PushError(
             "push step invariant violation (broken scheme?): " + "; ".join(problems) + _where(*where)

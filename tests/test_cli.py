@@ -287,6 +287,42 @@ def test_a_boolean_where_an_integer_goes_in_a_map_is_a_validation_error(capsys, 
     assert err["error"]["type"] == "ValidationError"
 
 
+def _presentation(generators, relators):
+    return lambda b: b.update(presentation={"generators": generators, "relators": relators})
+
+
+# each edit of fixtures/z2.json, in place or returning the new bundle, and the
+# message it draws; {path} is the bundle's
+BUNDLE_REFUSALS = {
+    "a-list": (lambda b: [b], "{path}: bundle must be a JSON object"),
+    "no-map": (lambda b: {k: v for k, v in b.items() if k != "map"}, "{path}: bundle lacks 'map'"),
+    "no-generators": (_presentation([], []), "a presentation needs at least one generator"),
+    "empty-generator-name": (_presentation(["", "b"], ["b"]), "generator names must be nonempty strings"),
+    "generator-a^": (_presentation(["a^", "b"], ["b"]), "generator name 'a^' contains reserved characters"),
+    "non-string-relators": (_presentation(["a", "b"], [1]), "presentation JSON needs a 'relators' list of strings"),
+    "map-a-list": (lambda b: b.update(map=[]), "map JSON must be an object"),
+    "rank-0": (lambda b: b["map"].update(rank=0), "rank must be a positive integer"),
+    "columns-a-list": (lambda b: b["map"].update(columns=[]), "map JSON needs a 'columns' object"),
+    "column-not-a-list": (lambda b: b["map"]["columns"].update(a=1), "column for 'a' must be a list"),
+    "column-of-rank-2": (lambda b: b["map"]["columns"].update(a=[1, 0]), "column (1, 0) does not have rank 1 entries"),
+    "conj-a-list": (
+        lambda b: b["scheme"]["entries"][0].update(conj=[]),
+        "entry 'conj' and 'fillings' must be objects",
+    ),
+}
+
+
+@pytest.mark.parametrize("edit, message", BUNDLE_REFUSALS.values(), ids=BUNDLE_REFUSALS)
+def test_validate_refuses_a_malformed_bundle_by_name(capsys, tmp_path, edit, message):
+    bundle = json.loads(pathlib.Path(Z2).read_text())
+    edited = edit(bundle)
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(bundle if edited is None else edited))
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2 and out is None
+    assert err["error"] == {"type": "ValidationError", "message": message.format(path=path)}
+
+
 # JSON values a mutation may put anywhere in a diagram file
 JSON_VALUES = st.recursive(
     st.none()
@@ -713,6 +749,15 @@ def test_area_oracle_unknown_within_bounds(capsys):
     code, out, err = run(capsys, "area-oracle", Z2, "--word", "b", "--max-area", "3")
     assert code == 0
     assert out["area"] == "unknown"
+
+
+@pytest.mark.parametrize("max_len, area", [(8, 1), (3, "unknown")])
+def test_area_oracle_echoes_its_length_cap(capsys, max_len, area):
+    # a cap shorter than the four-letter word leaves the search nothing to try
+    argv = ["area-oracle", Z2, "--word", "a b a^-1 b^-1", "--max-area", "2", "--max-len", str(max_len)]
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err is None
+    assert out == {"word": "a b a^-1 b^-1", "max_area": 2, "max_len": max_len, "area": area}
 
 
 def test_area_oracle_non_null_word_ends_in_bounded_time():

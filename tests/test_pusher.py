@@ -4,7 +4,7 @@ import math
 from collections import Counter
 
 import pytest
-from conftest import FIXTURES, _load_bundle, concatenated_loops, max_norm_vertex
+from conftest import FIXTURES, _load_bundle, concatenated_loops, max_norm_vertex, mirror
 
 from vkpush import cli, pusher
 from vkpush.abelianization import Character, norm
@@ -203,6 +203,18 @@ def test_a_vertex_past_twice_its_budget_fails_degree_doubling(z2):
     assert problems == [f"surviving vertex {v} with degree baseline {low} now has degree {degree}"]
 
 
+def test_a_run_whose_boundary_word_changed_fails_the_run_audit(z2):
+    # no step can change a boundary letter, so the run audit alone compares
+    # boundary words; a final diagram mirrored reads the inverse word
+    p, m, s, k = z2
+    up = next(e for e in s.entries if e.t == 1)
+    _, trace = push_to_corridor(tower_diagram(up, R, 6, (0,)), s, k, 5.0)
+    assert trace.checks["boundary_preserved"] is True
+    checks, problems = _audit(dataclasses.replace(trace, final=mirror(trace.final)), k, 5.0)
+    assert checks["boundary_preserved"] is False
+    assert problems == ["the boundary word changed across the run"]
+
+
 def test_a_fold_of_budgeted_vertices_gets_the_sum_of_their_budgets():
     # vertex 9 folds 1 and 2 together; 10 folds 5 with vertex 8, made during
     # the run, so it has no baseline; 11 is interior to the replacement
@@ -255,26 +267,21 @@ def test_every_exit_of_a_run_audits_it_once(z2, monkeypatch):
     assert audited == []
 
 
-def reference_label_problems(store, star, cut, label_g):
-    """The step audit's label checks as Counters compute them."""
+def reference_label_problems(store, cut, label_g):
+    """The step audit's label check as Counters compute it."""
     lost = [store.labels[w] for w in cut.dropped_vertices]
     removed = Counter(lost) - Counter(cut.labels.values())
-    link_labels = Counter(store.labels[v] for v in {store.origin[x] for x in star.link_darts})
-    extra = removed - Counter({label_g: 1})
     if removed[label_g] < 1:
         return ["the pushed vertex label did not leave the multiset"]
-    if any(extra[lbl] > link_labels[lbl] for lbl in extra):
-        return [f"labels lost beyond the pushed vertex and its link: {dict(extra)}"]
     return []
 
 
 def test_step_audit_reports_label_losses_as_counters_do(z2, monkeypatch):
-    # surgeries doctored after glue: as they are, giving back every copy of
-    # the pushed label they lose, and dropping a vertex of the least norm too
+    # surgeries doctored after glue: as they are, and giving back every copy
+    # of the pushed label they lose
     p, m, s, k = z2
     up = next(e for e in s.entries if e.t == 1)
     d = tower_diagram(up, R, 6, (0,))
-    far = min(d.vertices, key=lambda v: norm(d.labels[v]))
     glue = DartStore.glue
 
     def give_back(store, cut, label_g):
@@ -282,16 +289,13 @@ def test_step_audit_reports_label_losses_as_counters_do(z2, monkeypatch):
         back = {max(d.vertices) + 99 + i: label_g for i in range(lost.count(label_g))}
         return dataclasses.replace(cut, labels={**cut.labels, **back})
 
-    def drop_far(store, cut, label_g):
-        return dataclasses.replace(cut, dropped_vertices=cut.dropped_vertices + (far,))
-
     seen = []
-    for change in (lambda store, cut, label_g: cut, give_back, drop_far):
+    for change in (lambda store, cut, label_g: cut, give_back):
 
         def doctored(store, star, t):
             label_g = store.labels[star.center]
             cut = change(store, glue(store, star, t), label_g)
-            seen.append(reference_label_problems(store, star, cut, label_g))
+            seen.append(reference_label_problems(store, cut, label_g))
             return cut
 
         monkeypatch.setattr(DartStore, "glue", doctored)
@@ -302,29 +306,7 @@ def test_step_audit_reports_label_losses_as_counters_do(z2, monkeypatch):
             message = str(exc)
         assert all(problem in message for problem in seen[-1])
         assert bool(message) == bool(seen[-1])
-    assert [len(problems) for problems in seen] == [0, 1, 1]
-    assert seen[2] == [f"labels lost beyond the pushed vertex and its link: {{(7,): 1, {d.labels[far]}: 1}}"]
-
-
-def test_step_audit_refuses_a_renamed_boundary_dart_with_another_letter(z2, monkeypatch):
-    # the first step on the depth-1 tower keeps boundary dart 12 under a new
-    # id; a glue that gives its edge another letter changes the boundary word
-    p, m, s, k = z2
-    up = next(e for e in s.entries if e.t == 1)
-    d = tower_diagram(up, R, 1, (0,))
-    assert 12 in d.faces[0] and d.letter[12] == -2
-    glue = DartStore.glue
-
-    def relettered(store, star, t):
-        cut = glue(store, star, t)
-        n = cut.renamed[12]
-        tw = cut.darts[n][1]
-        return dataclasses.replace(cut, darts={**cut.darts, n: (1, tw), tw: (-1, n)})
-
-    pusher._push_max(DartStore(d), s, k, {})
-    monkeypatch.setattr(DartStore, "glue", relettered)
-    with pytest.raises(PushError, match="the boundary word changed"):
-        pusher._push_max(DartStore(d), s, k, {})
+    assert [len(problems) for problems in seen] == [0, 1]
 
 
 def boundary_face_word(store):
