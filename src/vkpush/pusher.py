@@ -225,20 +225,19 @@ def _push_max(
     problems: list[str] = []
     labels = store.labels
     tau = c - k.a / 2 + FLOAT_TOL
-    # the signed change of each label's count, new labels less lost ones, and
-    # how many more lost labels than new ones have norm >= tau
+    # the signed change of each label's count, new labels less lost ones;
+    # the step audit reads the label multiset here alone
     delta: dict[Vector, int] = {}
-    high = 0
     for w in cut.dropped_vertices:
         lbl = labels[w]
         delta[lbl] = delta.get(lbl, 0) - 1
-        high += norm(lbl) >= tau
     for lbl in cut.labels.values():
         delta[lbl] = delta.get(lbl, 0) + 1
-        high -= norm(lbl) >= tau
     if delta.get(label_g, 0) >= 0:
         problems.append("the pushed vertex label did not leave the multiset")
     norms = {lbl: norm(lbl) for lbl in delta}
+    # how many more lost labels than new ones have norm >= tau
+    high = -sum(d for lbl, d in delta.items() if norms[lbl] >= tau)
     # a new vertex without host parts lies inside the replacement
     new_max = max(
         [norms[cut.labels[v]] for v, parts in cut.fresh.items() if not parts]

@@ -14,16 +14,18 @@ darts lie between them, and the folds (``DartStore._link_shape``).  So it
 is compiled once per template and shape into a ``Gluing``, kept on the
 template, and its checks (no link dart identified with its own twin, one
 use per seam dart, twins on faces, a permutation that takes every rim run)
-run then, as the shape fixes their outcome.  ``DartStore.glue`` checks per
-step only what the host brings: the walk word and the Euler count, with
-the host's E read as V + F - 2, as every host is a sphere map; vertex ids,
-interior rotations and labels are made per step too.  The labels at the
-link need no check: the walk word and the labels the host holds along its
-edges fix them (``DartStore.glue``).  The host darts around the link that
-the step keeps, its rim, are copied into the new rotations as slices of
-their host rotations and never re-checked: a rim edge held before the
-step, its far end keeps its label, and its near end is a link vertex,
-whose label the step keeps.  ``DartStore.diagram`` hands its own dart
+run then, as the shape fixes their outcome.  The gluing fixes the step's
+new darts too, up to a shift by the first new id: one block of letters and
+twin ranks, which ``DartStore.apply`` appends to the dart lists whole.
+``DartStore.glue`` checks per step only what the host brings: the walk word
+and the Euler count, with the host's E read as V + F - 2, as every host is
+a sphere map; vertex ids, interior rotations and labels are made per step
+too.  The labels at the link need no check: the walk word and the labels
+the host holds along its edges fix them (``DartStore.glue``).  The host
+darts around the link that the step keeps, its rim, are copied into the
+new rotations as slices of their host rotations and never re-checked: a
+rim edge held before the step, its far end keeps its label, and its near
+end is a link vertex, whose label the step keeps.  ``DartStore.diagram`` hands its own dart
 lists and rotations to ``Diagram.build``, the full validator, which ends
 the store: a push run's product is its final diagram.  The pusher imports
 this module where it uses it, so a start that never pushes does not load
@@ -69,10 +71,17 @@ class StarView:
 
 @dataclass(frozen=True)
 class Surgery:
-    """One star replacement, as DartStore.glue computes it and apply commits it."""
+    """One star replacement, as DartStore.glue computes it and apply commits it.
 
-    # new dart -> (letter, twin)
-    darts: dict[int, tuple[int, int]]
+    The new darts are one block of ranks from the first new id, the length
+    of the dart lists: apply appends it to the lists and shifts its twin
+    ranks by that id.
+    """
+
+    # the new darts' letters, 0 on a rank the step leaves dead, and their
+    # twins' ranks: the gluing's own tuples, not copies
+    letter: tuple[int, ...]
+    twin: tuple[int, ...]
     # the rotation of every re-threaded vertex, new ones included
     rotations: dict[int, tuple[int, ...]]
     # host vertex ids that leave the diagram, the center first
@@ -111,8 +120,6 @@ class Template:
     # the outer path, read as a boundary walk; it spells the link word
     walk: tuple[int, ...]
     seam: frozenset[int]
-    # (rank, letter, twin) of every class off the seam
-    inner: tuple[tuple[int, int, int], ...]
     # the rotations of the vertices off the walk, each from its smallest
     # rank and in that order; the one of them each class starts at (-1 on
     # the walk); their labels less the label where the walk starts
@@ -167,7 +174,6 @@ class Template:
             area=len(cells),
             walk=ranks,
             seam=seam,
-            inner=tuple((r, letter[r], twin[r]) for r in range(len(order)) if r not in seam),
             interior=tuple(interior),
             vertex=tuple(vertex),
             offsets=tuple(offsets),
@@ -182,16 +188,18 @@ LinkShape = tuple[int, ...]
 class Gluing:
     """How a template's seam is sewn into a host whose link has one shape.
 
-    Ranks are the template's, so a new id is the first new id plus a rank.
+    Ranks are the template's, so a new id is the first new id plus a rank,
+    and the step's new darts are one block of ranks that every host of the
+    shape shares.
     A host dart the step drops is named by its role (``DartStore._link_shape``)
     and a link vertex by a slot: the position of the first link dart that
     starts there.
     """
 
-    # the seam classes the step keeps, by the rank of their root, and the
-    # rank of each one's twin
-    seam: tuple[int, ...]
-    seam_twins: tuple[int, ...]
+    # the step's new darts as one block of ranks, up to the last rank it
+    # keeps: each rank's letter, 0 on a dead rank, and its twin's rank
+    letter: tuple[int, ...]
+    twin: tuple[int, ...]
     # the link positions whose twin the step keeps under a new id, and the
     # rank of that id
     outer: tuple[int, ...]
@@ -350,9 +358,20 @@ class Gluing:
             cuts = [c for c, e in enumerate(cyc) if e < 0] + [len(cyc)]
             pairs = tuple((-1 - cyc[a], tuple(cyc[a + 1 : b])) for a, b in zip(cuts, cuts[1:]))
             wrapped.append((pairs, slots))
+
+        # the new darts: a class off the seam as the template has it; a seam
+        # class whose root has a use, with the root of its twin; and letter 0
+        # on every other seam rank, merged into another class or the root of
+        # one with no use (a spur that a fold removes).  The block ends at the
+        # last rank the step keeps
+        kept = {r: seam_twin[r] for r in uses}
+        letter = [x if r in kept or r not in seam else 0 for r, x in enumerate(t.letter)]
+        while not letter[-1]:
+            letter.pop()
+        twin = [kept.get(r, y) if x else 0 for r, (x, y) in enumerate(zip(letter, t_twin))]
         return cls(
-            seam=tuple(uses),
-            seam_twins=tuple(seam_twin[e] for e in uses),
+            letter=tuple(letter),
+            twin=tuple(twin),
             outer=tuple(r - n for r in outer_roles),
             outer_ranks=tuple(glued[r] for r in outer_roles),
             wrapped=tuple(wrapped),
@@ -367,8 +386,11 @@ class DartStore:
     It holds what ``Diagram.build`` derived (origin, letter, twin,
     rotations, labels), the three dart fields in lists indexed by dart id
     as a Diagram does, and nothing per dart that the final diagram does
-    not take over: a dropped dart leaves a dead slot of letter 0.  It
-    counts no darts: every store is a sphere map, so its edges number
+    not take over: a dropped dart leaves a dead slot of letter 0.  No code
+    reads a dead slot's twin (``Diagram.build`` walks live darts only): a
+    dropped dart keeps its twin, and a rank a step leaves dead has twin
+    entry 0 in its block, so its slot holds the first new id.  It counts
+    no darts: every store is a sphere map, so its edges number
     V + F - 2.  Faces are read off the rotations on demand, and a
     dart's place in its rotation by ``tuple.index``, as rotations are
     short.  Of the boundary it keeps the boundary face dart,
@@ -393,10 +415,12 @@ class DartStore:
     numbered from the largest vertex id plus one, in the order of each new
     rotation's smallest dart; and every rotation starts at its smallest
     dart, as ``Diagram.build`` lists it.  The largest dart id is always
-    live, as ``apply`` extends the lists to its largest new id, and an
-    integer that ``apply`` keeps exact holds the largest vertex id; the heap
-    of vertices by norm that ``max_norm_vertex`` reads drops its dead
-    entries lazily, and is made again when it is too long or empty.
+    live, as a step's block of new darts ends at the last rank it keeps,
+    and an integer that ``apply`` keeps exact holds the largest vertex id.
+    The heap of vertices by norm that ``max_norm_vertex`` reads is made on
+    the first query and again after ``diagram()``, and drops a dead entry
+    only when it reaches the top: it has no compaction rule, as no pushed
+    run has held more than 1.33 entries a live vertex.
     """
 
     def __init__(self, d: Diagram):
@@ -419,7 +443,7 @@ class DartStore:
     def max_norm_vertex(self) -> int:
         """The vertex a push step takes, by norm_key, from a heap with lazy deletion."""
         heap = self._heap
-        if not heap or len(heap) > 2 * len(self.labels) + 64:
+        if not heap:
             heap = self._heap = [norm_key(v, lbl) for v, lbl in self.labels.items()]
             heapq.heapify(heap)
         while self.labels.get(heap[0][2]) != heap[0][1]:
@@ -556,8 +580,7 @@ class DartStore:
         along every template edge.
         """
         p = self.presentation
-        t_letter = t.letter
-        walk_word = tuple(map(t_letter.__getitem__, t.walk))
+        walk_word = tuple(map(t.letter.__getitem__, t.walk))
         if walk_word != star.link_word:
             raise ValidationError(
                 "replacement boundary "
@@ -615,20 +638,21 @@ class DartStore:
         for vid, off in zip(interior_ids, t.offsets):
             labels[vid] = tuple(map(add, anchor, off))
 
-        # the host is a sphere map, so its E is V + F - 2
+        # the host is a sphere map, so its E is V + F - 2; the new darts are
+        # the block's ranks of nonzero letter
         nv = len(self.rotations) - len(plan.vertices) - 1 + len(rotations)
-        ne = len(self.rotations) + self.area - 1 + (len(t.inner) + len(plan.seam) - len(dropped)) // 2
+        new = len(plan.letter) - plan.letter.count(0)
+        ne = len(self.rotations) + self.area - 1 + (new - len(dropped)) // 2
         area = self.area + t.area - len(star.darts)
         if nv - ne + area + 1 != 2:
             raise ValidationError(f"Euler count V-E+F = {nv}-{ne}+{area + 1} != 2; not a sphere map")
 
-        darts = {start + c: (lt, start + tw) for c, lt, tw in t.inner}
-        darts.update((start + r, (t_letter[r], start + tw)) for r, tw in zip(plan.seam, plan.seam_twins))
         renamed = dict(zip([twin[link[i]] for i in plan.outer], map(shift, plan.outer_ranks)))
         if g is None:
             t.gluings[key] = plan
         return Surgery(
-            darts=darts,
+            letter=plan.letter,
+            twin=plan.twin,
             rotations=rotations,
             dropped_vertices=(
                 star.center,
@@ -687,17 +711,14 @@ class DartStore:
         """Commit a surgery computed by glue on the current state."""
         origin, letter, twin = self.origin, self.letter, self.twin
         rotations, labels = self.rotations, self.labels
-        # the new ids lie above every slot, and a step renumbers at least the
-        # link classes it glues, so s.darts is never empty; dropped darts
-        # keep their slots, dead, with letter 0
-        grow = [0] * (max(s.darts) + 1 - len(origin))
-        for field in (origin, letter, twin):
-            field += grow
+        # the new darts are one block from the first new id, the lists'
+        # length; dropped darts keep their slots, dead, with letter 0
+        start = len(origin)
+        origin += repeat(0, len(s.letter))
+        letter += s.letter
+        twin += map(start.__add__, s.twin)
         for x in s.dropped_darts:
             letter[x] = 0
-        for x, (lt, tw) in s.darts.items():
-            letter[x] = lt
-            twin[x] = tw
         for w in s.dropped_vertices:
             del rotations[w], labels[w]
         for vid, rot in s.rotations.items():

@@ -323,6 +323,35 @@ def test_validate_refuses_a_malformed_bundle_by_name(capsys, tmp_path, edit, mes
     assert err["error"] == {"type": "ValidationError", "message": message.format(path=path)}
 
 
+def test_validate_refuses_a_map_that_sends_a_relator_off_zero(capsys, tmp_path):
+    # each relator must map to zero under the bundle's map
+    bundle = json.loads(pathlib.Path(HEIS).read_text())
+    bundle["map"]["columns"]["z"] = [1, 0]
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(bundle))
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2 and out is None
+    assert err["error"] == {
+        "type": "ValidationError",
+        "message": f"{path}: relator 0 maps to [-1, 0], not zero; relator 3 maps to [1, 0], not zero;"
+        " relator 4 maps to [-1, 0], not zero",
+    }
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [("darts", {}, "'darts' must be a list"), ("rotations", [], "'rotations' must be an object")],
+)
+def test_validate_refuses_a_diagram_field_of_the_wrong_kind(capsys, tower_file, tmp_path, key, value, message):
+    obj = json.loads(open(tower_file).read())
+    obj[key] = value
+    path = tmp_path / "diagram.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "validate", Z2, str(path))
+    assert code == 2 and out is None
+    assert err["error"] == {"type": "ValidationError", "message": f"{path}: {message}"}
+
+
 # JSON values a mutation may put anywhere in a diagram file
 JSON_VALUES = st.recursive(
     st.none()
@@ -907,6 +936,15 @@ def test_bench_predicted_bounds_keep_integers_and_name_overflow(capsys, ar, at_n
     assert [type(v) for v in got.values()] == [type(v) for v in at_n]
 
 
+def test_bench_refuses_a_growth_expression_too_large_for_a_float(capsys):
+    # an integer power past the float range is taken in floats and fails;
+    # the text after the prefix is the platform's errno message
+    code, out, err = run(capsys, "bench", Z2, "--q", "5", "--count", "1", "--ar", "2**100000,n")
+    assert code == 64 and out is None
+    assert err["error"]["type"] == "UsageError"
+    assert err["error"]["message"].startswith("growth expression '2**100000' is undefined at n = 2:")
+
+
 def test_bench_deterministic_modulo_timing(capsys):
     def grab():
         code, out, err = run(
@@ -1230,6 +1268,25 @@ def test_import_leaves_numpy_out(tower_file, tmp_path):
     code, numpy_loaded, _ = render_in_child(tower_file, tmp_path)
     assert code == 0
     assert numpy_loaded is False
+
+
+def test_every_vkpush_module_imports_only_the_standard_library():
+    # the package declares no runtime dependency; CI installs the test
+    # extra, which brings numpy, so a stray import would pass there
+    script = (
+        "import importlib, json, pkgutil, sys\n"
+        "before = set(sys.modules)\n"
+        "import vkpush\n"
+        "for mod in pkgutil.iter_modules(vkpush.__path__):\n"
+        "    importlib.import_module(f'vkpush.{mod.name}')\n"
+        "new = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(json.dumps(sorted(new - set(sys.stdlib_module_names) - {'vkpush'})))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC}
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
 
 
 def test_module_entry_point():

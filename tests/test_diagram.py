@@ -105,23 +105,17 @@ def test_grid_metrics(grid):
     assert grid.labels[max_norm_vertex(grid)] == (2, 2)
 
 
-def test_store_heap_compacts_its_dead_entries(grid):
-    # vertices a run has dropped stay in the heap until they reach the top
-    # or the heap outgrows twice the live vertices; the ones above every
-    # live label must be skipped, the ones below only a compaction removes
+def test_store_heap_skips_its_dead_entries(grid):
+    # vertices a run has dropped stay in the heap until they reach the top;
+    # the ones above every live label must be skipped
     store = DartStore(grid)
     live = len(store.labels)
     # the first query makes the heap
     assert store.max_norm_vertex() == max_norm_vertex(grid)
     assert len(store._heap) == live
-    dead = range(max(store.labels) + 1, max(store.labels) + 2 * live + 66)
-    for v in dead[:3]:
+    dead = range(max(store.labels) + 1, max(store.labels) + 4)
+    for v in dead:
         heapq.heappush(store._heap, norm_key(v, (9, 9)))
-    assert store.max_norm_vertex() == max_norm_vertex(grid)
-    assert len(store._heap) == live
-    for i, v in enumerate(dead):
-        heapq.heappush(store._heap, norm_key(v, (9, 9) if i % 2 else (0, 0)))
-    assert len(store._heap) > 2 * live + 64
     assert store.max_norm_vertex() == max_norm_vertex(grid)
     assert len(store._heap) == live
 

@@ -101,6 +101,28 @@ def test_a_host_whose_rotations_start_elsewhere_hits_the_same_gluing(z2, turn):
     assert t.gluings == {key: plan}
 
 
+# -- the block of new darts -------------------------------------------------------
+
+
+def test_a_seam_root_with_no_use_leaves_a_dead_rank(z2):
+    # the first step of a depth-5 tower: walk ranks 12 and 13 are twins, a
+    # spur glued to link darts 22 and 21, which are twins too; the fold
+    # removes the spur, and neither root has a use
+    store, star, t = first_step(z2, depth=5)
+    cut = store.glue(star, t)
+    assert len(cut.letter) == len(cut.twin) == 20
+    assert [r for r, x in enumerate(cut.letter) if not x] == [12, 13]
+    darts = sum(map(len, store.rotations.values()))
+    start = len(store.letter)
+    store.apply(cut)
+    # the new-dart count, which the Euler count reads, leaves them out
+    assert sum(map(len, store.rotations.values())) == darts - len(cut.dropped_darts) + 18
+    assert store.letter[start + 12] == store.letter[start + 13] == 0
+    assert {start + 12, start + 13}.isdisjoint(x for rot in store.rotations.values() for x in rot)
+    assert len(store.letter) == start + 20
+    store.diagram()
+
+
 # -- what Gluing.compile refuses ---------------------------------------------------
 
 # A push never hands compile these shapes: each is the link shape of a tower

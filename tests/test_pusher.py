@@ -220,7 +220,8 @@ def test_a_fold_of_budgeted_vertices_gets_the_sum_of_their_budgets():
     # the run, so it has no baseline; 11 is interior to the replacement
     budgets = {1: 3, 2: 4, 5: 2, 6: 1, 7: 6}
     cut = Surgery(
-        darts={},
+        letter=(),
+        twin=(),
         rotations={},
         dropped_vertices=(7, 1, 2, 5, 8),
         fresh={9: (1, 2), 10: (5, 8), 11: ()},

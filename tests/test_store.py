@@ -108,7 +108,8 @@ def test_a_step_that_drops_the_top_vertex_and_makes_none_keeps_the_top_exact(z2)
     assert top == max(store.rotations)
     x = store.rotations[min(store.rotations)][0]
     cut = Surgery(
-        darts={x: (store.letter[x], store.twin[x])},
+        letter=(),
+        twin=(),
         rotations={},
         dropped_vertices=(top,),
         fresh={},
