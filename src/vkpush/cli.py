@@ -492,7 +492,7 @@ def cmd_bench(args) -> int:
     started = time.perf_counter()
     p, m, s, k = _push_inputs(args)
     # a malformed or undefined --ar ends the bench before any loop is sampled
-    predicted = _predicted_bounds(args.ar, k) if args.ar else None
+    predicted = _predicted_bounds(args.ar, k) if args.ar is not None else None
     certs = sample_corridor_certificates(
         p, m, args.q, args.target_len, args.count, args.seed
     )

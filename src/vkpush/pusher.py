@@ -17,9 +17,12 @@ count, on every step.  The walk word and the labels the host holds along
 its edges fix the labels at the link, so they need no check.  Every
 quantitative promise the certified constants make is audited at runtime;
 a violation is reported as a broken scheme, never glossed over.  Each
-step is checked from what it removed and created.  ``push_to_corridor`` is
-the one entry point, and ``_audit`` the one place the run bounds (sweep
-cap, (1+4AB)^sweeps area bound, degree doubling) are computed: once per
+bound has one place.  ``_push_max``, the step audit, checks the per-step
+bounds (new norms at most c - a/2, area growth at most A*degree) from what
+the step removed and created, before it is applied, so a recorded step
+has passed them.  ``push_to_corridor`` is the one entry point, and
+``_audit`` the one place the run bounds (degree doubling, sweep cap,
+(1+4AB)^sweeps area bound, boundary preservation) are computed: once per
 run, on every trace the run returns or raises, which carries the checks
 for the command line to report.
 """
@@ -178,11 +181,13 @@ def _push_max(
     The surgery is applied only once its checks pass: the label multiset
     loses the pushed label, every vertex the step creates has norm at most
     c - a/2, the count of vertices at norm >= c - a/2 strictly drops, and
-    the area grows by at most A per unit of degree.  ``choices`` holds the
-    run's entry and entry index per pushed label, so entry choice runs once
-    per label.  A failed step names itself by ``index``, the step's place in
-    the run, and by its vertex, label and entry; a star refused before any
-    entry is chosen names no entry.
+    the area grows by at most A per unit of degree.  This is the one place
+    the two per-step bounds are checked: a step that breaks one is neither
+    applied nor recorded, so ``_audit`` has no step to check again.
+    ``choices`` holds the run's entry and entry index per pushed label, so
+    entry choice runs once per label.  A failed step names itself by
+    ``index``, the step's place in the run, and by its vertex, label and
+    entry; a star refused before any entry is chosen names no entry.
 
     Two facts need no check here, as glue makes them true:
 
@@ -253,7 +258,11 @@ def _push_max(
         area_after=cut.area,
         new_vertex_max_norm=new_max,
     )
-    problems.extend(filter(None, _step_bounds(step, k)))
+    if new_max > tau:
+        problems.append(f"a new vertex has norm {new_max:.6f} > c - a/2 = {c - k.a / 2:.6f}")
+    grown = cut.area - store.area
+    if grown > k.A * step.degree + FLOAT_TOL:
+        problems.append(f"area grew by {grown} > A*degree = {k.A * step.degree:.1f}")
     if high <= 0:
         problems.append("the count of vertices above the c - a/2 threshold did not decrease")
     if problems:
@@ -262,23 +271,6 @@ def _push_max(
         )
     store.apply(cut)
     return step, cut
-
-
-def _step_bounds(st: PushStep, k: SchemeConstants) -> tuple[str | None, str | None]:
-    """The paper's two per-step bounds: a message for each the step breaks, else None.
-
-    Every new vertex has norm at most c - a/2, and the area grows by at most
-    A per unit of the pushed vertex's degree.
-    """
-    shallow = grown = None
-    if st.new_vertex_max_norm > st.c - k.a / 2 + FLOAT_TOL:
-        shallow = (
-            f"a new vertex has norm {st.new_vertex_max_norm:.6f}"
-            f" > c - a/2 = {st.c - k.a / 2:.6f}"
-        )
-    if st.area_after - st.area_before > k.A * st.degree + FLOAT_TOL:
-        grown = f"area grew by {st.area_after - st.area_before} > A*degree = {k.A * st.degree:.1f}"
-    return shallow, grown
 
 
 def _carry_budgets(budgets: dict[int, int], cut: Surgery) -> None:
@@ -389,44 +381,39 @@ def push_to_corridor(
 def _audit(trace: PushTrace, k: SchemeConstants, q: float) -> tuple[dict, list[str]]:
     """The paper's run bounds, recomputed from a trace: checks, and a message per failed one.
 
-    The per-step norm drop and area growth, degree doubling, the sweep cap
-    ceil(2(c0-q)/a) with c0 the largest initial label norm, the
-    (1+4AB)^sweeps area bound and boundary preservation.
+    Degree doubling, the sweep cap ceil(2(c0-q)/a) with c0 the largest
+    initial label norm, the (1+4AB)^sweeps area bound and boundary
+    preservation, each computed once.  The per-step bounds are
+    ``_push_max``'s alone.
     """
     init, fin = trace.initial, trace.final
     sweep_cap = _sweep_cap(max(norm(lbl) for lbl in init.labels.values()), q, k)
     area_bound = _area_bound(k, trace.sweeps, init.area)
-    problems: list[str] = []
-    broken = [_step_bounds(st, k) for st in trace.steps]
-    # the first step that breaks each bound: the norm drop, then the area growth
-    first = [next((i for i, pair in enumerate(broken) if pair[j]), None) for j in (0, 1)]
-    for j, i in enumerate(first):
-        if i is not None:
-            problems.append(f"step {i}: {broken[i][j]}")
     doubled = [v for v, b in trace.budgets.items() if fin.degree(v) > 2 * b]
-    if doubled:
-        v = doubled[0]
-        problems.append(
-            f"surviving vertex {v} with degree baseline {trace.budgets[v]}"
-            f" now has degree {fin.degree(v)}"
-        )
-    if trace.sweeps > sweep_cap:
-        problems.append(f"{trace.sweeps} sweeps exceed the bound ceil(2(c0-q)/a) = {sweep_cap}")
-    if fin.area > area_bound + FLOAT_TOL:
-        problems.append(
-            f"final area {fin.area} exceeds (1+4AB)^sweeps * initial = {area_bound:.1f}"
-        )
-    if fin.boundary_word != init.boundary_word:
-        problems.append("the boundary word changed across the run")
     checks = {
-        "step_norm_drop": first[0] is None,
-        "step_area_growth": first[1] is None,
+        # _push_max refuses a step that breaks the norm drop or the area
+        # growth before it is applied, so every recorded step passed both
+        "step_norm_drop": True,
+        "step_area_growth": True,
         "degree_doubling": not doubled,
         "sweeps_within_cap": trace.sweeps <= sweep_cap,
         "sweep_cap": sweep_cap,
         "area_within_bound": fin.area <= area_bound + FLOAT_TOL,
         "boundary_preserved": fin.boundary_word == init.boundary_word,
     }
+    problems: list[str] = []
+    if doubled:
+        v = doubled[0]
+        problems.append(
+            f"surviving vertex {v} with degree baseline {trace.budgets[v]}"
+            f" now has degree {fin.degree(v)}"
+        )
+    if not checks["sweeps_within_cap"]:
+        problems.append(f"{trace.sweeps} sweeps exceed the bound ceil(2(c0-q)/a) = {sweep_cap}")
+    if not checks["area_within_bound"]:
+        problems.append(f"final area {fin.area} exceeds (1+4AB)^sweeps * initial = {area_bound:.1f}")
+    if not checks["boundary_preserved"]:
+        problems.append("the boundary word changed across the run")
     return checks, problems
 
 

@@ -70,6 +70,11 @@ def test_incompatible_map_reports_first_offender(z2):
     assert len(problems) == 1 and "relator 0" in problems[0]
 
 
+def test_a_map_with_too_few_columns_is_incompatible(z2):
+    m = AbelianizationMap(rank=1, columns=((1,),))
+    assert check_compatible(m, z2) == ["map has 1 columns for 2 generators"]
+
+
 def test_map_json_requires_every_generator(z2):
     with pytest.raises(ValidationError, match="missing"):
         AbelianizationMap.from_json_dict({"rank": 1, "columns": {"a": [1]}}, z2)

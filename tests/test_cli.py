@@ -147,6 +147,25 @@ def test_certify_uncovered_scheme_exits_three(capsys, tmp_path):
     assert err["error"]["type"] == "CertificationError"
 
 
+def test_certify_refuses_a_presentation_without_relators(capsys, tmp_path):
+    # validate accepts the bundle; certify has no relator to bound
+    bundle = {
+        "presentation": {"generators": ["a"], "relators": []},
+        "map": {"rank": 1, "columns": {"a": [1]}},
+        "scheme": {"entries": [{"t": "a", "conj": {}, "fillings": {}}]},
+    }
+    path = tmp_path / "no_relators.json"
+    path.write_text(json.dumps(bundle))
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 0 and out["ok"] is True
+    code, out, err = run(capsys, "certify", str(path))
+    assert code == 3 and out is None
+    assert err["error"] == {
+        "type": "CertificationError",
+        "message": "presentation has no relators to certify against",
+    }
+
+
 def test_certify_requires_a_scheme(capsys, tmp_path):
     obj = json.loads((FIXTURES / "z2.json").read_text())
     del obj["scheme"]
@@ -926,6 +945,8 @@ def test_bench_without_wasteful_fillings_pushes_nothing(capsys):
         ("n,0", [10, 100, 1000]),
         ("n,n", [1.478088294143459e39, "overflow", "overflow"]),
         ("n*log(n),n", [3.4034240722237283e39, "overflow", "overflow"]),
+        # 81^20 * 101, exact over the integers before it is reported as a float
+        ("n**2+1,n", [float(81**20 * 101), "overflow", "overflow"]),
     ],
 )
 def test_bench_predicted_bounds_keep_integers_and_name_overflow(capsys, ar, at_n):
@@ -1034,6 +1055,16 @@ def test_bench_rejects_malformed_ar(capsys):
         assert err["error"]["type"] == "UsageError"
 
 
+def test_bench_refuses_an_empty_ar(capsys):
+    # an empty law is a malformed --ar, not an absent one
+    code, out, err = run(capsys, "bench", Z2, "--q", "5", "--count", "1", "--seed", "3", "--ar", "")
+    assert code == 64 and out is None
+    assert err["error"] == {
+        "type": "UsageError",
+        "message": "--ar takes two comma separated growth expressions, e.g. '3*n**2,2*n'",
+    }
+
+
 def test_bench_rejects_a_malformed_ar_before_pushing(capsys, monkeypatch):
     calls = []
     monkeypatch.setattr(cli, "push_to_corridor", lambda *args: calls.append(args))
@@ -1104,6 +1135,21 @@ def test_render_writes_dot_and_svg(capsys, tower_file, tmp_path):
     dot = (tmp_path / "pic.dot").read_text()
     assert dot.startswith("graph") and '[label="a"]' in dot
     assert (tmp_path / "pic.svg").read_text().startswith("<svg")
+
+
+@pytest.mark.parametrize("command", ["render", "push"])
+def test_render_into_an_existing_file_is_an_input_error(capsys, tower_file, tmp_path, command):
+    # the text after the prefix is the platform's errno message
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    if command == "render":
+        argv = ["render", Z2, tower_file, "--out", str(taken)]
+    else:
+        argv = ["push", Z2, tower_file, "--q", "4.5", "--render", str(taken)]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out is None
+    assert err["error"]["type"] == "InputError"
+    assert err["error"]["message"].startswith(f"{taken}: ")
 
 
 def test_render_draws_a_loop_edge_and_the_trivial_diagram(capsys, tmp_path):

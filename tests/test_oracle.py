@@ -418,3 +418,33 @@ def test_heisenberg_wasteful_from_sampled(heis_scheme):
         d = wasteful_diagram(heis_scheme, cert, q=4.0)
         assert d.boundary_word == cert.reduced_word()
         assert d.metrics()["norm"] > 5.5
+
+
+FREE = Presentation(("a",), ())
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # t = b maps to zero under ZM, so no corridor can move along it
+        (
+            lambda: build_scheme_entry(ZP, ZM, 2, {1: (1,), -1: (-1,)}, 2),
+            "direction 'b' maps to zero; corridors cannot move",
+        ),
+        (lambda: brute_area(ZP, COMMUTATOR, max_area=-1), "max_area must be nonnegative"),
+        (lambda: sample_corridor_certificates(ZP, ZM, 5.0, 12, -1, 0), "count must be nonnegative"),
+        (
+            lambda: sample_corridor_certificates(FREE, AbelianizationMap(1, ((1,),)), 5.0, 12, 1, 0),
+            "the presentation has no relators to sample",
+        ),
+        (
+            lambda: certificate_to_diagram(ZP, ZM, FillingCertificate((((), (1, 1)),)), (0,)),
+            "certificate factor 'a a' is not a relator variant",
+        ),
+    ],
+    ids=["zero-direction", "negative-area", "negative-count", "no-relators", "not-a-variant"],
+)
+def test_library_refusals_read_word_for_word(call, message):
+    with pytest.raises((CertificationError, ValidationError)) as info:
+        call()
+    assert str(info.value) == message

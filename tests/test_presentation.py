@@ -71,6 +71,15 @@ def test_presentation_rejects_empty_relator_tuple():
         Presentation(("a",), ((),))
 
 
+def test_letters_outside_the_alphabet_are_refused(z2):
+    with pytest.raises(ValidationError) as info:
+        Presentation(("a",), ((2,),))
+    assert str(info.value) == "letter 2 outside the generator alphabet"
+    with pytest.raises(ValidationError) as info:
+        letter_token(0, z2)
+    assert str(info.value) == "letter 0 outside the generator alphabet"
+
+
 def test_word_text_round_trip(z2):
     w = (1, 2, -1, -2, 2, 2)
     assert parse_word(word_to_text(w, z2), z2) == w

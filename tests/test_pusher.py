@@ -169,13 +169,12 @@ def test_a_step_below_a_threshold_above_its_own_norm_fails_the_count_check(z2):
     assert info.value.trace.steps == []
 
 
-def test_a_step_that_outgrows_a_times_degree_fails_both_audits(z2):
-    # each tower step grows the area by its degree; with A = 0.5 the first
-    # step breaks the per-step bound, in the step audit and in the run audit
+def test_a_step_that_outgrows_a_times_degree_fails_the_step_audit(z2):
+    # each tower step grows the area by its degree; with A = 0.5 the step
+    # audit refuses the first step, which is never recorded
     p, m, s, k = z2
     up = next(e for e in s.entries if e.t == 1)
     d = tower_diagram(up, R, 6, (0,))
-    _, trace = push_to_corridor(d, s, k, 5.0)
     tight = dataclasses.replace(k, A=0.5)
     with pytest.raises(PushError, match=r"area grew by 2 > A\*degree = 1\.0 \(step 0,") as info:
         push_to_corridor(d, s, tight, 5.0)
@@ -184,9 +183,6 @@ def test_a_step_that_outgrows_a_times_degree_fails_both_audits(z2):
     assert failed.steps == []
     assert failed.checks == _audit(failed, tight, 5.0)[0]
     assert all(v for key, v in failed.checks.items() if key != "sweep_cap")
-    checks, problems = _audit(trace, tight, 5.0)
-    assert checks["step_area_growth"] is False and checks["step_norm_drop"] is True
-    assert problems[0] == "step 0: area grew by 2 > A*degree = 1.0"
 
 
 def test_a_vertex_past_twice_its_budget_fails_degree_doubling(z2):
