@@ -1,8 +1,9 @@
 """Regenerate the committed example fixtures.
 
-Run from the repository root:
+Run from the repository root, with the library in ``src/`` on the path
+(an installed vkpush needs no PYTHONPATH):
 
-    python3 fixtures/make_fixtures.py
+    PYTHONPATH=src python3 fixtures/make_fixtures.py
 
 Each fixture file bundles a presentation, an abelianization map, and a
 verified pushing scheme whose fillings were found by the search oracle.

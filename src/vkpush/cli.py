@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import heapq
+import io
 import json
 import math
 import re
@@ -97,18 +98,31 @@ def _emit_error(kind: str, message: str, **extra) -> None:
 # -- input plumbing --------------------------------------------------------
 
 
-def _read_json(path):
+def _read_bytes(path):
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            return fh.read()
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}") from exc
+
+
+def _read_json(path, data=None):
+    """The JSON value of the file at ``path``, or of its bytes ``data`` if read already.
+
+    The bytes are decoded as a UTF-8 text-mode ``open`` reads them, universal
+    newlines included, so an error names the same position; ``json.loads``
+    on the bytes themselves would take UTF-16 too.
+    """
+    if data is None:
+        data = _read_bytes(path)
+    try:
+        return json.load(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise InputError(f"{path}: invalid JSON ({exc})") from exc
 
 
-def _load_bundle(path):
-    obj = _read_json(path)
+def _load_bundle(path, data=None):
+    obj = _read_json(path, data)
     if not isinstance(obj, dict):
         raise ValidationError(f"{path}: bundle must be a JSON object")
     for key in ("presentation", "map"):
@@ -138,17 +152,6 @@ def _load_diagram(path, p, m):
         raise ValidationError(f"{path}: {exc}") from exc
 
 
-def _sha256(path):
-    h = hashlib.sha256()
-    try:
-        with open(path, "rb") as fh:
-            for chunk in iter(lambda: fh.read(65536), b""):
-                h.update(chunk)
-    except OSError as exc:
-        raise InputError(f"{path}: {exc.strerror or exc}") from exc
-    return h.hexdigest()
-
-
 def _grid(args) -> float:
     if not (math.isfinite(args.grid) and args.grid > 0):
         raise UsageError("grid spacing must be a positive finite number")
@@ -172,16 +175,17 @@ def _check_flag_floors(args) -> None:
 
 
 def _push_inputs(args):
-    """The bundle, scheme and constants push and bench run on; flags checked first."""
+    """The bundle, scheme and constants push and bench run on, and the bundle's bytes; flags checked first."""
     grid = _grid(args)
     _require_finite_q(args)
-    p, m, s = _load_bundle(args.bundle)
+    data = _read_bytes(args.bundle)
+    p, m, s = _load_bundle(args.bundle, data)
     k = certify_coverage(_require_scheme(s, args.bundle), grid)
     if not args.q > k.q_min:
         raise UsageError(
             f"q must exceed q_min = max(b^2/a, a); this scheme certifies q_min = {k.q_min:g}"
         )
-    return p, m, s, k
+    return p, m, s, k, data
 
 
 # -- report pieces ---------------------------------------------------------
@@ -410,7 +414,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_push(args) -> int:
-    p, m, s, k = _push_inputs(args)
+    p, m, s, k, _ = _push_inputs(args)
     d = _load_diagram(args.diagram, p, m)
     final, trace = push_to_corridor(d, s, k, args.q)
     report = {
@@ -490,7 +494,9 @@ def _predicted_bounds(ar: str, k) -> dict:
 
 def cmd_bench(args) -> int:
     started = time.perf_counter()
-    p, m, s, k = _push_inputs(args)
+    # the report hashes the bundle bytes the run read, so a bundle changed
+    # or removed during the run changes or ends nothing
+    p, m, s, k, data = _push_inputs(args)
     # a malformed or undefined --ar ends the bench before any loop is sampled
     predicted = _predicted_bounds(args.ar, k) if args.ar is not None else None
     certs = sample_corridor_certificates(
@@ -536,7 +542,7 @@ def cmd_bench(args) -> int:
 
     failed = sum(not r["passed"] for r in results)
     report = {
-        "inputs": {"bundle": {"path": args.bundle, "sha256": _sha256(args.bundle)}},
+        "inputs": {"bundle": {"path": args.bundle, "sha256": hashlib.sha256(data).hexdigest()}},
         "constants": k.to_json_dict(),
         "q": args.q,
         "seed": args.seed,

@@ -142,8 +142,12 @@ class Diagram:
             # phi(d) = sigma^-1(twin(d)), the face continuation with interior
             # on the left, is prev[twin[d]]; the face walk clears that entry
             # as it leaves d, so a dart whose twin has none left lies on a
-            # walked face.  The boundary face comes first, from its dart;
-            # every other face starts at its smallest dart.
+            # walked face.  The checks above make twin a fixed-point-free
+            # involution of the live darts and prev a permutation of them,
+            # so phi is a permutation: a walk around one of its cycles never
+            # meets an entry that an earlier cycle cleared.  The boundary
+            # face comes first, from its dart; every other face starts at
+            # its smallest dart.
             faces = []
             for d0 in chain((boundary_face_dart,), compress(range(n), letter)):
                 t = twin[d0]
@@ -155,8 +159,6 @@ class Diagram:
                     orbit.append(d)
                     t = twin[d]
                     d, prev[t] = prev[t], 0
-                    if not d:
-                        raise ValidationError("rotation system does not define a permutation of faces")
                 faces.append(tuple(orbit))
 
         nv, ne, nf = len(rotations), darts // 2, len(faces)

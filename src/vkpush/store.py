@@ -17,11 +17,13 @@ use per seam dart, twins on faces, a permutation that takes every rim run)
 run then, as the shape fixes their outcome.  The gluing fixes the step's
 new darts too, up to a shift by the first new id: one block of letters and
 twin ranks, which ``DartStore.apply`` appends to the dart lists whole.
-``DartStore.glue`` checks per step only what the host brings: the walk word
-and the Euler count, with the host's E read as V + F - 2, as every host is
-a sphere map; vertex ids, interior rotations and labels are made per step
-too.  The labels at the link need no check: the walk word and the labels
-the host holds along its edges fix them (``DartStore.glue``).  The host
+``DartStore.glue`` checks per step only what the host brings, the walk
+word; vertex ids, interior rotations and labels are made per step too.  Its
+Euler count runs once per gluing, on the glue that compiles it, with the
+host's E read as V + F - 2, as every host is a sphere map: the gluing, the
+template and the shape fix the V, E and F the step adds.  The labels at
+the link need no check: the walk word and the labels the host holds along
+its edges fix them (``DartStore.glue``).  The host
 darts around the link that the step keeps, its rim, are copied into the
 new rotations as slices of their host rotations and never re-checked: a
 rim edge held before the step, its far end keeps its label, and its near
@@ -121,10 +123,9 @@ class Template:
     walk: tuple[int, ...]
     seam: frozenset[int]
     # the rotations of the vertices off the walk, each from its smallest
-    # rank and in that order; the one of them each class starts at (-1 on
-    # the walk); their labels less the label where the walk starts
+    # rank and in that order, and their labels less the label where the
+    # walk starts
     interior: tuple[tuple[int, ...], ...]
-    vertex: tuple[int, ...]
     offsets: tuple[Vector, ...]
     # link shape -> how the seam is sewn into a host of that shape, filled
     # by DartStore.glue; dataclasses.replace starts a template with none
@@ -157,14 +158,11 @@ class Template:
         ranks = tuple(rank[bld.rep(x)] for x in walk)
         seam = frozenset(ranks) | {twin[r] for r in ranks}
         # the rotations that hold no seam class are the interior vertices
-        vertex = [-1] * len(order)
         interior: list[tuple[int, ...]] = []
         offsets: list[Vector] = []
         for v, rot in rotations.items():
             cyc = tuple(map(rank.__getitem__, rot))
             if seam.isdisjoint(cyc):
-                for r in cyc:
-                    vertex[r] = len(interior)
                 interior.append(cyc)
                 offsets.append(labels[v])
         return cls(
@@ -175,7 +173,6 @@ class Template:
             walk=ranks,
             seam=seam,
             interior=tuple(interior),
-            vertex=tuple(vertex),
             offsets=tuple(offsets),
         )
 
@@ -231,9 +228,25 @@ class Gluing:
         vertex, whether a rim run follows each, and the folds, all of which
         the key fixes; so its outcome holds for every host of the shape.
         ``link`` and ``start`` only name darts in the messages.
+
+        A thread is checked only for a successor role beyond the link and
+        its twins, and for a class it has placed already; where else it
+        goes is fixed by the checks before it:
+
+        - a seam class a thread reaches is the twin of a used class, which
+          the twin check has made used too, so it is in ``pred`` or
+          ``outer``;
+        - a class off the seam lies on a cell at a walk vertex: sigma(e) =
+          twin(pred(e)) keeps the template vertex, and the thread entered
+          that vertex from a seam class, so no thread reaches an interior
+          vertex;
+        - each class is placed once, and ``outer`` maps distinct classes to
+          distinct roles, as the use check refuses two roles glued to one
+          class; so no thread takes a rim run twice, and ``rim`` counts the
+          runs that no thread took.
         """
         n = len(t.walk)
-        t_twin, t_pred, seam, vertex = t.twin, t.pred, t.seam, t.vertex
+        t_twin, t_pred, seam = t.twin, t.pred, t.seam
         partner = {i: -1 - j for i, j in enumerate(key[n : 2 * n]) if j < 0}
 
         def host_twin(r: int) -> int:
@@ -306,7 +319,6 @@ class Gluing:
         # then the seam class glued to the twin of the dropped dart ending it
         cycles: list[tuple[list[int], set[int]]] = []
         placed: set[int] = set()
-        taken: set[int] = set()
         for e0 in uses:
             if e0 in placed:
                 continue
@@ -326,17 +338,15 @@ class Gluing:
                     e = seam_twin[q] if q in seam else t_twin[q]
                 else:
                     y, run = key[r] >> 1, key[r] & 1
-                    if (run and r in taken) or y >= 2 * n:
+                    if y >= 2 * n:
                         raise ValidationError("rotation system does not define a permutation of faces")
                     if run:
-                        taken.add(r)
                         cyc.append(-1 - r)
                         rim -= 1
                     e = seam_twin[glued[host_twin(y)]]
                 if e == e0:
                     break
-                threaded = (e in pred or e in outer) if e in seam else vertex[e] < 0
-                if e in placed or not threaded:
+                if e in placed:
                     raise ValidationError("rotation system does not define a permutation of faces")
                 placed.add(e)
                 cyc.append(e)
@@ -555,12 +565,30 @@ class DartStore:
         to the next dart of its host rotation, so each run of rim darts
         between two dropped darts joins a new rotation as one slice.
 
-        Checked on every step: the walk word, and the Euler count, with the
+        Checked on every step: the walk word.  The Euler count runs on the
+        glue that compiles a gluing, before the template keeps it, with the
         host's E read as V + F - 2, as every host is a sphere map (the
-        first went through ``Diagram.build``, and each step passed this
-        count).  The labels at the link need no check, as the checks that
-        stay fix them.  Write l_0 ... l_{n-1} for the link darts and w_i
-        for the walk's classes:
+        first went through ``Diagram.build``, and no step uses a gluing
+        that has not passed the count).
+        The gluing, the template and the shape fix what the step adds to
+        each term:
+
+        - V: the new rotations (the gluing's wrapped and closed ones and
+          the template's interior), less the link vertices the gluing
+          takes and the centre;
+        - E: half of the block's live ranks less the dropped darts: the
+          link, its twins that are no link darts, the spokes and their
+          twins, which the shape numbers;
+        - F: the template's area less the degree.
+
+        So a gluing that passed the count on one host passes on every host
+        of its shape, and a glue that reuses it need not count.  A gluing
+        that fails is never kept, so its shape is counted, and refused
+        with the same message, at each attempt.
+
+        The labels at the link need no check, as the walk word fixes them.
+        Write l_0 ... l_{n-1} for the link darts and w_i for the walk's
+        classes:
 
         - the link is a closed walk of host edges, head(l_i) =
           origin(l_{i+1}), within a corner face and across corners;
@@ -628,9 +656,12 @@ class DartStore:
             else:
                 vid = fresh_id
                 fresh_id += 1
+                # slots is never empty: each link rotation holds a used seam
+                # class, and every seam class is glued, a walk class to its
+                # link dart and its twin to that dart's twin (at a fold, to
+                # the partner link dart)
                 wanted = fresh[vid] = tuple(sorted(origin[link[i]] for i in slots))
-                if wanted:
-                    labels[vid] = self.labels[wanted[0]]
+                labels[vid] = self.labels[wanted[0]]
             rotations[vid] = cyc
 
         # the interior labels, translated from the label where the walk starts
@@ -638,17 +669,16 @@ class DartStore:
         for vid, off in zip(interior_ids, t.offsets):
             labels[vid] = tuple(map(add, anchor, off))
 
-        # the host is a sphere map, so its E is V + F - 2; the new darts are
-        # the block's ranks of nonzero letter
-        nv = len(self.rotations) - len(plan.vertices) - 1 + len(rotations)
-        new = len(plan.letter) - plan.letter.count(0)
-        ne = len(self.rotations) + self.area - 1 + (new - len(dropped)) // 2
         area = self.area + t.area - len(star.darts)
-        if nv - ne + area + 1 != 2:
-            raise ValidationError(f"Euler count V-E+F = {nv}-{ne}+{area + 1} != 2; not a sphere map")
-
         renamed = dict(zip([twin[link[i]] for i in plan.outer], map(shift, plan.outer_ranks)))
         if g is None:
+            # the host is a sphere map, so its E is V + F - 2; the new darts
+            # are the block's ranks of nonzero letter
+            nv = len(self.rotations) - len(plan.vertices) - 1 + len(rotations)
+            new = len(plan.letter) - plan.letter.count(0)
+            ne = len(self.rotations) + self.area - 1 + (new - len(dropped)) // 2
+            if nv - ne + area + 1 != 2:
+                raise ValidationError(f"Euler count V-E+F = {nv}-{ne}+{area + 1} != 2; not a sphere map")
             t.gluings[key] = plan
         return Surgery(
             letter=plan.letter,

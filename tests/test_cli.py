@@ -929,6 +929,26 @@ def test_bench_report_shape_and_hashes(capsys):
     assert "seconds" in out["timing"]
 
 
+def test_bench_hashes_the_bundle_bytes_it_read(capsys, monkeypatch, tmp_path):
+    # the bundle is deleted after the first push; the report still carries
+    # the digest of the bytes the run read, which the bench read once
+    bundle = tmp_path / "z2.json"
+    data = pathlib.Path(Z2).read_bytes()
+    bundle.write_bytes(data)
+    push, pushes = cli.push_to_corridor, []
+
+    def push_then_delete(*args):
+        pushes.append(push(*args))
+        bundle.unlink(missing_ok=True)
+        return pushes[-1]
+
+    monkeypatch.setattr(cli, "push_to_corridor", push_then_delete)
+    code, out, err = run(capsys, "bench", str(bundle), "--q", "5", "--count", "3", "--seed", "3")
+    assert code == 0 and err is None
+    assert len(pushes) == 3 and not bundle.exists()
+    assert out["inputs"]["bundle"]["sha256"] == hashlib.sha256(data).hexdigest()
+
+
 def test_bench_without_wasteful_fillings_pushes_nothing(capsys):
     # the plain certificate fillings of z2 corridor loops already lie inside
     code, out, err = run(capsys, "bench", Z2, "--q", "5", "--count", "3", "--seed", "3", "--no-wasteful")

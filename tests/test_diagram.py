@@ -465,6 +465,16 @@ def test_store_star_rejects_boundary_vertex(grid):
             store.star(v)
 
 
+def test_store_star_refuses_an_id_that_is_no_vertex(z2_bundle):
+    p, m, s = z2_bundle
+    up = next(e for e in s.entries if e.t == 1)
+    store = DartStore(tower_diagram(up, (1, 2, -1, -2), 2, m.zero))
+    assert 8 not in store.rotations
+    with pytest.raises(ValidationError) as info:
+        store.star(8)
+    assert str(info.value) == "no vertex 8 in the diagram"
+
+
 def grid_with_a_c_corner(relators, corner) -> Diagram:
     """The 2x2 grid over <a, b, c | [a, b], relators> with c -> 0, one corner of the centre widened.
 

@@ -156,6 +156,13 @@ REFUSALS = [
     (6, 0, {0: 21}, "rotation system does not define a permutation of faces"),
     # link dart 0 followed by itself, and by the twin of spoke 0 as well
     (6, 0, {0: 0}, "rotation system does not define a permutation of faces"),
+    # the twin of link dart 1, kept under a new id, followed by the twin of
+    # spoke 0, and link dart 0 by link dart 2 in its place: a thread that
+    # leaves a kept twin for a spoke's twin
+    (6, 0, {0: 4, 5: 16}, "rotation system does not define a permutation of faces"),
+    # the successors of link dart 1 and of its twin swapped, with no rim
+    # run: a thread that comes back to a class it has placed
+    (6, 0, {1: 4, 5: 6}, "rotation system does not define a permutation of faces"),
 ]
 
 

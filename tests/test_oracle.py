@@ -431,6 +431,10 @@ FREE = Presentation(("a",), ())
             lambda: build_scheme_entry(ZP, ZM, 2, {1: (1,), -1: (-1,)}, 2),
             "direction 'b' maps to zero; corridors cannot move",
         ),
+        (
+            lambda: build_scheme_entry(ZP, ZM, 3, {}, max_area=2),
+            "direction 3 is not a letter of the presentation",
+        ),
         (lambda: brute_area(ZP, COMMUTATOR, max_area=-1), "max_area must be nonnegative"),
         (lambda: sample_corridor_certificates(ZP, ZM, 5.0, 12, -1, 0), "count must be nonnegative"),
         (
@@ -442,7 +446,7 @@ FREE = Presentation(("a",), ())
             "certificate factor 'a a' is not a relator variant",
         ),
     ],
-    ids=["zero-direction", "negative-area", "negative-count", "no-relators", "not-a-variant"],
+    ids=["zero-direction", "not-a-letter", "negative-area", "negative-count", "no-relators", "not-a-variant"],
 )
 def test_library_refusals_read_word_for_word(call, message):
     with pytest.raises((CertificationError, ValidationError)) as info:
